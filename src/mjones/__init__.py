@@ -2,7 +2,7 @@
 
 * :mod:`mjones.braidlang` - braid words and closure invariants
 * :mod:`mjones.anyon_core` - Ising-anyon braid matrices and amplitudes
-* :mod:`mjones.kauffman_oracle` - exact bracket state sum (classical oracle)
+* :mod:`mjones.kauffman_oracle` - exact Temperley-Lieb bracket (classical oracle)
 * :mod:`mjones.spin_sim` - ten-qubit imaginary-time braiding replay
 * :mod:`mjones.tomography` - Pauli-basis state/process decompositions
 * :mod:`mjones.verify` - cross-validation suite behind ``mjones verify``

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -164,10 +165,12 @@ class RunConfig:
     link_table: str | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
+        # written as "not > 0" so that NaN is rejected too; tau = inf is the
+        # exact projection, a tolerance of inf would accept every value
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass

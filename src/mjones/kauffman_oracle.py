@@ -1,10 +1,13 @@
 """Exact Kauffman-bracket evaluation of braid closures.
 
-The bracket is computed as the full state sum: every crossing is resolved
-both ways, loops of the resulting diagram are counted with union-find, and
-each state contributes A^(a-b) d^(loops-1) with d = -A^2 - A^-2.  All
-arithmetic is over integer-coefficient Laurent polynomials in A, so results
-are exact; Python integers make overflow a non-issue at any supported size.
+The bracket is computed by the Temperley-Lieb transfer of Kauffman's state
+model: reading the word left to right, each letter sigma_i^(+-1) acts as
+A^(+-1) * 1 + A^(-+1) * e_i on partial diagrams, and each state of the
+closure contributes A^(a-b) d^(loops-1) with d = -A^2 - A^-2.  Strands are
+joined to their trace arcs as soon as no later letter touches them, so the
+transfer only tracks diagrams on the strands still in play.  All arithmetic
+is on integer coefficients, so results are exact; Python integers make
+overflow a non-issue at any supported size.
 
 Smoothing convention: for a positive letter the A-smoothing is the
 identity-like (vertical) one and the A^-1-smoothing the cap-cup; negative
@@ -18,7 +21,9 @@ The Jones value at t = i is obtained by evaluating at A = exp(3i*pi/8).
 All four fourth roots of t = i agree on knots, but multi-component links
 pick up half-integer powers of t whose sign depends on the root; this one
 gives sqrt(2)^(#L-1) with positive sign on unlinks, matching the sign
-convention of the mod-2 (arf) formula and of the anyon backend.
+convention of the mod-2 (arf) formula and of the anyon backend.  Since
+A^8 = -1 there, the integer coefficients are folded onto A^0..A^7 exactly
+before any floating-point arithmetic.
 """
 
 from __future__ import annotations
@@ -119,9 +124,23 @@ class LaurentPolynomial:
 LOOP_FACTOR = LaurentPolynomial({2: -1, -2: -1})
 
 
+# A_AT_T_I^r for r < 8; A_AT_T_I^(r+8) = -A_AT_T_I^r
+_POWERS_AT_T_I = tuple(cmath.exp(3j * cmath.pi * r / 8) for r in range(8))
+
+
 def eval_at(poly: LaurentPolynomial, a: complex) -> complex:
     """Evaluate at a complex point by exact integer powers; a = 0 is rejected
-    when negative exponents are present."""
+    when negative exponents are present.
+
+    At ``A_AT_T_I`` the coefficients are first summed exactly per exponent
+    mod 8 (with the sign of A^8 = -1), so huge alternating coefficients
+    cancel in integers instead of in floating point.
+    """
+    if a == A_AT_T_I:
+        folded = [0] * 8
+        for e, c in poly.coeffs.items():
+            folded[e % 8] += c if e % 16 < 8 else -c
+        return sum(c * _POWERS_AT_T_I[r] for r, c in enumerate(folded))
     if a == 0 and any(e < 0 for e in poly.coeffs):
         raise ZeroDivisionError("cannot evaluate negative exponents at A = 0")
     return sum(c * a ** e for e, c in poly.coeffs.items())
@@ -130,9 +149,13 @@ def eval_at(poly: LaurentPolynomial, a: complex) -> complex:
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
-    Enumerates all 2^c smoothings (c = crossing count, capped at
-    ``MAX_CROSSINGS``); loop counting is a union-find over the strand
-    segments each smoothing produces.
+    Temperley-Lieb transfer: letter g acts as A^s * 1 + A^-s * e_|g| with
+    s = sign(g).  The live state maps each partial diagram to integer state
+    counts keyed by (A-exponent, loop count).  A diagram is a pairing of
+    slots: slot p is the current top end of position p, slot n + p its
+    bottom end, and -1 marks a closed position.  Each strand is closed into
+    its trace arc right after the last letter that touches it (untouched
+    strands at the start), so only strands still in play are tracked.
     """
     c = word.crossings
     if c > MAX_CROSSINGS:
@@ -140,53 +163,59 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
             f"{c} crossings exceeds the state-sum bound of {MAX_CROSSINGS}"
         )
     n = word.strands
-    letters = word.letters
-    signs = [1 if g > 0 else -1 for g in letters]
-    positions = [abs(g) - 1 for g in letters]
+    last: dict[int, int] = {}
+    for j, g in enumerate(word.letters):
+        last[abs(g) - 1] = last[abs(g)] = j
 
-    # accumulate state weights per (A-exponent, loop count); expand the
-    # d powers into polynomials only once at the end
-    weights: dict[tuple[int, int], int] = {}
-    for mask in range(1 << c):
-        parent = list(range(n))
-        cur = list(range(n))
-        nxt = n
+    start = [-1] * (2 * n)
+    for p in last:
+        start[p], start[n + p] = n + p, p
+    states = {tuple(start): {(0, n - len(last)): 1}}
+    for j, g in enumerate(word.letters):
+        k = abs(g) - 1
+        s = 1 if g > 0 else -1
+        closing = [p for p in (k, k + 1) if last[p] == j]
+        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for diag, weights in states.items():
+            for horizontal in (False, True):
+                slots = list(diag)
+                loops = 0
+                if horizontal:
+                    # e_k: cap the top ends of k and k+1, cup new ones
+                    x, y = slots[k], slots[k + 1]
+                    if x == k + 1:
+                        loops += 1
+                    else:
+                        slots[x], slots[y] = y, x
+                    slots[k], slots[k + 1] = k + 1, k
+                for p in closing:
+                    # join the top end of p to its bottom end
+                    x, y = slots[p], slots[n + p]
+                    if x == n + p:
+                        loops += 1
+                    else:
+                        slots[x], slots[y] = y, x
+                    slots[p] = slots[n + p] = -1
+                da = -s if horizontal else s
+                bucket = nxt.setdefault(tuple(slots), {})
+                for (aexp, nloops), w in weights.items():
+                    key = (aexp + da, nloops + loops)
+                    bucket[key] = bucket.get(key, 0) + w
+        states = nxt
+    (weights,) = states.values()  # every strand is closed: one empty diagram
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        aexp = 0
-        for i in range(c):
-            horizontal = bool((mask >> i) & 1)
-            aexp += signs[i] * (-1 if horizontal else 1)
-            if horizontal:
-                k = positions[i]
-                ra, rb = find(cur[k]), find(cur[k + 1])
-                if ra != rb:
-                    parent[ra] = rb
-                parent.append(nxt)
-                cur[k] = cur[k + 1] = nxt
-                nxt += 1
-        for k in range(n):
-            ra, rb = find(cur[k]), find(k)
-            if ra != rb:
-                parent[ra] = rb
-        loops = len({find(x) for x in range(nxt)})
-        key = (aexp, loops - 1)
-        weights[key] = weights.get(key, 0) + 1
-
-    total = LaurentPolynomial.zero()
-    dpows: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.one()}
-    for (aexp, dpow), count in sorted(weights.items()):
-        if dpow not in dpows:
-            p = max(k for k in dpows if k < dpow)
-            for q in range(p, dpow):
-                dpows[q + 1] = dpows[q] * LOOP_FACTOR
-        total = total + (dpows[dpow] * LaurentPolynomial.monomial(count)).shift(aexp)
-    return total
+    # sum of w * A^aexp * d^(nloops-1), by Horner's rule in d = LOOP_FACTOR
+    rows: dict[int, dict[int, int]] = {}
+    for (aexp, nloops), w in weights.items():
+        rows.setdefault(nloops - 1, {})[aexp] = w
+    total: dict[int, int] = {}
+    for dpow in range(max(rows), -1, -1):
+        acc = dict(rows.get(dpow, {}))
+        for e, coeff in total.items():
+            for de, dc in LOOP_FACTOR.coeffs.items():
+                acc[e + de] = acc.get(e + de, 0) + dc * coeff
+        total = acc
+    return LaurentPolynomial(total)
 
 
 def jones_polynomial(word: BraidWord) -> LaurentPolynomial:

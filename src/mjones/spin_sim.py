@@ -344,7 +344,8 @@ def _check_unit_spectrum(term: PauliTerm) -> None:
 
 
 def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
-    """Normalised exp(-tau * term) |state> via cosh/sinh splitting.
+    """Normalised exp(-tau * term) |state>, computed as the proportional
+    state - tanh(tau) * term|state> so that any tau up to inf is finite.
 
     A state orthogonal to the term's ground eigenspace would survive any
     finite tau but vanish in the projective limit; that degenerate case is
@@ -358,8 +359,7 @@ def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
         raise DegenerateEvolutionError(
             "state is orthogonal to the surviving eigenspace of the term"
         )
-    out = math.cosh(tau) * state - math.sinh(tau) * tv
-    return normalize(out)
+    return normalize(state - math.tanh(tau) * tv)
 
 
 def _ground_excited_split(state: np.ndarray, term: PauliTerm):
@@ -493,7 +493,7 @@ def braid_sequence(name: str, state: np.ndarray, tau: float = DEFAULT_TAU) -> np
 
 
 def _braid_step(state: np.ndarray, step: ScheduleStep, tau: float) -> np.ndarray:
-    evolved = math.cosh(tau) * state - math.sinh(tau) * apply_pauli(step.term, state, N_SITES)
+    evolved = state - math.tanh(tau) * apply_pauli(step.term, state, N_SITES)
     return cooling_step(normalize(evolved), step.term, step.pairing)
 
 

@@ -97,6 +97,30 @@ def test_jones_empty_word(capsys):
     assert "|V| = 2.000000000" in out
 
 
+def test_jones_wide_unlink_agrees_with_arf(capsys):
+    # V(i) = sqrt(2)^29 ~ 2.3e4: the oracle must not lose the 1e-8 tolerance
+    # to floating-point cancellation between large coefficients
+    code, out, _ = run(capsys, "jones", "strands=30", "--backend", "kauffman")
+    assert code == EXIT_OK
+    assert "arf/kauffman" in out
+
+
+@pytest.mark.parametrize("tau", ["1000", "inf"])
+def test_jones_huge_tau_is_the_exact_projection(capsys, tau):
+    code, out, _ = run(capsys, "jones", "s1 s1 s1", "--tau", tau)
+    assert code == EXIT_OK
+    assert "agreement: yes" in out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau", "nan"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+])
+def test_jones_rejects_nan_and_unbounded_flags(capsys, flag, value):
+    code, _, err = run(capsys, "jones", "s1 s1 s1", flag, value)
+    assert code == EXIT_PARSE
+    assert flag.lstrip("-") in err
+
+
 def test_link_table_override(tmp_path, capsys):
     # a correct user-supplied table lets the closed form join the comparison
     table = tmp_path / "links.json"

@@ -1,4 +1,5 @@
-"""Exact bracket state sum against hand-computed and closed-form values."""
+"""Exact bracket oracle against hand-computed and closed-form values, and the
+Temperley-Lieb transfer against an independent 2^c state sum."""
 
 import cmath
 import math
@@ -28,6 +29,52 @@ BORROMEAN = BraidWord(3, (1, -2, 1, -2, 1, -2))
 
 def P(coeffs):
     return LaurentPolynomial(coeffs)
+
+
+def state_sum_bracket(word: BraidWord) -> LaurentPolynomial:
+    """Reference bracket: every one of the 2^c smoothings, loops counted by
+    union-find over strand segments, each state weighted A^(a-b) d^(loops-1)."""
+    n, c = word.strands, word.crossings
+    counts: dict[tuple[int, int], int] = {}
+    for mask in range(1 << c):
+        parent = list(range(n))
+        cur = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        aexp = 0
+        for i, g in enumerate(word.letters):
+            sign = 1 if g > 0 else -1
+            if (mask >> i) & 1:  # cap-cup smoothing joins the two segments
+                aexp -= sign
+                k = abs(g) - 1
+                parent[find(cur[k])] = find(cur[k + 1])
+                parent.append(len(parent))
+                cur[k] = cur[k + 1] = len(parent) - 1
+            else:
+                aexp += sign
+        for k in range(n):
+            parent[find(cur[k])] = find(k)
+        key = (aexp, len({find(x) for x in range(len(parent))}))
+        counts[key] = counts.get(key, 0) + 1
+    total = LaurentPolynomial.zero()
+    for (aexp, loops), count in counts.items():
+        total = total + (LOOP_FACTOR ** (loops - 1) * P({aexp: count}))
+    return total
+
+
+def random_word(rng: random.Random, max_strands: int, max_crossings: int) -> BraidWord:
+    strands = rng.randint(1, max_strands)
+    if strands == 1:
+        return BraidWord(1, ())
+    return BraidWord(strands, tuple(
+        rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+        for _ in range(rng.randint(0, max_crossings))
+    ))
 
 
 class TestLaurentPolynomial:
@@ -86,6 +133,17 @@ class TestBracket:
     def test_positive_hopf(self):
         assert bracket(HOPF) == P({4: -1, -4: -1})
 
+    def test_transfer_matches_state_sum(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            word = random_word(rng, 7, 12)
+            assert bracket(word).coeffs == state_sum_bracket(word).coeffs, word
+
+    def test_reference_state_sum_on_known_values(self):
+        assert state_sum_bracket(UNKNOT) == P({3: -1})
+        assert state_sum_bracket(HOPF) == P({4: -1, -4: -1})
+        assert state_sum_bracket(BraidWord(3, ())) == LOOP_FACTOR ** 2
+
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             bracket(BraidWord(2, (1,) * 25))
@@ -118,6 +176,11 @@ class TestJonesPolynomial:
     def test_unknot_normalises_to_one_exactly(self):
         assert jones_polynomial(UNKNOT) == 1
         assert jones_polynomial(BraidWord(2, (-1,))) == 1
+
+    def test_long_chain_closes_to_the_unknot(self):
+        # s1 s2 ... s24 on 25 strands: 2^24 distinct partial diagrams unless
+        # each strand is closed as soon as its last letter has been applied
+        assert jones_polynomial(BraidWord(25, tuple(range(1, 25)))) == 1
 
     def test_positive_trefoil(self):
         # skein relation gives t + t^3 - t^4 for the all-positive closure,
@@ -155,6 +218,15 @@ class TestValuesAtI:
     def test_unlinks(self):
         assert jones_at_i(BraidWord(2, ())) == pytest.approx(math.sqrt(2))
         assert jones_at_i(BraidWord(3, ())) == pytest.approx(2)
+
+    def test_wide_unlinks_are_exact(self):
+        # d^(n-1) has coefficients up to C(n-1, (n-1)/2); they must cancel in
+        # integers, not in floating point
+        for n in (30, 60, 200):
+            half, odd = divmod(n - 1, 2)
+            expected = math.ldexp(math.sqrt(2) if odd else 1.0, half)
+            value = jones_at_i(BraidWord(n, ()))
+            assert abs(value - expected) <= 1e-14 * expected
 
     def test_trefoil_value_branch_independent(self):
         # knots have integer t powers; every fourth root of t = i agrees

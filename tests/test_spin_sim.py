@@ -187,6 +187,15 @@ class TestIteAndCooling:
         expected /= np.linalg.norm(expected)
         assert np.max(np.abs(ite_apply(state, term, 20.0) - expected)) < 1e-12
 
+    def test_huge_tau_is_the_projection(self):
+        # cosh(tau) overflows past tau ~ 710; the step must not
+        rng = np.random.default_rng(6)
+        state = rand_state(rng)
+        term = PauliTerm(1.0, {3: "z"})
+        expected = ite_apply(state, term, 20.0)
+        for tau in (1000.0, math.inf):
+            assert np.max(np.abs(ite_apply(state, term, tau) - expected)) < 1e-15
+
     def test_amplitude_scaling_law(self):
         # amplitudes pick up exp(-tau E) before renormalisation
         term = PauliTerm(1.0, {3: "z"})

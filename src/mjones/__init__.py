@@ -1,7 +1,7 @@
 """Jones polynomials at t = i, three independent ways.
 
 * :mod:`mjones.braidlang` - braid words and closure invariants
-* :mod:`mjones.anyon_core` - Ising-anyon braid matrices and amplitudes
+* :mod:`mjones.anyon_core` - Ising-anyon braiding on n pairs as Majorana exchanges
 * :mod:`mjones.kauffman_oracle` - exact Temperley-Lieb bracket (classical oracle)
 * :mod:`mjones.spin_sim` - ten-qubit imaginary-time braiding replay
 * :mod:`mjones.tomography` - Pauli-basis state/process decompositions
@@ -22,7 +22,6 @@ from .braidlang import (
     parse_braid,
 )
 from .anyon_core import (
-    AnyonBasis,
     JonesValue,
     braid_generators,
     evolve,

@@ -1,36 +1,32 @@
-"""Ising-anyon braid matrices and the Jones values they encode.
+"""Ising-anyon braiding on any number of pairs, as Majorana exchanges.
 
-Two or three anyon pairs are supported.  The fusion space of n pairs with
-total vacuum charge has dimension 2^(n-1); basis index 0 is the all-vacuum
-state.  For three pairs the basis is labelled by the fusion channels of the
-first and third pair (the second is fixed by parity), so the four exchange
-generators act as
+n pairs of Ising anyons carry 2n Majorana modes.  The Jordan-Wigner
+transformation puts them on n qubits,
 
-    B1 = e^{i pi/8} diag(-1,-1, i, i)          (within pair 1)
-    B2 = -(e^{-i pi/8}/sqrt 2) [[1,i],[i,1]] (x) 1   (anyons 2,3)
-    B3 = e^{i pi/8} diag(-1, i, i,-1)          (anyons 3,4)
-    B4 = -(e^{-i pi/8}/sqrt 2) 1 (x) [[1,i],[i,1]]   (anyons 4,5)
+    gamma_{2j-1} = Z...Z X_j,   gamma_{2j} = Z...Z Y_j,
 
-and for two pairs B1 = e^{i pi/8} diag(-1, i), B2 as above without the
-tensor factor.  B2 is the fusion-matrix (Hadamard) conjugate of B1.
+so qubit j reads 0 exactly when anyons 2j-1 and 2j fuse to the vacuum, and
+the all-vacuum fusion state is |0...0>.  Exchanging anyons a and b acts as
+(1 + gamma_a gamma_b)/sqrt 2 (Ivanov 2001).  An exchange letter is the
+ordered pair (a, b): since gamma_b gamma_a = -gamma_a gamma_b, the letter
+(b, a) is the inverse exchange (1 - gamma_a gamma_b)/sqrt 2.  Any two
+anyons, adjacent or not, are exchanged directly by the same form.
 
-Link braid generators map to anyon exchanges of the strands' worldlines:
-the strands are one anyon from each pair, so sigma_1 is B2, while sigma_2
-exchanges non-adjacent anyons 3 and 5 and is realised as the conjugate
-B4 B3 B4^-1.  (Mapping sigma_2 to the bare B4 is not a braid-group
-homomorphism on the worldlines and does not reproduce the three-strand
-amplitudes.)
+Each link strand is the worldline of one anyon: strand 1 carries anyon 2
+and strand k > 1 carries anyon 2k-1.  sigma_k is the letter
+(a_k, a_{k+1}) of the anyons a_k, a_{k+1} of strands k and k+1, and
+sigma_k^-1 is (a_{k+1}, a_k); sigma_1 exchanges anyons 2 and 3, sigma_2
+the non-adjacent anyons 3 and 5.
 
-The Jones value of a word on n pairs is
+The Jones value at t = i of the word's closure on n pairs is
 
-    V = WRITHE_PHASE^(-w) * d^(n-1) * <0|U|0>,   d = sqrt(2),
+    V = d^(n-1) <0...0|U|0...0>,   d = sqrt(2),
 
-where WRITHE_PHASE = exp(7i pi/8) is the (-t^{3/4}) factor at t = i on the
-branch t^{3/4} = exp(-i pi/8).  The branch is pinned by requiring the
-unknot (single positive crossing on two strands) to normalise to exactly 1;
-the principal branch exp(3i pi/8) fails that check.  With this constant
-and positive d the five sample links come out 0, -1, -sqrt 2, -1, -2, in
-agreement with the classical bracket oracle.
+with no writhe phase: in this sign convention the unknot sigma_1 comes out
+exactly 1 and the sample links 0, -1, -sqrt 2, -1, -2, as the bracket
+oracle gives them.  Pairs beyond the word's strands are spectator
+worldlines that close to split unknots, each scaling V by d.  The cost is
+O(letters * 2^n); above MAX_PAIRS the backend raises CapacityError.
 """
 
 from __future__ import annotations
@@ -42,157 +38,92 @@ from functools import lru_cache
 import numpy as np
 
 from .braidlang import BraidWord
+from .kauffman_oracle import CapacityError
+from .pauli import PauliString, majorana_string, string_action
 
 QUANTUM_DIMENSION = math.sqrt(2.0)
-WRITHE_PHASE = np.exp(7j * np.pi / 8)
 
-UNITARITY_TOL = 1e-12
+# a 1000-letter word evolves in under a second at 16 pairs; the cost
+# doubles with every further pair
+MAX_PAIRS = 16
 
-_PHASE_P = np.exp(1j * np.pi / 8)
-_MIX = -(np.exp(-1j * np.pi / 8) / np.sqrt(2.0)) * np.array([[1, 1j], [1j, 1]])
+_SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class AnyonBasis:
-    """Fusion basis bookkeeping for n pairs of Ising anyons."""
+def _anyon(strand: int) -> int:
+    return 2 if strand == 1 else 2 * strand - 1
 
-    pairs: int
 
-    def __post_init__(self):
-        if self.pairs not in (2, 3):
-            raise ValueError(f"unsupported pair count {self.pairs} (need 2 or 3)")
-
-    @property
-    def dimension(self) -> int:
-        return 2 ** (self.pairs - 1)
-
-    @property
-    def vacuum_index(self) -> int:
-        return 0
-
-    def fusion_labels(self) -> tuple[tuple[str, ...], ...]:
-        """Per-pair fusion outcomes ('1' vacuum, 'psi' fermion) for each
-        basis index; total charge is vacuum, so the outcomes have even
-        fermion parity.  Two pairs are indexed by the first pair's channel,
-        three pairs by the (first, third) channels with the middle one
-        fixed by parity."""
-        channels = ("1", "psi")
-        if self.pairs == 2:
-            return tuple((c, c) for c in channels)
-        out = []
-        for a in (0, 1):
-            for c in (0, 1):
-                out.append((channels[a], channels[a ^ c], channels[c]))
-        return tuple(out)
+def _mode(anyon: int, pairs: int) -> PauliString:
+    return majorana_string((anyon + 1) // 2, "a" if anyon % 2 else "b", pairs)
 
 
 @lru_cache(maxsize=None)
+def _exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, coefficient) with gamma_a gamma_b |v> = coefficient * v[source]."""
+    if a == b or not (1 <= a <= 2 * pairs and 1 <= b <= 2 * pairs):
+        raise ValueError(f"exchange ({a}, {b}) out of range for {pairs} pairs")
+    src, coeff = string_action(_mode(a, pairs) * _mode(b, pairs))
+    coeff.setflags(write=False)
+    return src, coeff
+
+
 def braid_generators(pairs: int) -> tuple[np.ndarray, ...]:
-    """Exchange matrices B1..B2 (two pairs) or B1..B4 (three pairs)."""
-    basis = AnyonBasis(pairs)
-    if pairs == 2:
-        gens = (
-            _PHASE_P * np.diag([-1, 1j]),
-            _MIX.copy(),
-        )
-    else:
-        eye = np.eye(2)
-        gens = (
-            _PHASE_P * np.diag([-1, -1, 1j, 1j]),
-            np.kron(_MIX, eye),
-            _PHASE_P * np.diag([-1, 1j, 1j, -1]),
-            np.kron(eye, _MIX),
-        )
-    for g in gens:
-        assert_unitary(g)
-        g.setflags(write=False)
-    assert gens[0].shape == (basis.dimension, basis.dimension)
-    return gens
-
-
-def assert_unitary(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-    if dev > tol:
-        raise AssertionError(f"matrix is not unitary (deviation {dev:.3e})")
+    """Dense matrices of the 2*pairs - 1 adjacent exchanges (m, m+1)."""
+    rows = np.arange(1 << pairs)
+    gens = []
+    for m in range(1, 2 * pairs):
+        src, coeff = _exchange(m, m + 1, pairs)
+        g = np.eye(1 << pairs, dtype=complex)
+        g[rows, src] += coeff
+        gens.append(g * _SQRT_HALF)
+    return tuple(gens)
 
 
 def evolve(letters, pairs: int) -> np.ndarray:
-    """Product of exchange matrices for a word of anyon generator indices.
-
-    Letters are applied in word order (first letter acts first); negative
-    letters use the inverse (conjugate-transpose) matrix.  Accepts a
-    :class:`BraidWord` or any iterable of signed indices.
-    """
-    if isinstance(letters, BraidWord):
-        letters = letters.letters
-    gens = braid_generators(pairs)
-    u = np.eye(2 ** (pairs - 1), dtype=complex)
-    for g in letters:
-        k = abs(g)
-        if not 1 <= k <= len(gens):
-            raise ValueError(f"generator index {g} out of range for {pairs} pairs")
-        m = gens[k - 1]
-        u = (m if g > 0 else m.conj().T) @ u
-    assert_unitary(u)
-    return u
+    """U|0...0> for a word of exchange letters (a, b), first letter first."""
+    if pairs > MAX_PAIRS:
+        raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
+    state = np.zeros(1 << pairs, dtype=complex)
+    state[0] = 1.0
+    for a, b in letters:
+        src, coeff = _exchange(a, b, pairs)
+        state = (state + coeff * state[src]) * _SQRT_HALF
+    return state
 
 
-def vacuum_amplitude(u: np.ndarray) -> complex:
-    """Amplitude <0|U|0> on the all-vacuum fusion state."""
-    return complex(u[0, 0])
+def vacuum_amplitude(state: np.ndarray) -> complex:
+    """Amplitude <0...0|U|0...0>, read from the evolved vacuum U|0...0>."""
+    return complex(state[0])
 
 
-def link_to_anyon_word(word: BraidWord, pairs: int) -> list[int]:
-    """Translate link braid letters sigma_k into anyon exchange letters.
-
-    sigma_1 -> B2; sigma_2 -> B4 B3 B4^-1 (three pairs only).  Spare pairs
-    beyond the generators' reach simply contribute spectator worldlines.
-    """
-    sub = {1: (2,), -1: (-2,)}
-    if pairs == 3:
-        sub[2] = (-4, 3, 4)   # applied first-to-last: B4 B3 B4^-1
-        sub[-2] = (-4, -3, 4)
-    out: list[int] = []
-    for g in word.letters:
-        if g not in sub:
-            raise ValueError(
-                f"link generator s{abs(g)} not representable on {pairs} anyon pairs"
-            )
-        out.extend(sub[g])
-    return out
+def link_to_anyon_word(word: BraidWord, pairs: int) -> list[tuple[int, int]]:
+    """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
+    sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k."""
+    if word.strands > pairs:
+        raise ValueError(
+            f"word needs {word.strands} strands but only {pairs} pairs are available"
+        )
+    return [(_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
+            for g in word.letters]
 
 
 @dataclass(frozen=True)
 class JonesValue:
-    """Jones evaluation at t = i together with its writhe phase factor."""
+    """Signed Jones value at t = i and the pair count it was evaluated on."""
 
     value: complex
-    writhe_phase: complex
     pairs_used: int
 
 
 def jones_su2_2(word: BraidWord, pairs: int) -> JonesValue:
-    """Signed Jones value at t = i of the word's closure on ``pairs`` pairs.
-
-    The closure realised on n pairs is the word's trace closure together
-    with one split unknot per spare pair, so the value scales by d for
-    each extra pair.
-    """
-    if word.strands > pairs:
-        raise ValueError(
-            f"word needs {word.strands} strands but only {pairs} pairs are available"
-        )
-    u = evolve(link_to_anyon_word(word, pairs), pairs)
-    phase = WRITHE_PHASE ** (-word.writhe)
-    value = phase * QUANTUM_DIMENSION ** (pairs - 1) * vacuum_amplitude(u)
-    return JonesValue(value=complex(value), writhe_phase=complex(phase), pairs_used=pairs)
+    """Signed Jones value at t = i of the word's closure on ``pairs`` pairs."""
+    state = evolve(link_to_anyon_word(word, pairs), pairs)
+    value = QUANTUM_DIMENSION ** (pairs - 1) * vacuum_amplitude(state)
+    return JonesValue(value=complex(value), pairs_used=pairs)
 
 
 def jones_majorana_abs(word: BraidWord, pairs: int) -> float:
     """|V| at t = i via the amplitude-magnitude relation 2^{(n-1)/2} |<0|U|0>|."""
-    if word.strands > pairs:
-        raise ValueError(
-            f"word needs {word.strands} strands but only {pairs} pairs are available"
-        )
-    u = evolve(link_to_anyon_word(word, pairs), pairs)
-    return 2.0 ** ((pairs - 1) / 2.0) * abs(vacuum_amplitude(u))
+    state = evolve(link_to_anyon_word(word, pairs), pairs)
+    return 2.0 ** ((pairs - 1) / 2.0) * abs(vacuum_amplitude(state))

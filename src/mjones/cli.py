@@ -155,6 +155,17 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
+# a bad file, a malformed entry, or c1/c3 data that does not fit the link
+_LINK_TABLE_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
+def _check_tau(tau: float) -> None:
+    # written as "not > 0" so that NaN is rejected too; tau = inf is the
+    # exact projection
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     backend: str = "all"
@@ -165,10 +176,8 @@ class RunConfig:
     link_table: str | None = None
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN is rejected too; tau = inf is the
-        # exact projection, a tolerance of inf would accept every value
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        _check_tau(self.tau)
+        # a tolerance of inf would accept every value
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be finite and positive")
 
@@ -217,14 +226,7 @@ def _invariants_payload(word: BraidWord, table) -> dict:
 
 
 def _effective_strands(word: BraidWord, config: RunConfig) -> int:
-    if config.pairs is not None:
-        n = config.pairs
-    elif not word.letters:
-        n = word.strands
-    else:
-        # the pair count is a free choice, not the component count; default
-        # to the smallest machine that hosts the word's generators
-        n = max(2 if word.max_generator() == 1 else 3, word.strands)
+    n = word.strands if config.pairs is None else config.pairs
     if n < word.strands:
         raise CapacityError(
             f"--pairs {n} is below the word's strand count {word.strands}"
@@ -256,8 +258,6 @@ def run_jones(word: BraidWord, config: RunConfig) -> Report:
 
     if "anyon" in wanted:
         def run_anyon():
-            if n not in (2, 3):
-                raise CapacityError(f"anyon backend supports 2 or 3 pairs, not {n}")
             jv = anyon_core.jones_su2_2(padded, n)
             return {
                 "V_re": jv.value.real,
@@ -323,7 +323,7 @@ def _report_json(report: Report, config: RunConfig) -> str:
         "config": {
             "backend": config.backend,
             "pairs": report.strands,
-            "tau": config.tau,
+            "tau": config.tau if math.isfinite(config.tau) else "inf",
             "tolerance": config.tolerance,
         },
         "invariants": report.invariants,
@@ -399,7 +399,7 @@ def cmd_jones(args) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except _LINK_TABLE_ERRORS as exc:
         print(f"link-table error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if config.output == "json":
@@ -418,17 +418,21 @@ def cmd_braid_info(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        table = _load_link_table(args.link_table)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        inv_payload = _invariants_payload(word, _load_link_table(args.link_table))
+    except _LINK_TABLE_ERRORS as exc:
         print(f"link-table error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    inv_payload = _invariants_payload(word, table)
     report = Report(word=format_braid(word), strands=word.strands, invariants=inv_payload)
     print(_report_text(report))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    try:
+        _check_tau(args.tau)
+    except ValueError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     results = verify_mod.run_all(tau=args.tau)
     if args.output == "json":
         payload = {
@@ -462,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jones.add_argument("--backend", choices=("anyon", "spin", "kauffman", "all"),
                          default="all")
     p_jones.add_argument("--pairs", type=int, default=None,
-                         help="anyon pair count / strand padding (default: 2 for "
-                              "single-generator words, else 3)")
+                         help="anyon pair count / strand padding (default: the "
+                              "word's strand count)")
     p_jones.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
     p_jones.add_argument("--tolerance", type=float, default=1e-8)
     p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")

@@ -40,7 +40,8 @@ A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
 
 
 class CapacityError(ValueError):
-    """State-sum size limit exceeded."""
+    """A backend's size limit exceeded (the bracket's crossing bound, the
+    anyon backend's pair cap)."""
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ Sites are numbered 1..n with site 1 as the most significant bit of the
 basis index.  A string is held as X/Z bitmasks plus a complex phase
 (Y = iXZ contributes both bits); products, commutation checks and dense
 matrices all derive from that form.  Applying a string to a state vector
-is a single fancy-indexed permutation with per-index phases, O(2^n).
+is a single fancy-indexed gather with per-index phases, O(2^n); the index
+and sign arrays are built once per word and register size and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -129,33 +131,47 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
+def majorana_string(site: int, flavor: str, n: int) -> PauliString:
+    """Jordan-Wigner image of a Majorana mode of fermion ``site`` on ``n``
+    sites: Z...Z X for flavor 'a', Z...Z Y for flavor 'b'."""
+    factors = {s: "z" for s in range(1, site)}
+    factors[site] = "x" if flavor == "a" else "y"
+    return PauliString(n, 1.0, factors)
+
+
+@lru_cache(maxsize=None)
+def _kernel(flip: int, phase_mask: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source index, sign vector) of a Pauli word given by its masks: the
+    word maps v to i^(#Y) * sign * v[source].  Shared read-only arrays."""
+    src = np.arange(1 << n) ^ flip
+    signs = 1.0 - 2.0 * _parity(src & phase_mask)
+    src.setflags(write=False)
+    signs.setflags(write=False)
+    return src, signs
+
+
+def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(source index, coefficient vector) with string |v> = coefficient * v[source]."""
+    flip, phase_mask, ycount = _masks(string.factors, string.n_sites)
+    src, signs = _kernel(flip, phase_mask, string.n_sites)
+    return src, (string.phase * 1j ** ycount) * signs
+
+
 def apply_pauli(term: PauliTerm, state: np.ndarray, n: int) -> np.ndarray:
     """Return (coefficient * Pauli word) |state> without materialising a matrix."""
     if state.shape != (1 << n,):
         raise ValueError(f"state has shape {state.shape}, expected ({1 << n},)")
     flip, phase_mask, ycount = _masks(term.factors, n)
-    idx = np.arange(1 << n)
-    signs = 1.0 - 2.0 * _parity(idx & phase_mask)
-    out = np.empty_like(state, dtype=complex)
-    out[idx ^ flip] = (term.coefficient * (1j ** ycount)) * signs * state
-    return out
-
-
-def dense_operator(term: PauliTerm, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the term (verification paths only)."""
-    flip, phase_mask, ycount = _masks(term.factors, n)
-    idx = np.arange(1 << n)
-    signs = 1.0 - 2.0 * _parity(idx & phase_mask)
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    out[idx ^ flip, idx] = (term.coefficient * (1j ** ycount)) * signs
-    return out
+    src, signs = _kernel(flip, phase_mask, n)
+    return (term.coefficient * (1j ** ycount)) * signs * state[src]
 
 
 def dense_sum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a sum of terms (verification paths only)."""
     out = np.zeros((1 << n, 1 << n), dtype=complex)
+    rows = np.arange(1 << n)
     for t in terms:
         flip, phase_mask, ycount = _masks(t.factors, n)
-        idx = np.arange(1 << n)
-        signs = 1.0 - 2.0 * _parity(idx & phase_mask)
-        out[idx ^ flip, idx] += (t.coefficient * (1j ** ycount)) * signs
+        src, signs = _kernel(flip, phase_mask, n)
+        out[rows, src] += (t.coefficient * (1j ** ycount)) * signs
     return out

@@ -42,7 +42,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .braidlang import BraidWord
-from .pauli import PauliString, PauliTerm, apply_pauli, dense_sum
+from .pauli import PauliString, PauliTerm, apply_pauli, dense_sum, majorana_string
 
 N_SITES = 10
 DIM = 1 << N_SITES
@@ -118,9 +118,7 @@ class MajoranaOperator:
             raise ValueError(f"flavor must be 'a' or 'b', got {self.flavor!r}")
 
     def string(self) -> PauliString:
-        factors = {s: "z" for s in range(1, self.site)}
-        factors[self.site] = "x" if self.flavor == "a" else "y"
-        return PauliString(N_SITES, 1.0, factors)
+        return majorana_string(self.site, self.flavor, N_SITES)
 
     def matrix(self) -> np.ndarray:
         return dense_sum([self.string().as_term()], N_SITES)

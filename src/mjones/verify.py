@@ -123,8 +123,9 @@ def check_amplitude_goldens() -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for (name, word, _, _), amp_ref in zip(GOLDEN_LINKS, GOLDEN_AMPLITUDES):
-        u = anyon_core.evolve(anyon_core.link_to_anyon_word(word, word.strands), word.strands)
-        worst = max(worst, abs(abs(anyon_core.vacuum_amplitude(u)) - amp_ref))
+        state = anyon_core.evolve(anyon_core.link_to_anyon_word(word, word.strands),
+                                  word.strands)
+        worst = max(worst, abs(abs(anyon_core.vacuum_amplitude(state)) - amp_ref))
     ok = worst <= 1e-12
     return CheckResult(
         "amplitude-goldens", ok,
@@ -263,7 +264,7 @@ def check_property_suite(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
             if dev > 1e-12:
                 failures.append(f"generator unitarity ({pairs} pairs): {dev:.2e}")
 
-    b1, b2, b3, b4 = anyon_core.braid_generators(3)
+    b1, b2, b3, b4, b5 = anyon_core.braid_generators(3)
     dev = np.max(np.abs(b2 @ b3 @ b2 - b3 @ b2 @ b3))
     if dev > 1e-12:
         failures.append(f"braid relation B2B3B2=B3B2B3: {dev:.2e}")

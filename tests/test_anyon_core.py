@@ -1,6 +1,5 @@
 """Exchange matrices, amplitudes, and Jones values of the anyon backend."""
 
-import cmath
 import math
 import random
 
@@ -8,9 +7,8 @@ import numpy as np
 import pytest
 
 from mjones.anyon_core import (
-    AnyonBasis,
+    MAX_PAIRS,
     QUANTUM_DIMENSION,
-    WRITHE_PHASE,
     braid_generators,
     evolve,
     jones_majorana_abs,
@@ -19,6 +17,7 @@ from mjones.anyon_core import (
     vacuum_amplitude,
 )
 from mjones.braidlang import BraidWord
+from mjones.kauffman_oracle import CapacityError, jones_at_i
 
 HOPF = BraidWord(2, (1, 1))
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -26,88 +25,89 @@ SOLOMON = BraidWord(2, (1, 1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
 BORROMEAN = BraidWord(3, (1, -2, 1, -2, 1, -2))
 
-HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+def random_word(rng, strands, max_letters):
+    length = rng.randint(0, max_letters) if strands > 1 else 0
+    return BraidWord(strands, tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                                    for _ in range(length)))
 
 
-def test_basis_dimensions():
-    assert AnyonBasis(2).dimension == 2
-    assert AnyonBasis(3).dimension == 4
-    assert AnyonBasis(3).vacuum_index == 0
-    with pytest.raises(ValueError):
-        AnyonBasis(4)
-
-
-def test_fusion_labels_index_the_diagonal_generators():
-    labels = AnyonBasis(3).fusion_labels()
-    assert labels[0] == ("1", "1", "1")
-    assert all(label.count("psi") % 2 == 0 for label in labels)
-    # within-pair exchanges phase by that pair's channel: -1 on vacuum,
-    # i on fermion (up to the shared e^{i pi/8})
-    b1, _, b3, _ = braid_generators(3)
-    phase = cmath.exp(1j * math.pi / 8)
-    for idx, label in enumerate(labels):
-        assert b1[idx, idx] == pytest.approx(phase * (-1 if label[0] == "1" else 1j))
-        assert b3[idx, idx] == pytest.approx(phase * (-1 if label[1] == "1" else 1j))
-
-
-def test_two_pair_generators():
-    b1, b2 = braid_generators(2)
-    assert np.allclose(b1, cmath.exp(1j * math.pi / 8) * np.diag([-1, 1j]))
-    # the mixing exchange is the fusion-matrix conjugate of the diagonal one
-    assert np.allclose(b2, HADAMARD @ b1 @ HADAMARD.conj().T, atol=1e-12)
-
-
-def test_three_pair_diagonals():
-    b1, b2, b3, b4 = braid_generators(3)
-    phase = cmath.exp(1j * math.pi / 8)
-    assert np.allclose(np.diag(b1), phase * np.array([-1, -1, 1j, 1j]))
-    assert np.allclose(np.diag(b3), phase * np.array([-1, 1j, 1j, -1]))
-    assert np.allclose(b2, np.kron(braid_generators(2)[1], np.eye(2)))
-    assert np.allclose(b4, np.kron(np.eye(2), braid_generators(2)[1]))
+def test_exchange_is_the_majorana_product_form():
+    # (1 + gamma_m gamma_{m+1})/sqrt 2 with gamma_{2j-1} = Z..Z X_j and
+    # gamma_{2j} = Z..Z Y_j: pins the Jordan-Wigner map and the sign convention
+    x = np.array([[0, 1], [1, 0]])
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1, -1])
+    gammas = [np.kron(x, np.eye(2)), np.kron(y, np.eye(2)), np.kron(z, x), np.kron(z, y)]
+    for m, g in enumerate(braid_generators(2)):
+        assert np.allclose(g, (np.eye(4) + gammas[m] @ gammas[m + 1]) / math.sqrt(2))
 
 
 def test_generators_unitary():
-    for pairs in (2, 3):
-        for g in braid_generators(pairs):
+    for pairs in (1, 2, 3, 4):
+        gens = braid_generators(pairs)
+        assert len(gens) == 2 * pairs - 1
+        for g in gens:
             assert np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))) < 1e-12
 
 
 def test_braid_relation_and_far_commutation():
-    b1, b2, b3, b4 = braid_generators(3)
-    assert np.max(np.abs(b2 @ b3 @ b2 - b3 @ b2 @ b3)) < 1e-12
-    assert np.max(np.abs(b2 @ b4 - b4 @ b2)) < 1e-12
+    gens = braid_generators(3)
+    for a, b in zip(gens, gens[1:]):
+        assert np.max(np.abs(a @ b @ a - b @ a @ b)) < 1e-12
+    for m, a in enumerate(gens):
+        for b in gens[m + 2:]:
+            assert np.max(np.abs(a @ b - b @ a)) < 1e-12
 
 
 def test_evolve_identity_and_order():
-    assert np.allclose(evolve([], 2), np.eye(2))
-    b1, b2 = braid_generators(2)
-    # first letter acts first: word [1, 2] is the product B2 B1
-    assert np.allclose(evolve([1, 2], 2), b2 @ b1)
-    assert np.allclose(evolve([1, -1], 2), np.eye(2), atol=1e-12)
+    vacuum = np.eye(4)[0]
+    assert np.allclose(evolve([], 2), vacuum)
+    b1, b2, b3 = braid_generators(2)
+    # first letter acts first: word (1,2) (2,3) is the product B2 B1
+    assert np.allclose(evolve([(1, 2), (2, 3)], 2), b2 @ b1 @ vacuum)
+    # the reversed pair is the inverse exchange
+    assert np.allclose(evolve([(2, 3), (3, 2)], 2), vacuum, atol=1e-12)
 
 
 def test_evolve_rejects_bad_index():
     with pytest.raises(ValueError):
-        evolve([3], 2)
+        evolve([(3, 5)], 2)
     with pytest.raises(ValueError):
-        evolve([5], 3)
+        evolve([(0, 1)], 3)
+    with pytest.raises(ValueError):
+        evolve([(2, 2)], 3)
+
+
+def test_pair_count_above_the_cap_is_a_capacity_error():
+    with pytest.raises(CapacityError):
+        evolve([], MAX_PAIRS + 1)
+    with pytest.raises(CapacityError):
+        jones_su2_2(BraidWord(MAX_PAIRS + 1, (1,)), MAX_PAIRS + 1)
 
 
 def test_vacuum_amplitudes():
-    assert vacuum_amplitude(np.eye(4)) == 1
-    assert abs(vacuum_amplitude(evolve([2, 2], 2))) < 1e-14
-    assert vacuum_amplitude(evolve([2, 2, 2], 2)) == pytest.approx(
-        cmath.exp(-3j * math.pi / 8) / math.sqrt(2)
-    )
+    assert vacuum_amplitude(evolve([], 3)) == 1
+    assert abs(vacuum_amplitude(evolve([(2, 3)] * 2, 2))) < 1e-14
+    assert vacuum_amplitude(evolve([(2, 3)] * 3, 2)) == pytest.approx(-1 / math.sqrt(2))
 
 
 def test_conjugated_exchange_matches_direct_form():
-    # the non-adjacent exchange image of the three-strand words equals the
-    # explicitly conjugated product B4 (B2 B3^-1)^3 B4^-1
-    b1, b2, b3, b4 = braid_generators(3)
-    inv = np.linalg.inv
+    # a non-adjacent exchange is an adjacent one conjugated by its neighbour:
+    # (a, a+2) = B_{a+1}^-1 B_a B_{a+1}, with B_m the exchange (m, m+1)
+    rng = random.Random(7)
+    for a in range(1, 5):
+        b, c = a + 1, a + 2
+        prefix = [(m, m + 1) if rng.random() < 0.5 else (m + 1, m)
+                  for m in (rng.randint(1, 5) for _ in range(12))]
+        for direct, conjugated in (((a, c), [(b, c), (a, b), (c, b)]),
+                                   ((c, a), [(b, c), (b, a), (c, b)])):
+            assert np.max(np.abs(evolve(prefix + [direct], 3)
+                                 - evolve(prefix + conjugated, 3))) < 1e-12
+    # the Borromean rings with sigma_2^-1 = (5, 3) written as B4 B3 B4^-1
+    b1, b2, b3, b4, b5 = braid_generators(3)
+    conjugated = np.linalg.matrix_power(b4 @ b3 @ np.linalg.inv(b4) @ b2, 3)[:, 0]
     direct = evolve(link_to_anyon_word(BORROMEAN, 3), 3)
-    conjugated = b4 @ np.linalg.matrix_power(b2 @ inv(b3), 3) @ inv(b4)
     assert np.max(np.abs(direct - conjugated)) < 1e-12
     assert vacuum_amplitude(conjugated) == pytest.approx(-1)
 
@@ -120,10 +120,12 @@ def test_figure_eight_amplitude_magnitude():
 def test_amplitude_bounded_by_one():
     rng = random.Random(23)
     for _ in range(50):
-        pairs = rng.choice([2, 3])
-        width = 2 if pairs == 2 else 4
-        letters = [rng.choice([-1, 1]) * rng.randint(1, width) for _ in range(rng.randint(0, 10))]
-        assert abs(vacuum_amplitude(evolve(letters, pairs))) <= 1 + 1e-12
+        pairs = rng.randint(1, 5)
+        letters = [tuple(rng.sample(range(1, 2 * pairs + 1), 2))
+                   for _ in range(rng.randint(0, 10))]
+        state = evolve(letters, pairs)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+        assert abs(vacuum_amplitude(state)) <= 1 + 1e-12
 
 
 def test_jones_signed_values():
@@ -138,12 +140,6 @@ def test_jones_unknot_and_unlinks():
     assert jones_su2_2(BraidWord(2, (1,)), 2).value == pytest.approx(1)
     assert jones_su2_2(BraidWord(2, ()), 2).value == pytest.approx(math.sqrt(2))
     assert jones_su2_2(BraidWord(3, ()), 3).value == pytest.approx(2)
-
-
-def test_writhe_phase_factor_recorded():
-    jv = jones_su2_2(TREFOIL, 2)
-    assert jv.pairs_used == 2
-    assert jv.writhe_phase == pytest.approx(WRITHE_PHASE ** -3)
 
 
 def test_spare_pair_scales_by_quantum_dimension():
@@ -183,19 +179,24 @@ def test_word_wider_than_pairs_rejected():
 
 def test_signed_agreement_with_bracket_oracle_on_random_words():
     # the two routes share conventions exactly, not just on the sample links
-    from mjones.kauffman_oracle import jones_at_i
-
     rng = random.Random(99)
-    for _ in range(150):
-        strands = rng.choice([2, 3])
-        letters = tuple(
-            rng.choice([-1, 1]) * rng.randint(1, strands - 1)
-            for _ in range(rng.randint(0, 9))
-        )
-        word = BraidWord(strands, letters)
-        assert jones_su2_2(word, strands).value == pytest.approx(
+    for _ in range(300):
+        word = random_word(rng, rng.randint(1, 8), 12)
+        assert jones_su2_2(word, word.strands).value == pytest.approx(
             jones_at_i(word), abs=1e-9
         )
+
+
+def test_markov_stabilization():
+    # appending sigma_n^{+-1} on n + 1 strands leaves the closure's link type
+    rng = random.Random(5)
+    for _ in range(60):
+        word = random_word(rng, rng.randint(1, 6), 10)
+        n = word.strands
+        value = jones_su2_2(word, n).value
+        for sign in (1, -1):
+            stabilized = BraidWord(n + 1, word.letters + (sign * n,))
+            assert jones_su2_2(stabilized, n + 1).value == pytest.approx(value, abs=1e-9)
 
 
 def test_torus_closures_beyond_the_sample_set():

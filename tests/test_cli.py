@@ -6,6 +6,8 @@ import math
 import jsonschema
 import pytest
 
+from mjones.anyon_core import MAX_PAIRS
+
 from mjones.cli import (
     EXIT_CAPACITY,
     EXIT_DISAGREE,
@@ -71,19 +73,36 @@ def test_jones_parse_error_exit_2(capsys):
 
 
 def test_jones_capacity_exit_3(capsys):
-    code, _, err = run(capsys, "jones", "s3 s3", "--backend", "anyon")
+    code, _, err = run(capsys, "jones", f"strands={MAX_PAIRS + 1} s1", "--backend", "anyon")
     assert code == EXIT_CAPACITY
+    assert f"capped at {MAX_PAIRS} pairs" in err
     code, _, err = run(capsys, "jones", " ".join(["s1"] * 25), "--backend", "kauffman")
     assert code == EXIT_CAPACITY
     assert "state-sum bound" in err
 
 
+def test_jones_anyon_beyond_three_pairs(capsys):
+    code, out, _ = run(capsys, "jones", "s3 s3", "--backend", "anyon", "--output", "json")
+    assert code == EXIT_OK
+    anyon = json.loads(out)["payload"]["backends"]["anyon"]
+    assert anyon["V_abs"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_jones_all_skips_unsupported_spin(capsys):
     code, out, _ = run(capsys, "jones", "strands=4 s1 s1 s1", "--pairs", "4", "--backend", "all")
-    # anyon and spin cannot host four strands; the oracle still answers
+    # spin cannot host four strands; anyon and the oracle still answer
     assert code == EXIT_OK
-    assert "skipped" in out
-    assert "kauffman" in out
+    assert "spin      skipped" in out
+    assert "anyon/kauffman" in out
+
+
+def test_jones_four_strands_compares_anyon_with_the_oracle(capsys):
+    code, out, _ = run(capsys, "jones", "strands=4 s1 s2 s3", "--backend", "all",
+                       "--output", "json")
+    assert code == EXIT_OK
+    comparisons = json.loads(out)["payload"]["agreement"]["comparisons"]
+    signed = [c for c in comparisons if c["pair"] == "anyon/kauffman"]
+    assert signed and signed[0]["kind"] == "signed" and signed[0]["within"]
 
 
 def test_jones_pairs_below_strands_rejected(capsys):
@@ -112,6 +131,15 @@ def test_jones_huge_tau_is_the_exact_projection(capsys, tau):
     assert "agreement: yes" in out
 
 
+def test_jones_json_with_infinite_tau_is_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, _ = run(capsys, "jones", "s1 s1 s1", "--tau", "inf", "--output", "json")
+    assert code == EXIT_OK
+    assert json.loads(out, parse_constant=reject)["payload"]["config"]["tau"] == "inf"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--tau", "nan"), ("--tolerance", "nan"), ("--tolerance", "inf"),
 ])
@@ -133,6 +161,16 @@ def test_link_table_override(tmp_path, capsys):
     code, out, _ = run(capsys, "jones", "s1 s1 s1 s1 s1", "--link-table", str(table))
     assert code == EXIT_DISAGREE
     assert "DISAGREE" in out
+
+
+@pytest.mark.parametrize("command", ["jones", "braid-info"])
+def test_link_table_that_does_not_fit_the_link(tmp_path, capsys, command):
+    # the trefoil is a knot: two c1 entries cannot describe it
+    table = tmp_path / "links.json"
+    table.write_text(json.dumps({"s1 s1 s1": {"c1": [1, 0]}}))
+    code, _, err = run(capsys, command, "s1 s1 s1", "--link-table", str(table))
+    assert code == EXIT_PARSE
+    assert "link-table error" in err and "c1 has 2 entries" in err
 
 
 def test_braid_info_hopf(capsys):
@@ -171,6 +209,19 @@ def test_verify_json_schema(capsys):
     chi = doc["payload"]["artifacts"]["chi_mid_exchange_logical"]
     assert chi["labels"][0] == "II"
     assert chi["entries"][0][0] == pytest.approx([0.5, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("tau", ["nan", "-1"])
+def test_verify_rejects_invalid_tau(capsys, tau):
+    code, out, err = run(capsys, "verify", "--tau", tau)
+    assert code == EXIT_PARSE
+    assert out == "" and "tau must be positive" in err
+
+
+def test_verify_infinite_tau_is_the_exact_projection(capsys):
+    code, out, _ = run(capsys, "verify", "--tau", "inf")
+    assert code == EXIT_OK
+    assert "9/9 checks passed" in out
 
 
 def test_verify_weak_projection_fails(capsys):

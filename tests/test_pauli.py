@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mjones.pauli import PauliString, PauliTerm, apply_pauli, dense_operator, dense_sum
+from mjones.pauli import PauliString, PauliTerm, apply_pauli, dense_sum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -78,12 +78,9 @@ def test_apply_pauli_matches_dense():
         assert np.allclose(apply_pauli(term, state, n), kron_term(term, n) @ state)
 
 
-def test_dense_operator_matches_kron():
-    term = PauliTerm(-1.0, {5: "y", 6: "z", 7: "x"})
-    assert np.allclose(dense_operator(term, 7), kron_term(term, 7))
-
-
 def test_dense_sum():
     terms = [PauliTerm(-1.0, {1: "x", 2: "x"}), PauliTerm(1.0, {3: "z"})]
     expected = kron_term(terms[0], 3) + kron_term(terms[1], 3)
     assert np.allclose(dense_sum(terms, 3), expected)
+    term = PauliTerm(-1.0, {5: "y", 6: "z", 7: "x"})
+    assert np.allclose(dense_sum([term], 7), kron_term(term, 7))

@@ -7,7 +7,7 @@ import pytest
 
 from mjones import spin_sim
 from mjones.braidlang import BraidWord
-from mjones.pauli import PauliTerm, dense_operator
+from mjones.pauli import PauliTerm, dense_sum
 from mjones.spin_sim import (
     DEFAULT_TAU,
     DIM,
@@ -182,7 +182,7 @@ class TestIteAndCooling:
         rng = np.random.default_rng(6)
         state = rand_state(rng)
         term = PauliTerm(1.0, {3: "z"})
-        projector = (np.eye(DIM) - dense_operator(term, N_SITES)) / 2
+        projector = (np.eye(DIM) - dense_sum([term], N_SITES)) / 2
         expected = projector @ state
         expected /= np.linalg.norm(expected)
         assert np.max(np.abs(ite_apply(state, term, 20.0) - expected)) < 1e-12

@@ -43,11 +43,9 @@ from .spin_sim import (
     GroundBasis,
     Hamiltonian,
     MajoranaOperator,
-    basis_rotation,
     braid_sequence,
     cooling_step,
     extract_braid_matrix,
-    fermionic_hamiltonian,
     ground_basis,
     ite_apply,
     jones_spin_abs,

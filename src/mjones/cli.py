@@ -176,6 +176,8 @@ class RunConfig:
     link_table: str | None = None
 
     def __post_init__(self):
+        if self.pairs is not None and self.pairs < 1:
+            raise ValueError("pairs must be a positive count")
         _check_tau(self.tau)
         # a tolerance of inf would accept every value
         if not 0 < self.tolerance < math.inf:
@@ -466,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_jones.add_argument("--backend", choices=("anyon", "spin", "kauffman", "all"),
                          default="all")
     p_jones.add_argument("--pairs", type=int, default=None,
-                         help="anyon pair count / strand padding (default: the "
-                              "word's strand count)")
+                         help="anyon pair count / strand padding, a positive count "
+                              "(default: the word's strand count)")
     p_jones.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
     p_jones.add_argument("--tolerance", type=float, default=1e-8)
     p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")

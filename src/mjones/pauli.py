@@ -1,5 +1,5 @@
-"""Pauli strings on a small qubit register: algebra, dense forms, and
-state-vector kernels.
+"""Pauli strings on a small qubit register: algebra, dense forms, exact
+spectra of commuting sums, and state-vector kernels.
 
 Sites are numbered 1..n with site 1 as the most significant bit of the
 basis index.  A string is held as X/Z bitmasks plus a complex phase
@@ -175,3 +175,34 @@ def dense_sum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
         src, signs = _kernel(flip, phase_mask, n)
         out[rows, src] += (t.coefficient * (1j ** ycount)) * signs
     return out
+
+
+def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
+    """Exact sorted spectrum of a sum of m commuting, independent terms.
+
+    When the terms commute pairwise and their words are independent over
+    GF(2) (no product of a non-empty subset is a multiple of the identity),
+    every sign pattern s in {+1, -1}^m labels a joint eigenspace of
+    dimension 2^(n-m), so the spectrum is {sum_i c_i s_i}, each value
+    repeated 2^(n-m) times.  Any other set raises ValueError.
+    """
+    terms = list(terms)
+    for i, a in enumerate(terms):
+        for b in terms[i + 1:]:
+            if not a.commutes_with(b):
+                raise ValueError(f"terms {a.label()} and {b.label()} do not commute")
+    # GF(2) elimination on the 2n-bit (X mask, Z mask) vectors; the reduced
+    # rows keep distinct leading bits in descending order
+    rows: list[int] = []
+    for t in terms:
+        flip, phase_mask, _ = _masks(t.factors, n)
+        v = flip << n | phase_mask
+        for r in rows:
+            v = min(v, v ^ r)
+        if not v:
+            raise ValueError(f"term {t.label()} is a product of the other terms")
+        rows = sorted(rows + [v], reverse=True)
+    m = len(terms)
+    signs = 1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
+    values = signs @ np.array([t.coefficient for t in terms], dtype=float)
+    return np.sort(np.repeat(values, 1 << (n - m)))

@@ -16,8 +16,7 @@ excited amplitude back onto the ground component.
 The single-site basis rotations a mode-based realisation performs between
 stages are passive relabelings of the stored state (the expansion of one
 eigenbasis in another); they are recorded in the exported schedule for
-replay documentation but apply no gate.  ``basis_rotation`` exposes the
-active axis-change unitary separately.
+replay documentation but apply no gate.
 
 Logical encoding: chain patterns map by Hadamard-type rotations
 
@@ -42,6 +41,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .braidlang import BraidWord
+# keep these bound: perfbench/tracing.py wraps spin_sim.apply_pauli and spin_sim.dense_sum by name
 from .pauli import PauliString, PauliTerm, apply_pauli, dense_sum, majorana_string
 
 N_SITES = 10
@@ -119,9 +119,6 @@ class MajoranaOperator:
 
     def string(self) -> PauliString:
         return majorana_string(self.site, self.flavor, N_SITES)
-
-    def matrix(self) -> np.ndarray:
-        return dense_sum([self.string().as_term()], N_SITES)
 
 
 def majorana(site: int, flavor: str) -> MajoranaOperator:
@@ -232,11 +229,6 @@ def fermionic_strings(label: str) -> list[PauliString]:
     return out
 
 
-def fermionic_hamiltonian(label: str) -> np.ndarray:
-    """Dense matrix of the stage Hamiltonian built from Majorana products."""
-    return dense_sum([s.as_term() for s in fermionic_strings(label)], N_SITES)
-
-
 # ---------------------------------------------------------------------------
 # ground space and logical encoding
 # ---------------------------------------------------------------------------
@@ -341,23 +333,11 @@ def _check_unit_spectrum(term: PauliTerm) -> None:
         raise ValueError("imaginary-time steps need a term with a +-1 spectrum")
 
 
-def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
-    """Normalised exp(-tau * term) |state>, computed as the proportional
-    state - tanh(tau) * term|state> so that any tau up to inf is finite.
-
-    A state orthogonal to the term's ground eigenspace would survive any
-    finite tau but vanish in the projective limit; that degenerate case is
-    rejected up front so schedules fail loudly instead of silently stalling.
-    """
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    _check_unit_spectrum(term)
-    tv = apply_pauli(term, state, N_SITES)
-    if tau > 0 and np.linalg.norm(state - tv) / 2.0 < NORM_TOL:
-        raise DegenerateEvolutionError(
-            "state is orthogonal to the surviving eigenspace of the term"
-        )
-    return normalize(state - math.tanh(tau) * tv)
+def _check_pairing(term: PauliTerm, pairing: PauliTerm) -> None:
+    # a Pauli string maps the +1 eigenspace of another exactly onto its -1
+    # eigenspace when the two anticommute, and into itself when they commute
+    if pairing.commutes_with(term):
+        raise ValueError("pairing does not map the excited eigenspace onto the ground one")
 
 
 def _ground_excited_split(state: np.ndarray, term: PauliTerm):
@@ -366,51 +346,48 @@ def _ground_excited_split(state: np.ndarray, term: PauliTerm):
     return ground, state - ground
 
 
-def cooling_step(state: np.ndarray, term: PauliTerm, pairing: PauliTerm | np.ndarray | None = None) -> np.ndarray:
-    """Fold the excited component of ``term`` onto its ground eigenspace.
+def _stage(state: np.ndarray, term: PauliTerm, tau: float,
+           pairing: PauliTerm | None) -> np.ndarray:
+    """normalize(g + exp(-2 tau) * (pairing e, or e without a pairing)).
 
-    ``pairing`` is the isometry carrying excited onto ground eigenvectors
-    (a Pauli term or a dense unitary); it is verified to map the excited
-    eigenspace into the ground one.  With ``pairing=None`` the fold aligns
-    each excited amplitude with the matching ground amplitude, which is how a
-    mode-paired realisation recombines its branches.  Either way every bit of
-    input weight ends up in the ground eigenspace: nothing is discarded.
+    g = (s - T s)/2 and e = s - g are the parts of the state in the ground
+    (-1) and excited (+1) eigenspaces of the term T.  exp(-tau T)|s> is
+    proportional to g + exp(-2 tau) e, which stays finite for every tau up
+    to inf; the pairing then folds the suppressed excited part onto the
+    ground eigenspace.  Without a pairing, a state with no ground part
+    would survive any finite tau but vanish in the projective limit; that
+    degenerate case is rejected for tau > 0 so schedules fail loudly
+    instead of silently stalling.
     """
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
     _check_unit_spectrum(term)
     ground, excited = _ground_excited_split(state, term)
-    if pairing is None:
-        gn = np.linalg.norm(ground)
-        if gn < NORM_TOL:
-            raise DegenerateEvolutionError("no ground component to cool onto")
-        folded = ground * (1.0 + np.linalg.norm(excited) / gn)
-        return normalize(folded)
-    moved = (
-        apply_pauli(pairing, excited, N_SITES)
-        if isinstance(pairing, PauliTerm)
-        else pairing @ excited
-    )
-    leak_g, _ = _ground_excited_split(moved, term)
-    leak = np.linalg.norm(moved - leak_g)
-    if leak > GROUND_TOL * max(1.0, np.linalg.norm(moved)):
-        raise ValueError("pairing does not map the excited eigenspace onto the ground one")
-    return normalize(ground + moved)
+    if pairing is not None:
+        _check_pairing(term, pairing)
+        excited = apply_pauli(pairing, excited, N_SITES)
+    elif tau > 0 and np.linalg.norm(ground) < NORM_TOL:
+        raise DegenerateEvolutionError(
+            "state is orthogonal to the surviving eigenspace of the term"
+        )
+    return normalize(ground + math.exp(-2.0 * tau) * excited)
 
 
-def basis_rotation(state: np.ndarray, site: int, from_axis: str, to_axis: str) -> np.ndarray:
-    """Apply the single-site axis-change unitary |to,+><from,+| + |to,-><from,-|."""
-    u = rotation_matrix(from_axis, to_axis)
-    reshaped = state.reshape(1 << (site - 1), 2, 1 << (N_SITES - site))
-    return np.einsum("ab,ibj->iaj", u, reshaped).reshape(DIM)
+def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
+    """Normalised exp(-tau * term) |state>; tau = inf is the projection."""
+    return _stage(state, term, tau, None)
 
 
-def rotation_matrix(from_axis: str, to_axis: str) -> np.ndarray:
-    if from_axis == to_axis or from_axis not in "xyz" or to_axis not in "xyz":
-        raise ValueError(f"invalid axis pair {from_axis!r} -> {to_axis!r}")
-    plus = {"x": _KETS["x"], "y": _KETS["y"], "z": _KETS["z"]}
-    minus = {"x": _KETS["X"], "y": _KETS["Y"], "z": _KETS["Z"]}
-    return np.outer(plus[to_axis], plus[from_axis].conj()) + np.outer(
-        minus[to_axis], minus[from_axis].conj()
-    )
+def cooling_step(state: np.ndarray, term: PauliTerm, pairing: PauliTerm,
+                 tau: float = 0.0) -> np.ndarray:
+    """One exchange stage: exp(-tau * term), then the non-dissipative fold.
+
+    ``pairing`` is a Pauli string anticommuting with ``term``, which carries
+    the excited eigenspace isometrically onto the ground one; a commuting
+    pairing is rejected.  The fold discards nothing: the output lies wholly
+    in the ground eigenspace.  With tau = 0 it is the bare fold.
+    """
+    return _stage(state, term, tau, pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +462,15 @@ def braid_sequence(name: str, state: np.ndarray, tau: float = DEFAULT_TAU) -> np
         raise KeyError(f"unknown braid name {name!r}; choose from {BRAID_NAMES}")
     if 1.0 - ground_space_weight(state) > GROUND_TOL:
         raise ValueError("input state is not in the ground space of H0")
-    for step in SCHEDULES[name]:
-        state = _braid_step(state, step, tau)
+    for state in braid_sequence_states(name, state, tau):
+        pass
     return state
-
-
-def _braid_step(state: np.ndarray, step: ScheduleStep, tau: float) -> np.ndarray:
-    evolved = state - math.tanh(tau) * apply_pauli(step.term, state, N_SITES)
-    return cooling_step(normalize(evolved), step.term, step.pairing)
 
 
 def braid_sequence_states(name: str, state: np.ndarray, tau: float = DEFAULT_TAU):
     """Yield the state after every schedule step (for stage-by-stage checks)."""
     for step in SCHEDULES[name]:
-        state = _braid_step(state, step, tau)
+        state = cooling_step(state, step.term, step.pairing, tau)
         yield state
 
 
@@ -517,24 +489,6 @@ def export_schedule(name: str) -> list[dict]:
         out.append({"op": "cool", "term": spec, "pairing": pspec,
                     "hamiltonian": step.hamiltonian})
     return out
-
-
-def apply_schedule(state: np.ndarray, steps: list[dict], tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Replay an exported schedule.  Rotations are passive (recorded for a
-    physical realisation) and do not modify the state."""
-    def term_of(spec):
-        return PauliTerm(spec["coefficient"], {int(s): a for s, a in spec["factors"].items()})
-
-    for entry in steps:
-        if entry["op"] == "rotate":
-            continue
-        if entry["op"] == "ite":
-            state = ite_apply(state, term_of(entry["term"]), tau)
-        elif entry["op"] == "cool":
-            state = cooling_step(state, term_of(entry["term"]), term_of(entry["pairing"]))
-        else:
-            raise ValueError(f"unknown schedule op {entry['op']!r}")
-    return state
 
 
 def extract_braid_matrix(name: str, tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray]:
@@ -595,14 +549,11 @@ def ancilla_cooling_circuit(state: np.ndarray, term: PauliTerm, pairing: PauliTe
     tau -> 0 the ancilla-|0> branch reproduces :func:`cooling_step`.
     """
     _check_unit_spectrum(term)
+    _check_pairing(term, pairing)
     ground, excited = _ground_excited_split(state, term)
     branch0 = math.exp(tau) * ground
-    branch1 = (-1j * cmath.exp(1j * alpha)) * math.exp(-tau) * np.asarray(
-        apply_pauli(pairing, excited, N_SITES)
-    )
-    leak, _ = _ground_excited_split(branch1, term)
-    if np.linalg.norm(branch1 - leak) > GROUND_TOL * max(1.0, np.linalg.norm(branch1)):
-        raise ValueError("pairing does not map the excited eigenspace onto the ground one")
+    branch1 = (-1j * cmath.exp(1j * alpha)) * math.exp(-tau) * apply_pauli(
+        pairing, excited, N_SITES)
     # final Hadamard on the ancilla
     full = np.concatenate([(branch0 + branch1), (branch0 - branch1)]) / math.sqrt(2)
     return normalize(full)

@@ -81,21 +81,6 @@ def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
     return ChiMatrix(matrix=np.outer(c, c.conj()), labels=pauli_labels(k))
 
 
-def process_fidelity(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:
-    return float(np.trace(chi_a.matrix @ chi_b.matrix).real)
-
-
-def dominant_unitary(chi: ChiMatrix) -> np.ndarray:
-    """Reconstruct the unitary from a rank-one chi (up to global phase)."""
-    vals, vecs = np.linalg.eigh(chi.matrix)
-    c = vecs[:, -1] * np.sqrt(vals[-1])
-    k = int(round(np.log2(len(chi.labels)) / 2))
-    u = np.zeros((1 << k, 1 << k), dtype=complex)
-    for cm, e in zip(c, pauli_basis(k)):
-        u += cm * e
-    return u
-
-
 def density_matrix(state: np.ndarray) -> np.ndarray:
     """Pure-state density matrix |s><s| (k <= 3 logical qubits)."""
     state = np.asarray(state, dtype=complex)

@@ -33,7 +33,8 @@ def test_criterion_3_oracle_agreement():
 
 def test_criterion_4_jordan_wigner_spectra():
     # sorted spectra of every fermionic stage Hamiltonian equal the spin
-    # partner's within 1e-10, all decompositions inside 5 s
+    # partner's exactly: both are closed-form spectra of commuting,
+    # GF(2)-independent Pauli sums (no eigensolve), all inside 5 s
     report(4, verify.check_jw_spectra())
 
 def test_criterion_5_protocol_replay():

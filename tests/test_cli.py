@@ -110,6 +110,13 @@ def test_jones_pairs_below_strands_rejected(capsys):
     assert code == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_jones_non_positive_pairs_is_a_parse_error(capsys, pairs):
+    code, _, err = run(capsys, "jones", "s1", "--pairs", pairs)
+    assert code == EXIT_PARSE
+    assert "pairs must be a positive count" in err
+
+
 def test_jones_empty_word(capsys):
     code, out, _ = run(capsys, "jones", "strands=3", "--backend", "kauffman")
     assert code == EXIT_OK

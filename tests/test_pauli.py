@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mjones.pauli import PauliString, PauliTerm, apply_pauli, dense_sum
+from mjones.pauli import PauliString, PauliTerm, apply_pauli, commuting_spectrum, dense_sum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,3 +84,55 @@ def test_dense_sum():
     assert np.allclose(dense_sum(terms, 3), expected)
     term = PauliTerm(-1.0, {5: "y", 6: "z", 7: "x"})
     assert np.allclose(dense_sum([term], 7), kron_term(term, 7))
+
+
+def independent(terms, n) -> bool:
+    # no product of a non-empty subset of the words is the identity
+    strings = [PauliString(n, 1.0, t.factors) for t in terms]
+    for mask in range(1, 1 << len(strings)):
+        prod = PauliString(n)
+        for i, string in enumerate(strings):
+            if mask >> i & 1:
+                prod = prod * string
+        if not prod.factors:
+            return False
+    return True
+
+
+def test_commuting_spectrum_matches_eigvalsh():
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        n = int(rng.integers(2, 6))
+        terms = []
+        for _ in range(30):
+            factors = {s: str(rng.choice(list("xyz"))) for s in range(1, n + 1)
+                       if rng.random() < 0.6}
+            cand = PauliTerm(float(rng.normal()), factors)
+            if factors and all(cand.commutes_with(t) for t in terms) \
+                    and independent(terms + [cand], n):
+                terms.append(cand)
+        exact = commuting_spectrum(terms, n)
+        dense = np.linalg.eigvalsh(dense_sum(terms, n))
+        assert exact.shape == (1 << n,)
+        assert np.max(np.abs(exact - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("terms", [
+    [PauliTerm(1.0, {1: "x"}), PauliTerm(1.0, {1: "z"})],
+    [PauliTerm(1.0, {1: "x", 2: "x"}), PauliTerm(0.5, {2: "z"})],
+])
+def test_commuting_spectrum_rejects_non_commuting_terms(terms):
+    with pytest.raises(ValueError, match="do not commute"):
+        commuting_spectrum(terms, 2)
+
+
+@pytest.mark.parametrize("terms", [
+    # y1y2 = -x1x2 z1z2
+    [PauliTerm(1.0, {1: "x", 2: "x"}), PauliTerm(1.0, {1: "z", 2: "z"}),
+     PauliTerm(1.0, {1: "y", 2: "y"})],
+    [PauliTerm(1.0, {1: "z"}), PauliTerm(-2.0, {1: "z"})],
+    [PauliTerm(1.0, {})],
+])
+def test_commuting_spectrum_rejects_dependent_terms(terms):
+    with pytest.raises(ValueError, match="product of the other terms"):
+        commuting_spectrum(terms, 2)

@@ -10,12 +10,10 @@ from mjones.tomography import (
     ChiMatrix,
     chi_from_unitary,
     density_matrix,
-    dominant_unitary,
     matrix_to_json,
     pauli_basis,
     pauli_coefficients,
     pauli_labels,
-    process_fidelity,
     state_fidelity,
 )
 
@@ -92,18 +90,6 @@ def test_chi_global_phase_invariant():
     chi1 = chi_from_unitary(XX_GATE)
     chi2 = chi_from_unitary(cmath.exp(0.7j) * XX_GATE)
     assert np.max(np.abs(chi1.matrix - chi2.matrix)) < 1e-12
-
-
-def test_process_fidelity_self():
-    chi = chi_from_unitary(XX_GATE)
-    assert process_fidelity(chi, chi) == pytest.approx(1.0)
-
-
-def test_dominant_unitary_recovers_gate():
-    for gate in (XX_GATE, YX_GATE):
-        rebuilt = dominant_unitary(chi_from_unitary(gate))
-        lam = rebuilt[0, 0] / gate[0, 0]
-        assert np.max(np.abs(rebuilt - lam * gate)) < 1e-10
 
 
 def test_density_matrix_basis_state():

@@ -5,7 +5,8 @@ Three subcommands:
 ``jones WORD``
     Evaluate the Jones value at t = i of the word's closure with one or all
     backends and cross-check them.  Exit status: 0 all requested backends
-    agree, 1 disagreement, 2 unparseable input, 3 capacity exceeded.
+    agree, 1 disagreement, 2 unparseable input, 3 capacity exceeded,
+    4 internal error.
 
 ``braid-info WORD``
     Print the closure's combinatorial invariants and, when the mod-2 data
@@ -13,6 +14,10 @@ Three subcommands:
 
 ``verify``
     Run the full cross-validation suite and print one line per check.
+
+An exception that a subcommand does not handle itself is reported on
+stderr as its traceback followed by ``internal error: <type>: <message>``,
+with exit status 4, so a crash is never mistaken for a disagreement (1).
 
 JSON reports keep all comparison data under a ``payload`` key that is
 byte-stable across runs; wall-clock numbers live in a separate ``timing``
@@ -26,6 +31,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import anyon_core, kauffman_oracle, spin_sim, verify as verify_mod
@@ -46,6 +52,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 CSV_HEADER = ("word,writhe,components,proper,V_anyon_re,V_anyon_im,"
               "V_abs_majorana,V_kauffman_re,V_kauffman_im,agree")
@@ -490,9 +497,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call and reused: argparse set-up costs about
+# ten times as much as one ``parse_args``
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

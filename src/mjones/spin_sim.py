@@ -86,7 +86,8 @@ def product_state(pattern: str) -> np.ndarray:
         raise ValueError(f"pattern {pattern!r} must have {N_SITES} characters")
     v = np.array([1.0 + 0j])
     for ch in pattern:
-        v = np.kron(v, _KETS[ch])
+        # np.kron(v, ket) without its reshaping overhead
+        v = (v[:, None] * _KETS[ch]).ravel()
     return v
 
 
@@ -551,8 +552,10 @@ def ancilla_cooling_circuit(state: np.ndarray, term: PauliTerm, pairing: PauliTe
     _check_unit_spectrum(term)
     _check_pairing(term, pairing)
     ground, excited = _ground_excited_split(state, term)
-    branch0 = math.exp(tau) * ground
-    branch1 = (-1j * cmath.exp(1j * alpha)) * math.exp(-tau) * apply_pauli(
+    # weights exp(tau) and exp(-tau), divided by exp(tau) so that every tau
+    # up to inf stays finite; normalize removes the common factor
+    branch0 = ground
+    branch1 = (-1j * cmath.exp(1j * alpha)) * math.exp(-2.0 * tau) * apply_pauli(
         pairing, excited, N_SITES)
     # final Hadamard on the ancilla
     full = np.concatenate([(branch0 + branch1), (branch0 - branch1)]) / math.sqrt(2)

@@ -2,19 +2,23 @@
 
 import json
 import math
+import re
 
 import jsonschema
 import pytest
 
+from mjones import cli, spin_sim
 from mjones.anyon_core import MAX_PAIRS
 
 from mjones.cli import (
     EXIT_CAPACITY,
     EXIT_DISAGREE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     JONES_REPORT_SCHEMA,
     VERIFY_REPORT_SCHEMA,
+    build_parser,
     main,
 )
 
@@ -238,3 +242,110 @@ def test_verify_weak_projection_fails(capsys):
     assert code == EXIT_DISAGREE
     assert "FAIL" in out
     assert "protocol-intermediate-states" in out
+
+
+
+# --- one parser per process ----------------------------------------------
+
+def _without_timing(out):
+    """Output with wall-clock numbers removed: the JSON ``timing`` key and
+    every "<number> ms" / "<number> s" in the text."""
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        pass
+    else:
+        doc.pop("timing", None)
+        out = json.dumps(doc, sort_keys=True)
+    return re.sub(r"\d+(?:\.\d+)? m?s\b", "<time>", out)
+
+
+def _call(capsys, dispatch, argv):
+    try:
+        code = dispatch(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _without_timing(captured.out), captured.err
+
+
+def _fresh(argv):
+    """Dispatch through a newly built parser."""
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+# (argv, exit code) calls made in order through one process's ``main``
+LEAK_SEQUENCES = {
+    "pairs": [(["jones", "s1", "--pairs", "3", "--output", "json"], EXIT_OK),
+              (["jones", "s1", "--output", "json"], EXIT_OK)],
+    "tau-then-verify": [(["jones", "s1 s1", "--tau", "5", "--tolerance", "1e-6",
+                          "--backend", "spin"], EXIT_OK),
+                        (["verify"], EXIT_OK)],
+    "errors-then-valid": [(["jones", "s1", "--tau", "nan"], EXIT_PARSE),
+                          (["jones", "s1", "--bogus"], EXIT_PARSE),
+                          (["jones", "s1 s2^-1 s1 s2^-1", "--output", "csv"], EXIT_OK),
+                          (["braid-info", "s1 s1"], EXIT_OK)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAK_SEQUENCES))
+def test_each_main_call_matches_a_fresh_parser(capsys, name):
+    for argv, code in LEAK_SEQUENCES[name]:
+        reused = _call(capsys, main, argv)
+        assert reused[0] == code, argv
+        assert reused == _call(capsys, _fresh, argv), argv
+
+
+def test_no_flag_leaks_into_the_next_jones_call(capsys):
+    code, _, _ = run(capsys, "jones", "s1", "--backend", "anyon", "--pairs", "3",
+                     "--tau", "5", "--tolerance", "1e-6", "--output", "json")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "jones", "s1", "--output", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert payload["strands"] == 2    # the word's own strand count, not 3
+    assert payload["config"] == {"backend": "all", "pairs": 2,
+                                 "tau": spin_sim.DEFAULT_TAU, "tolerance": 1e-8}
+
+
+def test_verify_after_jones_tau_uses_the_default(capsys, monkeypatch):
+    seen = []
+    run_all = cli.verify_mod.run_all
+
+    def spy(tau):
+        seen.append(tau)
+        return run_all(tau=tau)
+
+    monkeypatch.setattr(cli.verify_mod, "run_all", spy)
+    assert run(capsys, "jones", "s1", "--tau", "5", "--backend", "spin")[0] == EXIT_OK
+    assert run(capsys, "verify")[0] == EXIT_OK
+    assert seen == [spin_sim.DEFAULT_TAU]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["jones", "s1"], ["braid-info", "s1 s1"], ["jones", "s1 s1", "--pairs", "3"],
+                 ["jones", "s1", "--tau", "nan"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def crash(word, tau):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(spin_sim, "jones_spin_abs", crash)
+    code, out, err = run(capsys, "jones", "s1", "--backend", "spin")
+    assert code == EXIT_INTERNAL
+    assert out == "" and "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"

@@ -166,6 +166,21 @@ class TestGroundSpace:
         with pytest.raises(ValueError):
             logical_encode(np.ones(8))
 
+    def test_product_state_is_the_kron_product(self):
+        kets = {"z": [1, 0], "Z": [0, 1],
+                "x": [1 / math.sqrt(2), 1 / math.sqrt(2)],
+                "X": [1 / math.sqrt(2), -1 / math.sqrt(2)],
+                "y": [1 / math.sqrt(2), 1j / math.sqrt(2)],
+                "Y": [1 / math.sqrt(2), -1j / math.sqrt(2)]}
+        rng = np.random.default_rng(12)
+        patterns = ["zzzzzzzzzz", "zzZzzzzzzz", "xXyYzZxXyY", "YYYYYYYYYY"]
+        patterns += ["".join(rng.choice(list(kets), size=N_SITES)) for _ in range(20)]
+        for pattern in patterns:
+            expected = np.array([1.0 + 0j])
+            for ch in pattern:
+                expected = np.kron(expected, np.array(kets[ch], dtype=complex))
+            assert np.array_equal(product_state(pattern), expected), pattern
+
     def test_coefficients_reject_leaky_state(self):
         leaky = product_state("zzzzzzzzzz")
         with pytest.raises(ValueError):
@@ -437,6 +452,17 @@ class TestAncillaCircuit:
         branch0 /= np.linalg.norm(branch0)
         direct = cooling_step(state, self.TERM, self.PAIRING)
         assert fidelity(branch0, direct) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("tau", [1000.0, math.inf])
+    def test_huge_tau_stays_finite_and_cooled(self, tau):
+        rng = np.random.default_rng(8)
+        for state in (self._input(), rand_state(rng)):
+            full = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=tau)
+            for branch in (full[:DIM], full[DIM:]):
+                _, excited = spin_sim._ground_excited_split(branch, self.TERM)
+                assert np.linalg.norm(excited) < 1e-10
+            reference = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=50.0)
+            assert np.max(np.abs(full - reference)) < 1e-12
 
     def test_large_tau_ancilla_factorises(self):
         state = self._input()

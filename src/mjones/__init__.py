@@ -9,16 +9,15 @@
 """
 
 from .braidlang import (
-    ArfData,
     BraidSyntaxError,
     BraidWord,
     LinkInvariants,
     arf_invariant,
-    c2_pair,
     closure_permutation,
     format_braid,
     jones_from_arf,
     link_invariants,
+    lookup_arf_data,
     parse_braid,
 )
 from .anyon_core import (

@@ -10,20 +10,18 @@ all invariants computed here refer to that closure.
 
 The invariants are purely combinatorial: writhe, component count, pairwise
 linking numbers, the evenness condition on total linking ("properness"),
-and the mod-2 concordance data (self-linking per component, the pairwise
-value derived from linking numbers, and the triple-component count) that
-together determine the sign of the Jones polynomial at t = i.  Self-linking
-and triple data cannot be read off a braid word without a full diagram
-analysis, so they are accepted as inputs; a small built-in table covers the
-standard sample links.
+and the sign of the Jones value at t = i, the Arf invariant (Murasugi;
+Lickorish-Millett 1986).  That sign is read off the closure's Seifert
+surface: one disc per strand, one half-twisted band per letter, and one
+loop per two consecutive letters of a column (J. Collins 2016).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
-from itertools import combinations
 
 
 class BraidSyntaxError(ValueError):
@@ -223,51 +221,105 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
 
 
 @dataclass(frozen=True)
-class ArfData:
-    """Externally supplied mod-2 data: self-linking per component and the
-    triple-component count per component triple (lexicographic order)."""
+class SeifertForm:
+    """Mod-2 Seifert form q(x) = lk(x, x+) on the surface's loops in closing
+    order: ``diagonal[a]`` is q of loop ``a``; bit ``b`` of ``rows[a]`` is set
+    when loops ``a`` and ``b`` meet an odd number of times.  ``pieces``
+    counts the surface's connected parts."""
 
-    c1: tuple[int, ...]
-    c3: tuple[int, ...] = ()
-
-    def validate(self, components: int) -> None:
-        if len(self.c1) != components:
-            raise ValueError(
-                f"c1 has {len(self.c1)} entries for {components} components"
-            )
-        ntriples = math.comb(components, 3)
-        if len(self.c3) != ntriples:
-            raise ValueError(
-                f"c3 has {len(self.c3)} entries, expected {ntriples} triples"
-            )
+    pieces: int
+    diagonal: tuple[bool, ...]
+    rows: tuple[int, ...]
 
 
-def c2_pair(lk: int) -> int:
-    """Pairwise mod-2 value lk(lk^2 - 1)/6 reduced mod 2.
+def lookup_arf_data(word: BraidWord) -> SeifertForm:
+    """Seifert form of the closure, built in one pass over the word.
 
-    The product of three consecutive integers (lk-1)lk(lk+1) is always
-    divisible by 6, so the division is exact.
+    Two consecutive letters of column k, at times p < t, bound a loop with
+    q = 1 iff they have the same sign.  It meets the next loop of column k
+    (they share the band at t) and each loop of column k +- 1 whose time
+    interval interlaces with (p, t).  Such a pair is found when its first
+    loop closes: the open loop of a neighbour column then interlaces with
+    (p, t) iff it opened after p.
     """
-    num = lk * (lk * lk - 1)
-    assert num % 6 == 0
-    return (num // 6) % 2
+    n = word.strands
+    when = [-1] * (n + 1)      # time of each column's last letter; 0 and n stay empty
+    sign = [0] * (n + 1)       # that letter
+    pending = [[] for _ in range(n + 1)]   # closed loops that each column's open loop meets
+    diagonal, rows = [], []
+    for t, g in enumerate(word.letters):
+        k = abs(g)
+        p = when[k]
+        if p >= 0:
+            a = len(rows)
+            row = 0
+            for b in pending[k]:
+                rows[b] |= 1 << a
+                row |= 1 << b
+            rows.append(row)
+            diagonal.append((sign[k] ^ g) >= 0)     # same sign
+            pending[k] = [a]
+            if when[k - 1] > p:
+                pending[k - 1].append(a)
+            if when[k + 1] > p:
+                pending[k + 1].append(a)
+        when[k], sign[k] = t, g
+    # each column in use joins two discs into one surface piece
+    return SeifertForm(n - sum(w >= 0 for w in when), tuple(diagonal), tuple(rows))
 
 
-def arf_invariant(inv: LinkInvariants, data: ArfData) -> int:
-    """Mod-2 invariant fixing the sign of the Jones value at t = i.
+def gauss_sum(form: SeifertForm) -> int:
+    """G = sum over x in GF(2)^r of (-1)^q(x), exactly: 0 or +-2^k.
 
-    Sum of the supplied self-linking values, the pairwise values derived
-    from the linking matrix, and the supplied triple values.  Undefined
-    (raises) for non-proper links.
+    The lowest remaining loop ``a`` goes with its lowest neighbour ``b``:
+    summing over x_a fixes x_b, leaving a factor 2 and the term
+    (q_a + L_a)(q_b + L_b), L_a and L_b the sums over their other
+    neighbours.  A loop without neighbours gives 2 if its q is 0, else 0.
+    """
+    rows, diag = list(form.rows), list(form.diagonal)
+    g = 1
+    for a, row_a in enumerate(rows):
+        if row_a is None:       # eliminated as a partner
+            continue
+        g *= 2
+        if not row_a:
+            if diag[a]:
+                return 0
+            continue
+        bit_a, bit_b = 1 << a, row_a & -row_a
+        b = bit_b.bit_length() - 1
+        only_a, only_b = row_a ^ bit_b, rows[b] ^ bit_a
+        da, db = diag[a], diag[b]
+        g = -g if da and db else g
+        rows[b] = None
+        todo = only_a | only_b
+        while todo:
+            bit_c = todo & -todo
+            todo ^= bit_c
+            c = bit_c.bit_length() - 1
+            in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
+            rows[c] ^= (only_b ^ bit_a if in_a else 0) ^ (only_a ^ bit_b if in_b else 0)
+            diag[c] ^= (in_a and db) ^ (in_b and da) ^ (in_a and in_b)
+    return g
+
+
+def arf_invariant(inv: LinkInvariants, form: SeifertForm) -> int:
+    """Arf invariant of the closure: 1 iff its Seifert form's Gauss sum is
+    negative.  Undefined (raises) for non-proper links.  A proper link of m
+    components on r loops and s pieces has |G| = 2^((r - s + m)/2), the
+    intersection form's radical having rank m - s; other values are a fault.
     """
     if not inv.proper:
         raise ValueError("invariant undefined: link is not proper")
-    data.validate(inv.components)
-    total = sum(data.c1)
-    for i, j in combinations(range(inv.components), 2):
-        total += c2_pair(inv.linking[i][j])
-    total += sum(data.c3)
-    return total % 2
+    g = gauss_sum(form)
+    twice = len(form.rows) - form.pieces + inv.components
+    if twice % 2 or abs(g) != 1 << twice // 2:
+        raise AssertionError(f"Gauss sum {g} does not fit a proper link of {inv.components} components")
+    return int(g < 0)
+
+
+# sqrt(2)^(n-1) is a double iff n <= 2 * max_exp, i.e. 2048
+MAX_STRANDS = 2 * sys.float_info.max_exp
 
 
 def jones_from_arf(inv: LinkInvariants, arf: int | None) -> float:
@@ -285,40 +337,3 @@ def jones_from_arf(inv: LinkInvariants, arf: int | None) -> float:
     half, odd = divmod(inv.components - 1, 2)
     magnitude = float(2 ** half) * (math.sqrt(2.0) if odd else 1.0)
     return -magnitude if arf % 2 else magnitude
-
-
-# Self-linking / triple data for the sample links, keyed by the canonical
-# printed form of their braid words.  Computing these from diagrams is out
-# of scope; anything else needs a user-supplied table.
-LINK_TABLE: dict[str, ArfData] = {
-    "s1": ArfData(c1=(0,)),                                  # unknot
-    "s1 s1": ArfData(c1=(0, 0)),                             # Hopf (not proper)
-    "s1 s1 s1": ArfData(c1=(1,)),                            # trefoil
-    "s1 s1 s1 s1": ArfData(c1=(0, 0)),                       # Solomon
-    "s1 s2^-1 s1 s2^-1": ArfData(c1=(1,)),                   # figure-eight
-    "s1 s2^-1 s1 s2^-1 s1 s2^-1": ArfData(c1=(0, 0, 0), c3=(1,)),  # Borromean
-}
-
-
-def lookup_arf_data(word: BraidWord, table: dict[str, ArfData] | None = None) -> ArfData | None:
-    """Find c1/c3 data for a word's closure, or None if unknown.
-
-    Empty words are unlinks (all zeros).  Otherwise the word reduced to its
-    minimal strand count is looked up in the table (built-in unless one is
-    supplied); spare strands beyond the generators' reach close to split
-    unknot components, whose data extends by zeros.
-    """
-    if not word.letters:
-        n = word.strands
-        return ArfData(c1=(0,) * n, c3=(0,) * math.comb(n, 3))
-    base_strands = 1 + word.max_generator()
-    key = format_braid(BraidWord(base_strands, word.letters))
-    data = (LINK_TABLE if table is None else table).get(key)
-    if data is None or word.strands == base_strands:
-        return data
-    # spare strands become trailing unknot components
-    m_base = len(data.c1)
-    m = m_base + (word.strands - base_strands)
-    base_triples = dict(zip(combinations(range(m_base), 3), data.c3))
-    c3 = tuple(base_triples.get(t, 0) for t in combinations(range(m), 3))
-    return ArfData(c1=data.c1 + (0,) * (m - m_base), c3=c3)

@@ -9,11 +9,15 @@ Three subcommands:
     4 internal error.
 
 ``braid-info WORD``
-    Print the closure's combinatorial invariants and, when the mod-2 data
-    is tabulated, the closed-form Jones value.
+    Print the closure's combinatorial invariants and closed-form Jones
+    value.  Exit status: 0, 2 or 3 as for ``jones``.
 
 ``verify``
     Run the full cross-validation suite and print one line per check.
+
+``jones`` and ``braid-info`` take at most ``MAX_STRANDS`` (2048) strands.
+A reader that closes the output pipe early ends a report quietly, with
+the status computed.
 
 An exception that a subcommand does not handle itself is reported on
 stderr as its traceback followed by ``internal error: <type>: <message>``,
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import anyon_core, kauffman_oracle, spin_sim, verify as verify_mod
 from .braidlang import (
-    ArfData,
+    MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
     arf_invariant,
@@ -93,7 +97,7 @@ JONES_REPORT_SCHEMA = {
                                     "items": {"type": "array", "items": {"type": "integer"}}},
                         "proper": {"type": "boolean"},
                         "arf": {"type": ["integer", "null"]},
-                        "jones_from_arf": {"type": ["number", "null"]},
+                        "jones_from_arf": {"type": "number"},
                     },
                 },
                 "backends": {"type": "object",
@@ -162,10 +166,6 @@ VERIFY_REPORT_SCHEMA = {
 }
 
 
-# a bad file, a malformed entry, or c1/c3 data that does not fit the link
-_LINK_TABLE_ERRORS = (OSError, ValueError, KeyError, TypeError)
-
-
 def _check_tau(tau: float) -> None:
     # written as "not > 0" so that NaN is rejected too; tau = inf is the
     # exact projection
@@ -180,7 +180,6 @@ class RunConfig:
     tau: float = spin_sim.DEFAULT_TAU
     tolerance: float = 1e-8
     output: str = "text"
-    link_table: str | None = None
 
     def __post_init__(self):
         if self.pairs is not None and self.pairs < 1:
@@ -202,36 +201,20 @@ class Report:
     timing: dict = field(default_factory=dict)
 
 
-def _load_link_table(path: str | None) -> dict[str, ArfData] | None:
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    table = {}
-    for key, entry in raw.items():
-        table[key] = ArfData(c1=tuple(entry["c1"]), c3=tuple(entry.get("c3", ())))
-    return table
-
-
-def _invariants_payload(word: BraidWord, table) -> dict:
+def _invariants_payload(word: BraidWord) -> dict:
+    if word.strands > MAX_STRANDS:   # before anything is allocated per strand
+        raise CapacityError(f"{word.strands} strands: V(i) = sqrt(2)^(n-1) is a "
+                            f"double only up to {MAX_STRANDS} strands")
     inv = link_invariants(word)
-    payload = {
+    arf = arf_invariant(inv, lookup_arf_data(word)) if inv.proper else None
+    return {
         "writhe": inv.writhe,
         "components": inv.components,
         "linking": [list(row) for row in inv.linking],
         "proper": inv.proper,
-        "arf": None,
-        "jones_from_arf": None,
+        "arf": arf,
+        "jones_from_arf": jones_from_arf(inv, arf),
     }
-    if not inv.proper:
-        payload["jones_from_arf"] = 0.0
-        return payload
-    data = lookup_arf_data(word, table)
-    if data is not None:
-        arf = arf_invariant(inv, data)
-        payload["arf"] = arf
-        payload["jones_from_arf"] = jones_from_arf(inv, arf)
-    return payload
 
 
 def _effective_strands(word: BraidWord, config: RunConfig) -> int:
@@ -245,13 +228,12 @@ def _effective_strands(word: BraidWord, config: RunConfig) -> int:
 
 def run_jones(word: BraidWord, config: RunConfig) -> Report:
     """Evaluate the requested backends on the word padded to the pair count."""
-    table = _load_link_table(config.link_table)
     n = _effective_strands(word, config)
     padded = word.with_strands(n)
     report = Report(
         word=format_braid(padded),
         strands=n,
-        invariants=_invariants_payload(padded, table),
+        invariants=_invariants_payload(padded),
     )
     wanted = ("anyon", "spin", "kauffman") if config.backend == "all" else (config.backend,)
 
@@ -299,10 +281,12 @@ def run_jones(word: BraidWord, config: RunConfig) -> Report:
 
 def _compare_backends(report: Report, tol: float) -> None:
     live = {k: v for k, v in report.backends.items() if "skipped" not in v}
+    # relative to sqrt(2)^(m-1), the size of a nonzero V(i) on m components
+    scaled_tol = tol * math.sqrt(2.0) ** (report.invariants["components"] - 1)
 
     def add(pair, kind, delta):
         delta = float(delta)
-        within = delta <= tol
+        within = delta <= scaled_tol
         report.comparisons.append(
             {"pair": pair, "kind": kind, "delta": delta, "within": within}
         )
@@ -370,9 +354,9 @@ def _report_text(report: Report) -> str:
     )
     if inv["components"] > 1:
         lines.append("linking: " + "; ".join(str(row) for row in inv["linking"]))
-    if inv["arf"] is not None:
+    if inv["proper"]:
         lines.append(f"arf: {inv['arf']}   V(i) from arf: {inv['jones_from_arf']:+.6f}")
-    elif inv["jones_from_arf"] == 0.0 and not inv["proper"]:
+    else:
         lines.append("not proper: V(i) = 0")
     for name in ("anyon", "spin", "kauffman"):
         entry = report.backends.get(name)
@@ -394,11 +378,19 @@ def _report_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _emit(text: str) -> None:
+    # a reader that closed the pipe early ends the report, not the command;
+    # the failed flush discards the buffer, so the flush at exit finds nothing
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        pass
+
+
 def cmd_jones(args) -> int:
     try:
         config = RunConfig(backend=args.backend, pairs=args.pairs, tau=args.tau,
-                           tolerance=args.tolerance, output=args.output,
-                           link_table=args.link_table)
+                           tolerance=args.tolerance, output=args.output)
         word = parse_braid(args.word)
     except (BraidSyntaxError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -408,31 +400,23 @@ def cmd_jones(args) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except _LINK_TABLE_ERRORS as exc:
-        print(f"link-table error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if config.output == "json":
-        print(_report_json(report, config))
-    elif config.output == "csv":
-        print(_report_csv(report))
-    else:
-        print(_report_text(report))
+    _emit(_report_json(report, config) if config.output == "json"
+          else _report_csv(report) if config.output == "csv" else _report_text(report))
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
 def cmd_braid_info(args) -> int:
     try:
         word = parse_braid(args.word)
+        inv_payload = _invariants_payload(word)
     except BraidSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        inv_payload = _invariants_payload(word, _load_link_table(args.link_table))
-    except _LINK_TABLE_ERRORS as exc:
-        print(f"link-table error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     report = Report(word=format_braid(word), strands=word.strands, invariants=inv_payload)
-    print(_report_text(report))
+    _emit(_report_text(report))
     return EXIT_OK
 
 
@@ -451,14 +435,14 @@ def cmd_verify(args) -> int:
             "artifacts": verify_mod.report_artifacts(tau=args.tau),
         }
         timing = {r.name: r.elapsed for r in results}
-        print(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
+        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
     else:
         width = max(len(r.name) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name:<{width}}  {r.detail}")
+        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
+                 for r in results]
         total = sum(r.elapsed for r in results)
-        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed in {total:.2f} s")
+        lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed in {total:.2f} s")
+        _emit("\n".join(lines))
     return EXIT_OK if all(r.passed for r in results) else EXIT_DISAGREE
 
 
@@ -480,13 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_jones.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
     p_jones.add_argument("--tolerance", type=float, default=1e-8)
     p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    p_jones.add_argument("--link-table", default=None,
-                         help="JSON file with c1/c3 overrides keyed by canonical words")
     p_jones.set_defaults(fn=cmd_jones)
 
     p_info = sub.add_parser("braid-info", help="print closure invariants")
     p_info.add_argument("word")
-    p_info.add_argument("--link-table", default=None)
     p_info.set_defaults(fn=cmd_braid_info)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")

@@ -1,4 +1,4 @@
-"""Braid parsing, closure invariants, and the mod-2 sign data."""
+"""Braid parsing, closure invariants, and the Seifert-form sign of V(i)."""
 
 import math
 import random
@@ -6,14 +6,15 @@ import random
 import pytest
 
 from mjones.braidlang import (
-    ArfData,
+    MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
-    LINK_TABLE,
+    LinkInvariants,
+    SeifertForm,
     arf_invariant,
-    c2_pair,
     closure_permutation,
     format_braid,
+    gauss_sum,
     jones_from_arf,
     link_invariants,
     lookup_arf_data,
@@ -187,33 +188,37 @@ def test_component_count_sign_invariant():
         assert link_invariants(BraidWord(strands, tuple(flipped))).components == base
 
 
-def test_c2_pair_examples():
-    assert c2_pair(2) == 1
-    assert c2_pair(0) == 0
-    assert c2_pair(5) == 0   # 5*24/6 = 20, even
+def _arf(word):
+    return arf_invariant(link_invariants(word), lookup_arf_data(word))
 
 
-def test_c2_pair_matches_direct_formula():
-    for lk in range(-10, 11):
-        assert c2_pair(lk) == (lk * (lk * lk - 1) // 6) % 2
+def _random_word(rng, strands, length):
+    return BraidWord(strands, tuple(
+        rng.choice([-1, 1]) * rng.randint(1, strands - 1) for _ in range(length)
+    ) if strands > 1 else ())
 
 
 def test_arf_invariant_examples():
-    assert arf_invariant(link_invariants(TREFOIL), ArfData(c1=(1,))) == 1
-    assert arf_invariant(link_invariants(SOLOMON), ArfData(c1=(0, 0))) == 1
-    assert arf_invariant(link_invariants(BORROMEAN), ArfData(c1=(0, 0, 0), c3=(1,))) == 1
+    assert _arf(TREFOIL) == 1
+    assert _arf(SOLOMON) == 1
+    assert _arf(FIG8) == 1
+    assert _arf(BORROMEAN) == 1
+    assert _arf(parse_braid("s1")) == 0
+    assert _arf(parse_braid("s1 s1 s1 s1 s1")) == 1      # cinquefoil
+    assert _arf(BraidWord(4, ())) == 0
 
 
 def test_arf_invariant_rejects_non_proper():
     with pytest.raises(ValueError, match="not proper"):
-        arf_invariant(link_invariants(HOPF), ArfData(c1=(0, 0)))
+        arf_invariant(link_invariants(HOPF), lookup_arf_data(HOPF))
 
 
 def test_arf_invariant_rejects_bad_dimensions():
-    with pytest.raises(ValueError, match="c1"):
-        arf_invariant(link_invariants(TREFOIL), ArfData(c1=(1, 0)))
-    with pytest.raises(ValueError, match="c3"):
-        arf_invariant(link_invariants(BORROMEAN), ArfData(c1=(0, 0, 0), c3=()))
+    # a form whose Gauss sum cannot belong to the link is a fault, not a sign
+    with pytest.raises(AssertionError, match="does not fit"):
+        arf_invariant(link_invariants(SOLOMON), lookup_arf_data(TREFOIL))
+    with pytest.raises(AssertionError, match="does not fit"):
+        arf_invariant(link_invariants(BORROMEAN), lookup_arf_data(parse_braid("s1")))
 
 
 def test_jones_from_arf_values():
@@ -230,44 +235,107 @@ def test_jones_from_arf_argument_contract():
         jones_from_arf(link_invariants(TREFOIL), None)
 
 
-def test_builtin_table_covers_sample_links():
-    for key in ("s1", "s1 s1", "s1 s1 s1", "s1 s1 s1 s1",
-                "s1 s2^-1 s1 s2^-1", "s1 s2^-1 s1 s2^-1 s1 s2^-1"):
-        assert key in LINK_TABLE
+def test_strand_cap_is_the_float_range_of_the_unlink_value():
+    def unlink(m):
+        return LinkInvariants(writhe=0, components=m, component_of_strand=(),
+                              linking=(), proper=True)
+
+    assert MAX_STRANDS == 2048
+    assert math.isfinite(jones_from_arf(unlink(MAX_STRANDS), 0))
+    with pytest.raises(OverflowError):
+        jones_from_arf(unlink(MAX_STRANDS + 1), 0)
 
 
-def test_lookup_arf_data_normalises_word():
-    assert lookup_arf_data(parse_braid("1 1 1")) == ArfData(c1=(1,))
-    assert lookup_arf_data(parse_braid("s1 s2")) is None
+@pytest.mark.parametrize("text, form", [
+    # two loops of one column share a band; same-sign letters give q = 1
+    ("s1 s1 s1", SeifertForm(1, (True, True), (0b10, 0b01))),
+    ("s1 s1^-1 s1", SeifertForm(1, (False, False), (0b10, 0b01))),
+    # interlacing loops of adjacent columns: (0, 2) and (1, 3)
+    ("s1 s2 s1 s2", SeifertForm(1, (True, True), (0b10, 0b01))),
+    # nested loops of adjacent columns do not meet: (1, 2) inside (0, 3)
+    ("s1 s2 s2^-1 s1", SeifertForm(1, (False, True), (0, 0))),
+    # loops of columns two apart do not meet; strands 1-2 and 3-4 are two pieces
+    ("s1 s3 s1 s3", SeifertForm(2, (True, True), (0, 0))),
+])
+def test_seifert_form_examples(text, form):
+    assert lookup_arf_data(parse_braid(text)) == form
 
 
 def test_lookup_arf_data_empty_words():
-    assert lookup_arf_data(BraidWord(3, ())) == ArfData(c1=(0, 0, 0), c3=(0,))
+    assert lookup_arf_data(BraidWord(3, ())) == SeifertForm(3, (), ())
+    assert gauss_sum(lookup_arf_data(BraidWord(3, ()))) == 1
 
 
 def test_lookup_arf_data_padded_word():
-    data = lookup_arf_data(parse_braid("strands=3 s1 s1 s1"))
-    assert data == ArfData(c1=(1, 0))
-    padded_borr = lookup_arf_data(parse_braid("strands=4 s1 s2^-1 s1 s2^-1 s1 s2^-1"))
-    assert padded_borr.c1 == (0, 0, 0, 0)
-    assert padded_borr.c3 == (1, 0, 0, 0)   # only the original triple counts
+    # spare strands are split discs: one more surface piece each, no loops
+    for word in (TREFOIL, BORROMEAN, HOPF):
+        base = lookup_arf_data(word)
+        padded = lookup_arf_data(word.with_strands(word.strands + 2))
+        assert (padded.diagonal, padded.rows) == (base.diagonal, base.rows)
+        assert padded.pieces == base.pieces + 2
+        assert gauss_sum(padded) == gauss_sum(base)
+
+
+def _brute_gauss_sum(form):
+    total = 0
+    for x in range(1 << len(form.rows)):
+        q = sum(form.diagonal[a] for a in range(len(form.rows)) if x >> a & 1)
+        q += sum(bin(form.rows[a] & x >> (a + 1) << (a + 1)).count("1")
+                 for a in range(len(form.rows)) if x >> a & 1)
+        total += -1 if q % 2 else 1
+    return total
+
+
+def test_gauss_sum_matches_brute_force():
+    rng = random.Random(29)
+    for r in range(13):
+        for density in (0.2, 0.5, 0.8):
+            rows = [0] * r
+            for a in range(r):
+                for b in range(a + 1, r):
+                    if rng.random() < density:
+                        rows[a] |= 1 << b
+                        rows[b] |= 1 << a
+            diagonal = tuple(rng.random() < 0.5 for _ in range(r))
+            form = SeifertForm(1, diagonal, tuple(rows))
+            assert gauss_sum(form) == _brute_gauss_sum(form), form
+    for _ in range(200):
+        form = lookup_arf_data(_random_word(rng, rng.randint(2, 6), rng.randint(0, 14)))
+        if len(form.rows) <= 12:
+            assert gauss_sum(form) == _brute_gauss_sum(form), form
 
 
 def test_arf_route_matches_bracket_oracle_on_proper_links():
-    # cross-module property: the closed form and the state sum agree in sign
-    # and magnitude on every tabulated proper link, including padded ones
+    # the route and the bracket are independent; on 1000 seeded words the
+    # Gauss sum vanishes exactly on the links that are not proper, and the
+    # closed form equals the bracket's value elsewhere
     from mjones.kauffman_oracle import jones_at_i
 
-    words = [
-        parse_braid("s1"),
-        TREFOIL, SOLOMON, FIG8, BORROMEAN,
-        BraidWord(1, ()), BraidWord(2, ()), BraidWord(3, ()),
-        TREFOIL.with_strands(3),
-        BORROMEAN.with_strands(4),
-    ]
+    rng = random.Random(31)
+    words = [parse_braid("s1"), TREFOIL, SOLOMON, FIG8, BORROMEAN, HOPF,
+             BraidWord(1, ()), BraidWord(3, ()), TREFOIL.with_strands(3),
+             BORROMEAN.with_strands(4)]
+    words += [_random_word(rng, rng.randint(1, 8), rng.randint(0, 12)) for _ in range(1000)]
+    zeros = 0
     for word in words:
         inv = link_invariants(word)
-        data = lookup_arf_data(word)
-        assert data is not None
-        expected = jones_from_arf(inv, arf_invariant(inv, data)) if inv.proper else 0.0
-        assert jones_at_i(word) == pytest.approx(expected, abs=1e-9)
+        form = lookup_arf_data(word)
+        assert (gauss_sum(form) == 0) == (not inv.proper), word
+        arf = arf_invariant(inv, form) if inv.proper else None
+        expected = jones_at_i(word)
+        zeros += expected == 0
+        assert abs(jones_from_arf(inv, arf) - expected) < 1e-12 * 2 ** (inv.components / 2), word
+    assert 100 < zeros < len(words) - 100
+
+
+def test_arf_route_matches_anyon_backend_up_to_sixteen_strands():
+    from mjones.anyon_core import jones_su2_2
+
+    rng = random.Random(37)
+    for strands in range(2, 17):
+        for _ in range(3):
+            word = _random_word(rng, strands, rng.randint(0, 24))
+            inv = link_invariants(word)
+            arf = _arf(word) if inv.proper else None
+            assert jones_su2_2(word, strands).value == pytest.approx(
+                jones_from_arf(inv, arf), abs=1e-9), word

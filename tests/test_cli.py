@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -160,28 +164,51 @@ def test_jones_rejects_nan_and_unbounded_flags(capsys, flag, value):
     assert flag.lstrip("-") in err
 
 
-def test_link_table_override(tmp_path, capsys):
-    # a correct user-supplied table lets the closed form join the comparison
-    table = tmp_path / "links.json"
-    table.write_text(json.dumps({"s1 s1 s1 s1 s1": {"c1": [1], "c3": []}}))
-    code, out, _ = run(capsys, "jones", "s1 s1 s1 s1 s1", "--link-table", str(table))
+def test_flipped_arf_bit_is_a_disagreement(capsys, monkeypatch):
+    # every proper link joins the arf/kauffman comparison, and a wrong sign
+    # there is reported
+    code, out, _ = run(capsys, "jones", "s1 s1 s1 s1 s1")
     assert code == EXIT_OK
     assert "arf/kauffman" in out
-    # a wrong table flips the closed form's sign and the comparison reports it
-    table.write_text(json.dumps({"s1 s1 s1 s1 s1": {"c1": [0], "c3": []}}))
-    code, out, _ = run(capsys, "jones", "s1 s1 s1 s1 s1", "--link-table", str(table))
+    arf_invariant = cli.arf_invariant
+    monkeypatch.setattr(cli, "arf_invariant", lambda inv, form: 1 - arf_invariant(inv, form))
+    code, out, _ = run(capsys, "jones", "s1 s1 s1 s1 s1")
     assert code == EXIT_DISAGREE
     assert "DISAGREE" in out
 
 
 @pytest.mark.parametrize("command", ["jones", "braid-info"])
-def test_link_table_that_does_not_fit_the_link(tmp_path, capsys, command):
-    # the trefoil is a knot: two c1 entries cannot describe it
-    table = tmp_path / "links.json"
-    table.write_text(json.dumps({"s1 s1 s1": {"c1": [1, 0]}}))
-    code, _, err = run(capsys, command, "s1 s1 s1", "--link-table", str(table))
-    assert code == EXIT_PARSE
-    assert "link-table error" in err and "c1 has 2 entries" in err
+def test_link_table_option_is_unknown(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "s1 s1 s1", "--link-table", "links.json"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --link-table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", ["strands=60", "strands=500", "strands=81 s1 s1 s1 s1 s1"])
+def test_jones_wide_words_agree_relative_to_their_size(capsys, word):
+    # |V(i)| = sqrt(2)^(m-1); a delta of one part in 1e15 of that is agreement
+    code, out, _ = run(capsys, "jones", word, "--backend", "kauffman")
+    assert code == EXIT_OK
+    assert "arf/kauffman" in out and "agreement: yes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid-info", "strands=2049"],
+    ["braid-info", "strands=3000"],
+    ["jones", "strands=3000", "--backend", "kauffman"],
+    ["jones", "s1", "--pairs", "1000000000000"],
+])
+def test_more_strands_than_a_double_holds_is_capacity(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == "" and "up to 2048 strands" in err
+
+
+def test_braid_info_wide_unlink_inside_the_cap(capsys):
+    code, out, _ = run(capsys, "braid-info", "strands=1500")
+    assert code == EXIT_OK
+    assert "arf: 0" in out
 
 
 def test_braid_info_hopf(capsys):
@@ -197,6 +224,13 @@ def test_braid_info_solomon(capsys):
     assert "[0, 2]" in out
     assert "arf: 1" in out
     assert "-1.414214" in out
+
+
+def test_braid_info_cinquefoil(capsys):
+    code, out, _ = run(capsys, "braid-info", "s1 s1 s1 s1 s1")
+    assert code == EXIT_OK
+    assert "arf: 1" in out
+    assert "-1.000000" in out
 
 
 def test_braid_info_unlink(capsys):
@@ -349,3 +383,44 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == "" and "Traceback" in err
     assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+# --- a reader that closes the pipe early ------------------------------------
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["jones", "s1 s1 s1", "--output", "json"], EXIT_OK),
+    (["braid-info", "s1 s1"], EXIT_OK),
+    (["verify", "--tau", "1.0"], EXIT_DISAGREE),
+])
+def test_broken_pipe_returns_the_computed_status(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == code
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_into_a_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mjones.cli import main; sys.exit(main())",
+             "verify", "--output", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""

@@ -5,9 +5,17 @@ model: reading the word left to right, each letter sigma_i^(+-1) acts as
 A^(+-1) * 1 + A^(-+1) * e_i on partial diagrams, and each state of the
 closure contributes A^(a-b) d^(loops-1) with d = -A^2 - A^-2.  Strands are
 joined to their trace arcs as soon as no later letter touches them, so the
-transfer only tracks diagrams on the strands still in play.  All arithmetic
-is on integer coefficients, so results are exact; Python integers make
-overflow a non-issue at any supported size.
+transfer only tracks diagrams on the strands still in play.
+
+Loops are folded as they close: a closing loop multiplies its diagram's
+weight by d at once, so every live diagram carries a single Laurent
+polynomial in A, and the one weight left at the end is divided by d
+exactly once.  Each weight is packed into one Python integer (Kronecker
+substitution): the weight is multiplied by a power of A that leaves only
+non-negative even exponents, and the coefficient of A^(2i) becomes the
+i-th balanced signed digit in base 2^B.  A smoothing or a folded loop is
+then a shift and an add on that integer, and the result is decoded once.
+All arithmetic is on integers, so results are exact at any size.
 
 Smoothing convention: for a positive letter the A-smoothing is the
 identity-like (vertical) one and the A^-1-smoothing the cap-cup; negative
@@ -59,14 +67,6 @@ class LaurentPolynomial:
     def monomial(cls, coeff: int, exponent: int = 0) -> "LaurentPolynomial":
         return cls({exponent: coeff})
 
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -91,14 +91,6 @@ class LaurentPolynomial:
         """Multiply by A^exponent."""
         return LaurentPolynomial({e + exponent: c for e, c in self.coeffs.items()})
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        out = LaurentPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentPolynomial.monomial(other)
@@ -113,16 +105,6 @@ class LaurentPolynomial:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*A^{e}" for e, c in sorted(self.coeffs.items()))
-
-    def substitute_t(self) -> dict:
-        """Exponents re-expressed in t = A^-4; fractional keys use Fraction."""
-        from fractions import Fraction
-
-        return {Fraction(-e, 4): c for e, c in self.coeffs.items()}
-
-
-# loop factor d = -A^2 - A^-2
-LOOP_FACTOR = LaurentPolynomial({2: -1, -2: -1})
 
 
 # A_AT_T_I^r for r < 8; A_AT_T_I^(r+8) = -A_AT_T_I^r
@@ -147,16 +129,85 @@ def eval_at(poly: LaurentPolynomial, a: complex) -> complex:
     return sum(c * a ** e for e, c in poly.coeffs.items())
 
 
+def _digit_width(bits: int) -> int:
+    """Bits per packed digit for coefficients of magnitude at most 2^bits:
+    a whole number of bytes, with room for the sign."""
+    return (bits + 2 + 7) // 8 * 8
+
+
+def _bias(count: int, width: int) -> int:
+    """2^(width-1) in each of ``count`` base-2^width digits."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The integer whose balanced base-2^width digits are ``coeffs``, lowest
+    first."""
+    half, size = 1 << (width - 1), width // 8
+    raw = b"".join((a + half).to_bytes(size, "little") for a in coeffs)
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), width)
+
+
+def _unpack(packed: int, width: int) -> list[int]:
+    """Balanced base-2^width digits of ``packed``, lowest first; inverse of
+    ``_pack`` while every digit has magnitude below 2^(width-1)."""
+    half, size = 1 << (width - 1), width // 8
+    count = packed.bit_length() // width + 2
+    raw = (packed + _bias(count, width)).to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, count * size, size)]
+
+
+def _smooth(diag: tuple[int, ...], k: int, horizontal: bool, closing: list[int],
+            n: int) -> tuple[tuple[int, ...], int]:
+    """The diagram after one smoothing of a letter at position k and the
+    closing of the strands in ``closing``, with the number of loops closed."""
+    slots = list(diag)
+    loops = 0
+    if horizontal:
+        # e_k: cap the top ends of k and k+1, cup new ones
+        x, y = slots[k], slots[k + 1]
+        if x == k + 1:
+            loops += 1
+        else:
+            slots[x], slots[y] = y, x
+        slots[k], slots[k + 1] = k + 1, k
+    for p in closing:
+        # join the top end of p to its bottom end
+        x, y = slots[p], slots[n + p]
+        if x == n + p:
+            loops += 1
+        else:
+            slots[x], slots[y] = y, x
+        slots[p] = slots[n + p] = -1
+    return tuple(slots), loops
+
+
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
     Temperley-Lieb transfer: letter g acts as A^s * 1 + A^-s * e_|g| with
-    s = sign(g).  The live state maps each partial diagram to integer state
-    counts keyed by (A-exponent, loop count).  A diagram is a pairing of
-    slots: slot p is the current top end of position p, slot n + p its
-    bottom end, and -1 marks a closed position.  Each strand is closed into
-    its trace arc right after the last letter that touches it (untouched
-    strands at the start), so only strands still in play are tracked.
+    s = sign(g).  The live state maps each partial diagram to its weight,
+    one Laurent polynomial in A in which every loop closed so far is already
+    a factor d.  A diagram is a pairing of slots: slot p is the current top
+    end of position p, slot n + p its bottom end, and -1 marks a closed
+    position.  Each strand is closed into its trace arc right after the last
+    letter that touches it, so only strands still in play are tracked;
+    untouched strands are split unknots, a factor d each at the end.
+
+    A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
+    coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
+    grows by s + 2, plus 2 per strand the letter closes, so that every
+    smoothing is a left shift: the identity smoothing is A^(2s+2), the
+    cap-cup is 1, and every event that may close a loop (the cap of e_k and
+    each closing strand) is A^2 when it does not and A^2 d = -(A^4 + 1) when
+    it does.  Digits may overflow in between, since each packed integer is
+    the exact value of its polynomial; only the final one is decoded.  A
+    connected diagram's bracket is a sum of at most 2^c signed monomials
+    (Thistlethwaite's spanning-tree expansion) and each further split piece
+    multiplies it by d, so the live strands' result, their bracket times one
+    spare d, has coefficients below 2^(c+live) and fits B = c + live + 2;
+    the untouched strands' d^(n-live-1) is applied at B = c + n + 2.
     """
     c = word.crossings
     if c > MAX_CROSSINGS:
@@ -167,56 +218,65 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     last: dict[int, int] = {}
     for j, g in enumerate(word.letters):
         last[abs(g) - 1] = last[abs(g)] = j
+    live = len(last)
+    width = _digit_width(c + live)   # the live closure times one spare d
 
     start = [-1] * (2 * n)
     for p in last:
         start[p], start[n + p] = n + p, p
-    states = {tuple(start): {(0, n - len(last)): 1}}
+    states = {tuple(start): 1}
+    offset = 0
     for j, g in enumerate(word.letters):
         k = abs(g) - 1
-        s = 1 if g > 0 else -1
         closing = [p for p in (k, k + 1) if last[p] == j]
-        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-        for diag, weights in states.items():
-            for horizontal in (False, True):
+        up = 2 * width if g > 0 else 0
+        offset += (3 if g > 0 else 1) + 2 * len(closing)
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for diag, w in states.items():
+            if closing:
+                for horizontal in (False, True):
+                    key, loops = _smooth(diag, k, horizontal, closing, n)
+                    events = horizontal + len(closing)
+                    v = w << ((0 if horizontal else up) + width * (events - loops))
+                    for _ in range(loops):
+                        v = -((v << 2 * width) + v)
+                    nxt[key] = get(key, 0) + v
+                continue
+            # no strand closes: the identity smoothing keeps the diagram
+            nxt[diag] = get(diag, 0) + (w << up)
+            x = diag[k]
+            if x == k + 1:   # e_k closes the cup at k, k+1 and cups again
+                key, v = diag, -((w << 2 * width) + w)
+            else:
                 slots = list(diag)
-                loops = 0
-                if horizontal:
-                    # e_k: cap the top ends of k and k+1, cup new ones
-                    x, y = slots[k], slots[k + 1]
-                    if x == k + 1:
-                        loops += 1
-                    else:
-                        slots[x], slots[y] = y, x
-                    slots[k], slots[k + 1] = k + 1, k
-                for p in closing:
-                    # join the top end of p to its bottom end
-                    x, y = slots[p], slots[n + p]
-                    if x == n + p:
-                        loops += 1
-                    else:
-                        slots[x], slots[y] = y, x
-                    slots[p] = slots[n + p] = -1
-                da = -s if horizontal else s
-                bucket = nxt.setdefault(tuple(slots), {})
-                for (aexp, nloops), w in weights.items():
-                    key = (aexp + da, nloops + loops)
-                    bucket[key] = bucket.get(key, 0) + w
+                y = diag[k + 1]
+                slots[x], slots[y] = y, x
+                slots[k], slots[k + 1] = k + 1, k
+                key, v = tuple(slots), w << width
+            nxt[key] = get(key, 0) + v
         states = nxt
-    (weights,) = states.values()  # every strand is closed: one empty diagram
+    (packed,) = states.values()   # every strand is closed: one empty diagram
 
-    # sum of w * A^aexp * d^(nloops-1), by Horner's rule in d = LOOP_FACTOR
-    rows: dict[int, dict[int, int]] = {}
-    for (aexp, nloops), w in weights.items():
-        rows.setdefault(nloops - 1, {})[aexp] = w
-    total: dict[int, int] = {}
-    for dpow in range(max(rows), -1, -1):
-        acc = dict(rows.get(dpow, {}))
-        for e, coeff in total.items():
-            for de, dc in LOOP_FACTOR.coeffs.items():
-                acc[e + de] = acc.get(e + de, 0) + dc * coeff
-        total = acc
-    return LaurentPolynomial(total)
+    untouched = n - live
+    if not untouched:
+        # divide by the spare d: A^2 d = -(A^4 + 1), and the quotient is exact
+        packed = -packed // ((1 << 2 * width) + 1)
+        offset -= 2
+    coeffs = _unpack(packed, width)
+    if untouched > 1:
+        # times d^e = (-1)^e A^(-2e) (1 + A^4)^e, at a width that holds it
+        e = untouched - 1
+        width = _digit_width(c + n)
+        binomials = [0] * (2 * e + 1)
+        b = 1
+        for i in range(e + 1):
+            binomials[2 * i] = b
+            b = b * (e - i) // (i + 1)
+        packed = _pack(coeffs, width) * _pack(binomials, width)
+        coeffs = _unpack(-packed if e % 2 else packed, width)
+        offset += 2 * e
+    return LaurentPolynomial({2 * i - offset: a for i, a in enumerate(coeffs) if a})
 
 
 def jones_polynomial(word: BraidWord) -> LaurentPolynomial:

@@ -1,17 +1,26 @@
 """Exact bracket oracle against hand-computed and closed-form values, and the
-Temperley-Lieb transfer against an independent 2^c state sum."""
+packed Temperley-Lieb transfer against two independent references: the 2^c
+state sum and the transfer that keys each diagram's weights by (A-exponent,
+loop count)."""
 
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mjones.braidlang import BraidWord
+from mjones.braidlang import (
+    BraidWord,
+    arf_invariant,
+    jones_from_arf,
+    link_invariants,
+    lookup_arf_data,
+)
 from mjones.kauffman_oracle import (
     A_AT_T_I,
     CapacityError,
-    LOOP_FACTOR,
     LaurentPolynomial,
     bracket,
     eval_at,
@@ -29,6 +38,22 @@ BORROMEAN = BraidWord(3, (1, -2, 1, -2, 1, -2))
 
 def P(coeffs):
     return LaurentPolynomial(coeffs)
+
+
+# loop factor d = -A^2 - A^-2
+D = P({2: -1, -2: -1})
+
+
+def power(poly: LaurentPolynomial, n: int) -> LaurentPolynomial:
+    out = P({0: 1})
+    for _ in range(n):
+        out = out * poly
+    return out
+
+
+def in_t(poly: LaurentPolynomial) -> dict:
+    """Exponents re-expressed in t = A^-4; fractional keys use Fraction."""
+    return {Fraction(-e, 4): c for e, c in poly.coeffs.items()}
 
 
 def state_sum_bracket(word: BraidWord) -> LaurentPolynomial:
@@ -61,10 +86,67 @@ def state_sum_bracket(word: BraidWord) -> LaurentPolynomial:
             parent[find(cur[k])] = find(k)
         key = (aexp, len({find(x) for x in range(len(parent))}))
         counts[key] = counts.get(key, 0) + 1
-    total = LaurentPolynomial.zero()
+    total = P({})
     for (aexp, loops), count in counts.items():
-        total = total + (LOOP_FACTOR ** (loops - 1) * P({aexp: count}))
+        total = total + (power(D, loops - 1) * P({aexp: count}))
     return total
+
+
+def dict_transfer_bracket(word: BraidWord) -> LaurentPolynomial:
+    """Reference bracket: the Temperley-Lieb transfer with each diagram's
+    state counts keyed by (A-exponent, loop count), and the loops expanded
+    by Horner's rule in d only at the end."""
+    n = word.strands
+    last: dict[int, int] = {}
+    for j, g in enumerate(word.letters):
+        last[abs(g) - 1] = last[abs(g)] = j
+
+    start = [-1] * (2 * n)
+    for p in last:
+        start[p], start[n + p] = n + p, p
+    states = {tuple(start): {(0, n - len(last)): 1}}
+    for j, g in enumerate(word.letters):
+        k = abs(g) - 1
+        s = 1 if g > 0 else -1
+        closing = [p for p in (k, k + 1) if last[p] == j]
+        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for diag, weights in states.items():
+            for horizontal in (False, True):
+                slots = list(diag)
+                loops = 0
+                if horizontal:
+                    x, y = slots[k], slots[k + 1]
+                    if x == k + 1:
+                        loops += 1
+                    else:
+                        slots[x], slots[y] = y, x
+                    slots[k], slots[k + 1] = k + 1, k
+                for p in closing:
+                    x, y = slots[p], slots[n + p]
+                    if x == n + p:
+                        loops += 1
+                    else:
+                        slots[x], slots[y] = y, x
+                    slots[p] = slots[n + p] = -1
+                da = -s if horizontal else s
+                bucket = nxt.setdefault(tuple(slots), {})
+                for (aexp, nloops), w in weights.items():
+                    key = (aexp + da, nloops + loops)
+                    bucket[key] = bucket.get(key, 0) + w
+        states = nxt
+    (weights,) = states.values()
+
+    rows: dict[int, dict[int, int]] = {}
+    for (aexp, nloops), w in weights.items():
+        rows.setdefault(nloops - 1, {})[aexp] = w
+    total: dict[int, int] = {}
+    for dpow in range(max(rows), -1, -1):
+        acc = dict(rows.get(dpow, {}))
+        for e, coeff in total.items():
+            for de, dc in D.coeffs.items():
+                acc[e + de] = acc.get(e + de, 0) + dc * coeff
+        total = acc
+    return P(total)
 
 
 def random_word(rng: random.Random, max_strands: int, max_crossings: int) -> BraidWord:
@@ -90,7 +172,7 @@ class TestLaurentPolynomial:
         assert (P({1: 1}) - P({1: 1})) == P({})
 
     def test_power_and_shift(self):
-        assert LOOP_FACTOR ** 2 == P({4: 1, 0: 2, -4: 1})
+        assert power(D, 2) == P({4: 1, 0: 2, -4: 1})
         assert P({1: 2}).shift(-3) == P({-2: 2})
 
     def test_int_comparison(self):
@@ -110,8 +192,7 @@ class TestLaurentPolynomial:
             eval_at(P({-1: 1}), 0)
 
     def test_substitute_t(self):
-        from fractions import Fraction
-        assert jones_polynomial(TREFOIL).substitute_t() == {
+        assert in_t(jones_polynomial(TREFOIL)) == {
             Fraction(1): 1, Fraction(3): 1, Fraction(4): -1
         }
 
@@ -121,7 +202,7 @@ class TestBracket:
         assert bracket(BraidWord(1, ())) == 1
 
     def test_empty_word_two_strands(self):
-        assert bracket(BraidWord(2, ())) == LOOP_FACTOR
+        assert bracket(BraidWord(2, ())) == D
 
     def test_single_positive_kink(self):
         # two smoothings: A*d + A^-1 = -A^3
@@ -142,7 +223,7 @@ class TestBracket:
     def test_reference_state_sum_on_known_values(self):
         assert state_sum_bracket(UNKNOT) == P({3: -1})
         assert state_sum_bracket(HOPF) == P({4: -1, -4: -1})
-        assert state_sum_bracket(BraidWord(3, ())) == LOOP_FACTOR ** 2
+        assert state_sum_bracket(BraidWord(3, ())) == power(D, 2)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
@@ -157,7 +238,7 @@ class TestBracket:
                 for _ in range(rng.randint(0, 6))
             )
             word = BraidWord(strands, letters)
-            assert bracket(word.with_strands(strands + 1)) == bracket(word) * LOOP_FACTOR
+            assert bracket(word.with_strands(strands + 1)) == bracket(word) * D
 
     def test_reidemeister_two_invariance(self):
         rng = random.Random(5)
@@ -170,6 +251,13 @@ class TestBracket:
             moved = base[:pos] + [k, -k] + base[pos:]
             assert bracket(BraidWord(strands, tuple(moved))) == \
                 bracket(BraidWord(strands, tuple(base)))
+
+    def test_transfer_matches_dict_transfer(self):
+        rng = random.Random(13)
+        words = [random_word(rng, 7, 24) for _ in range(300)]
+        words += [word.with_strands(word.strands + rng.randint(2, 40)) for word in words[:40]]
+        for word in words:
+            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
 
 
 class TestJonesPolynomial:

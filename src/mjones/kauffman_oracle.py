@@ -37,18 +37,27 @@ before any floating-point arithmetic.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 from .braidlang import BraidWord
 
-MAX_CROSSINGS = 24
+# the bracket's capacity, in the estimated bit operations of its transfer
+# (``_transfer_work``), about 1 s on a 2-core x86_64 box; each live diagram
+# also costs about as much fixed interpreter work per letter as
+# TRANSITION_BITS bits of shifting and adding
+MAX_TRANSFER_WORK = 4 * 10 ** 9
+TRANSITION_BITS = 2048
+# words of at most this many crossings, the former cap, are always accepted:
+# the slowest such word a search found took 0.3 s (0.5 s on 2048 strands)
+ALWAYS_ACCEPTED_CROSSINGS = 24
 
 # evaluation point for t = i  (A^-4 = i)
 A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
 
 
 class CapacityError(ValueError):
-    """A backend's size limit exceeded (the bracket's crossing bound, the
+    """A backend's size limit exceeded (the bracket's work bound, the
     anyon backend's pair cap)."""
 
 
@@ -183,17 +192,58 @@ def _smooth(diag: tuple[int, ...], k: int, horizontal: bool, closing: list[int],
     return tuple(slots), loops
 
 
+def _transfer_work(letters: tuple[int, ...], last: dict[int, int], width: int,
+                   budget: int) -> tuple[int, int]:
+    """Estimated bit operations of the transfer, and the most strands open
+    at once in one block; the count stops once it passes ``budget``.
+
+    Diagrams factor over blocks, the runs of positions that letters have
+    joined so far.  A letter at most doubles its block's diagrams, and a
+    block with o open positions spanning w places holds at most Catalan(w)
+    of them (closed positions in between act as through strands) and at
+    most (2o - 1)!!, the pairings of its 2o open ends.  Each live diagram
+    costs two shifts and adds per letter on integers of about 2(j + 1)
+    digits, plus a fixed overhead.
+    """
+    block: dict[int, list] = {}   # position -> [diagram bound, open positions]
+    diagrams = 1                  # product of the blocks' bounds
+    work = widest = 0
+    for j, g in enumerate(letters):
+        k = abs(g) - 1
+        left = block.get(k) or [1, {k}]
+        right = block.get(k + 1) or [1, {k + 1}]
+        if left is right:
+            joined, before = left, left[0]
+        else:
+            before = left[0] * right[0]
+            joined = [before, left[1] | right[1]]
+            for p in joined[1]:
+                block[p] = joined
+        joined[1].difference_update([p for p in (k, k + 1) if last[p] == j])
+        span = max(joined[1]) - min(joined[1]) + 1 if joined[1] else 0
+        widest = max(widest, span)
+        joined[0] = min(2 * before, math.comb(2 * span, span) // (span + 1),
+                        math.prod(range(1, 2 * len(joined[1]), 2)))
+        diagrams = diagrams // before * joined[0]
+        work += diagrams * (TRANSITION_BITS + 2 * (j + 1) * width)
+        if work > budget:
+            break
+    return work, widest
+
+
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
     Temperley-Lieb transfer: letter g acts as A^s * 1 + A^-s * e_|g| with
     s = sign(g).  The live state maps each partial diagram to its weight,
     one Laurent polynomial in A in which every loop closed so far is already
-    a factor d.  A diagram is a pairing of slots: slot p is the current top
-    end of position p, slot n + p its bottom end, and -1 marks a closed
-    position.  Each strand is closed into its trace arc right after the last
-    letter that touches it, so only strands still in play are tracked;
-    untouched strands are split unknots, a factor d each at the end.
+    a factor d.  Strands that no letter touches are split unknots, a factor
+    d each at the end, so the transfer runs on the live (touched) strands
+    alone, renumbered in order.  A diagram is a pairing of slots: slot p is
+    the current top end of position p, slot live + p its bottom end, and -1
+    marks a closed position.  Each strand is closed into its trace arc right
+    after the last letter that touches it, so only strands still in play
+    are tracked.
 
     A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
     coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
@@ -209,24 +259,33 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     spare d, has coefficients below 2^(c+live) and fits B = c + live + 2;
     the untouched strands' d^(n-live-1) is applied at B = c + n + 2.
     """
-    c = word.crossings
-    if c > MAX_CROSSINGS:
-        raise CapacityError(
-            f"{c} crossings exceeds the state-sum bound of {MAX_CROSSINGS}"
-        )
-    n = word.strands
+    n, c = word.strands, word.crossings
+    touched = sorted({p for g in word.letters for p in (abs(g) - 1, abs(g))})
+    live = len(touched)
+    letters = word.letters
+    if live < n:
+        rank = {p: i for i, p in enumerate(touched)}
+        letters = tuple(rank[g - 1] + 1 if g > 0 else -1 - rank[-g - 1] for g in letters)
     last: dict[int, int] = {}
-    for j, g in enumerate(word.letters):
+    for j, g in enumerate(letters):
         last[abs(g) - 1] = last[abs(g)] = j
-    live = len(last)
     width = _digit_width(c + live)   # the live closure times one spare d
+    wide = _digit_width(c + n)
+    spare = max(n - live - 1, 0)
+    if c > ALWAYS_ACCEPTED_CROSSINGS:
+        # the product by d^spare at the end costs about as much as multiplying
+        # each of the live result's 2c + 2 digits by spare + 1 wide binomials
+        budget = MAX_TRANSFER_WORK - (2 * c + 2) * spare * wide
+        work, widest = _transfer_work(letters, last, width, budget)
+        if work > budget:
+            raise CapacityError(
+                f"{c} crossings on {n} strands, up to {widest} of them open at once, "
+                f"exceed the bracket's work bound of {MAX_TRANSFER_WORK:.2g} bit operations")
 
-    start = [-1] * (2 * n)
-    for p in last:
-        start[p], start[n + p] = n + p, p
+    start = [live + p for p in range(live)] + list(range(live))
     states = {tuple(start): 1}
     offset = 0
-    for j, g in enumerate(word.letters):
+    for j, g in enumerate(letters):
         k = abs(g) - 1
         closing = [p for p in (k, k + 1) if last[p] == j]
         up = 2 * width if g > 0 else 0
@@ -236,7 +295,7 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
         for diag, w in states.items():
             if closing:
                 for horizontal in (False, True):
-                    key, loops = _smooth(diag, k, horizontal, closing, n)
+                    key, loops = _smooth(diag, k, horizontal, closing, live)
                     events = horizontal + len(closing)
                     v = w << ((0 if horizontal else up) + width * (events - loops))
                     for _ in range(loops):
@@ -258,24 +317,21 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
         states = nxt
     (packed,) = states.values()   # every strand is closed: one empty diagram
 
-    untouched = n - live
-    if not untouched:
+    if live == n:
         # divide by the spare d: A^2 d = -(A^4 + 1), and the quotient is exact
         packed = -packed // ((1 << 2 * width) + 1)
         offset -= 2
     coeffs = _unpack(packed, width)
-    if untouched > 1:
-        # times d^e = (-1)^e A^(-2e) (1 + A^4)^e, at a width that holds it
-        e = untouched - 1
-        width = _digit_width(c + n)
-        binomials = [0] * (2 * e + 1)
+    if spare:
+        # times d^spare = (-1)^spare A^(-2 spare) (1 + A^4)^spare
+        binomials = [0] * (2 * spare + 1)
         b = 1
-        for i in range(e + 1):
+        for i in range(spare + 1):
             binomials[2 * i] = b
-            b = b * (e - i) // (i + 1)
-        packed = _pack(coeffs, width) * _pack(binomials, width)
-        coeffs = _unpack(-packed if e % 2 else packed, width)
-        offset += 2 * e
+            b = b * (spare - i) // (i + 1)
+        packed = _pack(coeffs, wide) * _pack(binomials, wide)
+        coeffs = _unpack(-packed if spare % 2 else packed, wide)
+        offset += 2 * spare
     return LaurentPolynomial({2 * i - offset: a for i, a in enumerate(coeffs) if a})
 
 

@@ -51,6 +51,42 @@ def power(poly: LaurentPolynomial, n: int) -> LaurentPolynomial:
     return out
 
 
+def times_loops(poly: LaurentPolynomial, m: int) -> LaurentPolynomial:
+    """poly * d^m, from the binomial expansion of d^m."""
+    binomials = [(-1) ** m]
+    for k in range(m):
+        binomials.append(binomials[-1] * (m - k) // (k + 1))
+    out: dict[int, int] = {}
+    for e, c in poly.coeffs.items():
+        for k, b in enumerate(binomials):
+            key = e + 2 * m - 4 * k
+            out[key] = out.get(key, 0) + b * c
+    return P(out)
+
+
+def at_i_exact(poly: LaurentPolynomial) -> list[int]:
+    """The value at A_AT_T_I as its integer coordinates on A^0..A^7, which
+    are a basis over the rationals (A^8 = -1)."""
+    folded = [0] * 8
+    for e, c in poly.coeffs.items():
+        folded[e % 8] += c if e % 16 < 8 else -c
+    return folded
+
+
+def arf_exact(components: int, arf: int | None) -> list[int]:
+    """(-1)^arf sqrt(2)^(components-1) in the same coordinates, 0 for a
+    link that is not proper; sqrt(2) = A^6 - A^2."""
+    out = [0] * 8
+    if arf is not None:
+        half, odd = divmod(components - 1, 2)
+        scale = -(2 ** half) if arf else 2 ** half
+        if odd:
+            out[6], out[2] = scale, -scale
+        else:
+            out[0] = scale
+    return out
+
+
 def in_t(poly: LaurentPolynomial) -> dict:
     """Exponents re-expressed in t = A^-4; fractional keys use Fraction."""
     return {Fraction(-e, 4): c for e, c in poly.coeffs.items()}
@@ -226,8 +262,12 @@ class TestBracket:
         assert state_sum_bracket(BraidWord(3, ())) == power(D, 2)
 
     def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
-            bracket(BraidWord(2, (1,) * 25))
+        # 1200 crossings on 3 strands, and 60 on 16, lie beyond the work bound
+        with pytest.raises(CapacityError, match=r"1200 crossings on 3 strands, up to 3 "
+                                                r"of them open at once, exceed .* work bound"):
+            bracket(BraidWord(3, (1, -2) * 600))
+        with pytest.raises(CapacityError, match="60 crossings on 16 strands"):
+            bracket(BraidWord(16, tuple(range(1, 16)) * 4))
 
     def test_distant_strand_multiplies_by_loop_factor(self):
         rng = random.Random(3)
@@ -258,6 +298,31 @@ class TestBracket:
         words += [word.with_strands(word.strands + rng.randint(2, 40)) for word in words[:40]]
         for word in words:
             assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+
+    def test_long_words_match_dict_transfer(self):
+        # past the former 24-crossing cap, up to 60 crossings on 7 strands
+        rng = random.Random(17)
+        words = [BraidWord(7, tuple(rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(60)))]
+        for _ in range(24):
+            strands = rng.randint(2, 7)
+            words.append(BraidWord(strands, tuple(
+                rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(25, 60 if strands <= 5 else 40)))))
+        for word in words:
+            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+
+    def test_every_word_of_the_former_cap_is_accepted(self):
+        # two 24-crossing words with the most diagrams a search found, alone
+        # and on 2048 strands, and 24 crossings that join 24 separate pairs
+        for strands, letters in (
+            (12, (2, 9, 10, -4, -7, 8, -11, -3, 6, -1, -5, -6, 7, -2, -4, 9, 8, 10, 7, -1,
+                  -5, 9, -3, 11)),
+            (16, (-13, 12, 1, -4, 9, -5, -2, -6, 7, -3, 14, -8, 10, -11, 2, 9, -13, 11, 1,
+                  -5, 3, -6, 8, -14)),
+            (48, tuple(range(1, 48, 2)) * 2),
+        ):
+            word = BraidWord(strands, letters[:24])
+            assert bracket(word.with_strands(2048)) == times_loops(bracket(word), 2048 - strands)
 
 
 class TestJonesPolynomial:
@@ -316,9 +381,59 @@ class TestValuesAtI:
             value = jones_at_i(BraidWord(n, ()))
             assert abs(value - expected) <= 1e-14 * expected
 
+    def test_long_words_match_the_arf_route_exactly(self):
+        # 100-200 crossings: V(i) from the bracket equals the Seifert-form
+        # route exactly, zeros of the links that are not proper included
+        rng = random.Random(23)
+        proper = 0
+        for _ in range(24):
+            strands = rng.randint(2, 5)
+            word = BraidWord(strands, tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                                            for _ in range(rng.randint(100, 200))))
+            inv = link_invariants(word)
+            arf = arf_invariant(inv, lookup_arf_data(word)) if inv.proper else None
+            proper += inv.proper
+            assert at_i_exact(jones_polynomial(word)) == arf_exact(inv.components, arf), word
+            assert abs(jones_at_i(word) - jones_from_arf(inv, arf)) < 1e-12 * 2 ** (inv.components / 2)
+        assert 0 < proper < 24
+
     def test_trefoil_value_branch_independent(self):
         # knots have integer t powers; every fourth root of t = i agrees
         poly = jones_polynomial(TREFOIL)
         for k in range(4):
             a = A_AT_T_I * cmath.exp(1j * k * cmath.pi / 2)
             assert eval_at(poly, a) == pytest.approx(-1)
+
+
+# --- invariance on long words, as seeded hypothesis properties --------------
+
+LONG = settings(derandomize=True, database=None, max_examples=12, deadline=None)
+
+
+@st.composite
+def long_words(draw):
+    strands = draw(st.integers(2, 5))
+    letters = st.sampled_from([s * k for k in range(1, strands) for s in (1, -1)])
+    word = draw(st.lists(letters, min_size=100, max_size=140))
+    return BraidWord(strands, tuple(word)), draw(letters), draw(st.integers(0, len(word)))
+
+
+@LONG
+@given(long_words())
+def test_reidemeister_two_invariance_on_long_words(case):
+    word, k, pos = case
+    letters = word.letters
+    moved = BraidWord(word.strands, letters[:pos] + (k, -k) + letters[pos:])
+    assert bracket(moved) == bracket(word)
+
+
+@LONG
+@given(long_words())
+def test_conjugation_invariance_on_long_words(case):
+    word, k, pos = case
+    letters = word.letters
+    rotated = BraidWord(word.strands, letters[pos:] + letters[:pos])
+    conjugated = BraidWord(word.strands, (k,) + letters + (-k,))
+    expected = bracket(word)
+    assert bracket(rotated) == expected
+    assert bracket(conjugated) == expected

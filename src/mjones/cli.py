@@ -426,13 +426,15 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    results = verify_mod.run_all(tau=args.tau)
+    # each braid generator is extracted once per verify run, at its tau
+    matrices = verify_mod.BraidMatrices(args.tau)
+    results = verify_mod.run_all(tau=args.tau, matrices=matrices)
     if args.output == "json":
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
-            "artifacts": verify_mod.report_artifacts(tau=args.tau),
+            "artifacts": verify_mod.report_artifacts(tau=args.tau, matrices=matrices),
         }
         timing = {r.name: r.elapsed for r in results}
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))

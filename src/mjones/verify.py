@@ -78,6 +78,21 @@ FINAL_LOGICAL_REFS = {
 }
 
 
+class BraidMatrices:
+    """The braid generators' extracted matrices at one tau, each extracted on
+    first use and kept for the life of this object: one verify run shares
+    one, so no generator is replayed twice and no run sees another's."""
+
+    def __init__(self, tau: float = spin_sim.DEFAULT_TAU):
+        self.tau = tau
+        self._extracted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        if name not in self._extracted:
+            self._extracted[name] = spin_sim.extract_braid_matrix(name, self.tau)
+        return self._extracted[name]
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -202,11 +217,13 @@ def check_final_states(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         f"min final-state fidelity {worst_f:.12f}", time.perf_counter() - t0)
 
 
-def check_braid_matrices(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
+def check_braid_matrices(tau: float = spin_sim.DEFAULT_TAU,
+                         matrices: BraidMatrices | None = None) -> CheckResult:
     t0 = time.perf_counter()
+    matrices = matrices or BraidMatrices(tau)
     worst = 0.0
     for name in spin_sim.BRAID_NAMES:
-        u, logical = spin_sim.extract_braid_matrix(name, tau)
+        u, logical = matrices(name)
         allow_scale = name in ("s1", "s1^-1")   # reference forms carry a spurious scalar
         worst = max(worst, _phase_align(u, GROUND_MATRIX_REFS[name], allow_scale))
         worst = max(worst, _phase_align(logical, LOGICAL_MATRIX_REFS[name], False))
@@ -217,9 +234,10 @@ def check_braid_matrices(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         time.perf_counter() - t0)
 
 
-def check_chi_goldens(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
+def check_chi_goldens(tau: float = spin_sim.DEFAULT_TAU,
+                      matrices: BraidMatrices | None = None) -> CheckResult:
     t0 = time.perf_counter()
-    _, logical = spin_sim.extract_braid_matrix("s1", tau)
+    _, logical = (matrices or BraidMatrices(tau))("s1")
     factor = logical.reshape(4, 2, 4, 2)[:, 0, :, 0]   # spectator qubit stripped
     chi = tomography.chi_from_unitary(factor)
     dev = max(
@@ -233,8 +251,10 @@ def check_chi_goldens(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         f"max chi entry deviation {dev:.2e} (tol 1e-12)", time.perf_counter() - t0)
 
 
-def check_property_suite(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
+def check_property_suite(tau: float = spin_sim.DEFAULT_TAU,
+                         matrices: BraidMatrices | None = None) -> CheckResult:
     t0 = time.perf_counter()
+    matrices = matrices or BraidMatrices(tau)
     failures = []
 
     for pairs in (2, 3):
@@ -252,8 +272,8 @@ def check_property_suite(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         failures.append(f"far commutation [B2,B4]: {dev:.2e}")
 
     for fwd, bwd in (("s1", "s1^-1"), ("s2", "s2^-1")):
-        uf, _ = spin_sim.extract_braid_matrix(fwd, tau)
-        ub, _ = spin_sim.extract_braid_matrix(bwd, tau)
+        uf, _ = matrices(fwd)
+        ub, _ = matrices(bwd)
         dev = _phase_align(uf @ ub, np.eye(8), False)
         if dev > 1e-8:
             failures.append(f"{fwd} then {bwd} is not the identity: {dev:.2e}")
@@ -304,23 +324,28 @@ CHECKS = (
 )
 
 
-def run_all(tau: float = spin_sim.DEFAULT_TAU) -> list[CheckResult]:
-    """Execute every check in fixed order; ``tau`` reaches the replay checks."""
+def run_all(tau: float = spin_sim.DEFAULT_TAU,
+            matrices: BraidMatrices | None = None) -> list[CheckResult]:
+    """Execute every check in fixed order; ``tau`` reaches the replay checks,
+    and the checks that read braid matrices share ``matrices``."""
+    matrices = matrices or BraidMatrices(tau)
     results = []
     for fn in CHECKS:
-        if fn in (check_intermediate_states, check_final_states, check_braid_matrices,
-                  check_chi_goldens, check_property_suite):
+        if fn in (check_braid_matrices, check_chi_goldens, check_property_suite):
+            results.append(fn(tau, matrices))
+        elif fn in (check_intermediate_states, check_final_states):
             results.append(fn(tau))
         else:
             results.append(fn())
     return results
 
 
-def report_artifacts(tau: float = spin_sim.DEFAULT_TAU) -> dict:
+def report_artifacts(tau: float = spin_sim.DEFAULT_TAU,
+                     matrices: BraidMatrices | None = None) -> dict:
     """Reconstructed matrices for the machine-readable report: the process
     matrix of the mid-pair exchange's logical factor and the density matrix
     of the far exchange's final state, as nested [re, im] arrays."""
-    _, logical = spin_sim.extract_braid_matrix("s1", tau)
+    _, logical = (matrices or BraidMatrices(tau))("s1")
     chi = tomography.chi_from_unitary(logical.reshape(4, 2, 4, 2)[:, 0, :, 0])
     final = spin_sim.braid_sequence("s2^-1", spin_sim.prepare_logical(0), tau)
     rho = tomography.density_matrix(

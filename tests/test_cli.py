@@ -347,14 +347,33 @@ def test_verify_after_jones_tau_uses_the_default(capsys, monkeypatch):
     seen = []
     run_all = cli.verify_mod.run_all
 
-    def spy(tau):
+    def spy(tau, **kwargs):
         seen.append(tau)
-        return run_all(tau=tau)
+        return run_all(tau=tau, **kwargs)
 
     monkeypatch.setattr(cli.verify_mod, "run_all", spy)
     assert run(capsys, "jones", "s1", "--tau", "5", "--backend", "spin")[0] == EXIT_OK
     assert run(capsys, "verify")[0] == EXIT_OK
     assert seen == [spin_sim.DEFAULT_TAU]
+
+
+def test_verify_extracts_each_braid_matrix_once_per_run(capsys, monkeypatch):
+    extracted = []
+    extract = spin_sim.extract_braid_matrix
+
+    def counting(name, tau):
+        extracted.append((name, tau))
+        return extract(name, tau)
+
+    monkeypatch.setattr(spin_sim, "extract_braid_matrix", counting)
+    code, first, _ = run(capsys, "verify", "--output", "json")
+    assert code == EXIT_OK
+    assert sorted(extracted) == sorted((name, spin_sim.DEFAULT_TAU)
+                                       for name in spin_sim.BRAID_NAMES)
+    # nothing is kept between runs: a second run extracts all four again
+    code, second, _ = run(capsys, "verify", "--output", "json")
+    assert code == EXIT_OK and len(extracted) == 8
+    assert json.loads(first)["payload"]["artifacts"] == json.loads(second)["payload"]["artifacts"]
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):

@@ -49,7 +49,7 @@ from .braidlang import BraidWord
 MAX_TRANSFER_WORK = 4 * 10 ** 9
 TRANSITION_BITS = 2048
 # words of at most this many crossings, the former cap, are always accepted:
-# the slowest such word a search found took 0.3 s (0.5 s on 2048 strands)
+# the slowest such word a search found took 0.4 s (0.5 s on 2048 strands)
 ALWAYS_ACCEPTED_CROSSINGS = 24
 
 # evaluation point for t = i  (A^-4 = i)

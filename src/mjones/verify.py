@@ -83,7 +83,7 @@ class BraidMatrices:
     first use and kept for the life of this object: one verify run shares
     one, so no generator is replayed twice and no run sees another's."""
 
-    def __init__(self, tau: float = spin_sim.DEFAULT_TAU):
+    def __init__(self, tau: float):
         self.tau = tau
         self._extracted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 

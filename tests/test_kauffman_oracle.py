@@ -311,6 +311,13 @@ class TestBracket:
         for word in words:
             assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
 
+    def test_split_kinks_decode_binomial_coefficients(self):
+        # m kinks on separate pairs: (-A^3)^m d^(m-1), coefficients up to
+        # C(m-1, (m-1)/2), all carried through the transfer's own digits
+        for m in (10, 40, 100):
+            word = BraidWord(2 * m, tuple(range(1, 2 * m, 2)))
+            assert bracket(word) == times_loops(P({3 * m: (-1) ** m}), m - 1)
+
     def test_every_word_of_the_former_cap_is_accepted(self):
         # two 24-crossing words with the most diagrams a search found, and
         # twelve separate pairs crossed twice (4096 diagrams at once), each

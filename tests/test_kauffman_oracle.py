@@ -296,13 +296,10 @@ class TestBracket:
         rng = random.Random(13)
         words = [random_word(rng, 7, 24) for _ in range(300)]
         words += [word.with_strands(word.strands + rng.randint(2, 40)) for word in words[:40]]
-        for word in words:
-            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
-
-    def test_long_words_match_dict_transfer(self):
         # past the former 24-crossing cap, up to 60 crossings on 7 strands
         rng = random.Random(17)
-        words = [BraidWord(7, tuple(rng.choice([-1, 1]) * rng.randint(1, 6) for _ in range(60)))]
+        words.append(BraidWord(7, tuple(rng.choice([-1, 1]) * rng.randint(1, 6)
+                                        for _ in range(60))))
         for _ in range(24):
             strands = rng.randint(2, 7)
             words.append(BraidWord(strands, tuple(

@@ -54,7 +54,7 @@ from .spin_sim import (
     prepare_logical,
     spin_hamiltonian,
 )
-from .tomography import ChiMatrix, chi_from_unitary, density_matrix, pauli_coefficients, state_fidelity
+from .tomography import ChiMatrix, chi_from_unitary, density_matrix, pauli_coefficients
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

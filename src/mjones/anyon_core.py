@@ -110,17 +110,16 @@ def link_to_anyon_word(word: BraidWord, pairs: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class JonesValue:
-    """Signed Jones value at t = i and the pair count it was evaluated on."""
+    """Signed Jones value at t = i."""
 
     value: complex
-    pairs_used: int
 
 
 def jones_su2_2(word: BraidWord, pairs: int) -> JonesValue:
     """Signed Jones value at t = i of the word's closure on ``pairs`` pairs."""
     state = evolve(link_to_anyon_word(word, pairs), pairs)
     value = QUANTUM_DIMENSION ** (pairs - 1) * vacuum_amplitude(state)
-    return JonesValue(value=complex(value), pairs_used=pairs)
+    return JonesValue(value=complex(value))
 
 
 def jones_majorana_abs(word: BraidWord, pairs: int) -> float:

@@ -17,6 +17,12 @@ i-th balanced signed digit in base 2^B.  A smoothing or a folded loop is
 then a shift and an add on that integer, and the result is decoded once.
 All arithmetic is on integers, so results are exact at any size.
 
+Capacity is the work the transfer actually does: before each letter, every
+live diagram is charged its two shifts and adds plus a fixed overhead, and
+the word is refused with ``CapacityError`` once the running total passes
+``MAX_TRANSFER_WORK``, about a second of transfer.  A refused word has
+therefore cost at most that second.
+
 Smoothing convention: for a positive letter the A-smoothing is the
 identity-like (vertical) one and the A^-1-smoothing the cap-cup; negative
 letters swap the roles.  Under this choice a single positive kink
@@ -37,20 +43,18 @@ before any floating-point arithmetic.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 from .braidlang import BraidWord
 
-# the bracket's capacity, in the estimated bit operations of its transfer
-# (``_transfer_work``), about 1 s on a 2-core x86_64 box; each live diagram
-# also costs about as much fixed interpreter work per letter as
-# TRANSITION_BITS bits of shifting and adding
-MAX_TRANSFER_WORK = 4 * 10 ** 9
-TRANSITION_BITS = 2048
-# words of at most this many crossings, the former cap, are always accepted:
-# the slowest such word a search found took 0.4 s (0.5 s on 2048 strands)
-ALWAYS_ACCEPTED_CROSSINGS = 24
+# the bracket's capacity, in bit operations of its transfer, charged letter
+# by letter: each live diagram costs two shifts and adds on its packed weight
+# plus fixed interpreter work worth about TRANSITION_BITS bits.  Fitted on a
+# 2-core x86_64 box (Python 3.11): 1.2 us per diagram and letter and 1.5e10
+# bit operations per second, so the bound is about 0.65 s of transfer, and
+# under 1 s on the slowest words a search found
+MAX_TRANSFER_WORK = 10 ** 10
+TRANSITION_BITS = 20_000
 
 # evaluation point for t = i  (A^-4 = i)
 A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
@@ -192,45 +196,6 @@ def _smooth(diag: tuple[int, ...], k: int, horizontal: bool, closing: list[int],
     return tuple(slots), loops
 
 
-def _transfer_work(letters: tuple[int, ...], last: dict[int, int], width: int,
-                   budget: int) -> tuple[int, int]:
-    """Estimated bit operations of the transfer, and the most strands open
-    at once in one block; the count stops once it passes ``budget``.
-
-    Diagrams factor over blocks, the runs of positions that letters have
-    joined so far.  A letter at most doubles its block's diagrams, and a
-    block with o open positions spanning w places holds at most Catalan(w)
-    of them (closed positions in between act as through strands) and at
-    most (2o - 1)!!, the pairings of its 2o open ends.  Each live diagram
-    costs two shifts and adds per letter on integers of about 2(j + 1)
-    digits, plus a fixed overhead.
-    """
-    block: dict[int, list] = {}   # position -> [diagram bound, open positions]
-    diagrams = 1                  # product of the blocks' bounds
-    work = widest = 0
-    for j, g in enumerate(letters):
-        k = abs(g) - 1
-        left = block.get(k) or [1, {k}]
-        right = block.get(k + 1) or [1, {k + 1}]
-        if left is right:
-            joined, before = left, left[0]
-        else:
-            before = left[0] * right[0]
-            joined = [before, left[1] | right[1]]
-            for p in joined[1]:
-                block[p] = joined
-        joined[1].difference_update([p for p in (k, k + 1) if last[p] == j])
-        span = max(joined[1]) - min(joined[1]) + 1 if joined[1] else 0
-        widest = max(widest, span)
-        joined[0] = min(2 * before, math.comb(2 * span, span) // (span + 1),
-                        math.prod(range(1, 2 * len(joined[1]), 2)))
-        diagrams = diagrams // before * joined[0]
-        work += diagrams * (TRANSITION_BITS + 2 * (j + 1) * width)
-        if work > budget:
-            break
-    return work, widest
-
-
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
@@ -272,20 +237,22 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     width = _digit_width(c + live)   # the live closure times one spare d
     wide = _digit_width(c + n)
     spare = max(n - live - 1, 0)
-    if c > ALWAYS_ACCEPTED_CROSSINGS:
-        # the product by d^spare at the end costs about as much as multiplying
-        # each of the live result's 2c + 2 digits by spare + 1 wide binomials
-        budget = MAX_TRANSFER_WORK - (2 * c + 2) * spare * wide
-        work, widest = _transfer_work(letters, last, width, budget)
-        if work > budget:
-            raise CapacityError(
-                f"{c} crossings on {n} strands, up to {widest} of them open at once, "
-                f"exceed the bracket's work bound of {MAX_TRANSFER_WORK:.2g} bit operations")
+    # the product by d^spare at the end costs about as much as multiplying
+    # each of the live result's 2c + 2 digits by spare + 1 wide binomials
+    work = (2 * c + 2) * spare * wide
 
     start = [live + p for p in range(live)] + list(range(live))
     states = {tuple(start): 1}
     offset = 0
     for j, g in enumerate(letters):
+        # each live diagram takes two shifts and adds on about 2(j + 1)
+        # digits, plus a fixed overhead
+        work += len(states) * (TRANSITION_BITS + 2 * (j + 1) * width)
+        if work > MAX_TRANSFER_WORK:
+            raise CapacityError(
+                f"{c} crossings on {n} strands exceed the bracket's work bound of "
+                f"{MAX_TRANSFER_WORK:.2g} bit operations at letter {j + 1}, "
+                f"with {len(states)} diagrams live")
         k = abs(g) - 1
         closing = [p for p in (k, k + 1) if last[p] == j]
         up = 2 * width if g > 0 else 0

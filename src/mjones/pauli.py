@@ -95,9 +95,6 @@ class PauliString:
                 factors[site] = c
         return PauliString(self.n_sites, phase, factors)
 
-    def dagger(self) -> "PauliString":
-        return PauliString(self.n_sites, complex(self.phase).conjugate(), self.factors)
-
     def as_term(self) -> PauliTerm:
         """Convert to a real-coefficient term; fails on residual imaginary phase."""
         if abs(complex(self.phase).imag) > 1e-14:

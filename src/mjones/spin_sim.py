@@ -13,11 +13,6 @@ realised by imaginary-time evolution exp(-tau * term) of the newly added
 terms followed by a non-dissipative cooling step that folds the suppressed
 excited amplitude back onto the ground component.
 
-The single-site basis rotations a mode-based realisation performs between
-stages are passive relabelings of the stored state (the expansion of one
-eigenbasis in another); they are recorded in the exported schedule for
-replay documentation but apply no gate.
-
 Logical encoding: chain patterns map by Hadamard-type rotations
 
     chain 1:  |xx>   -> (|0> - |1>)/sqrt2,   |xbar xbar> -> (|0> + |1>)/sqrt2
@@ -143,11 +138,6 @@ class Hamiltonian:
     def dense(self) -> np.ndarray:
         return dense_sum(self.terms, N_SITES)
 
-    def all_terms_commute(self) -> bool:
-        return all(
-            a.commutes_with(b) for i, a in enumerate(self.terms) for b in self.terms[i + 1:]
-        )
-
 
 _SPIN_TERMS: dict[str, list[PauliTerm]] = {
     "H0": [_t(-1, x=(1, 2)), _t(-1, x=(4, 5)), _t(-1, x=(5, 6)),
@@ -248,16 +238,14 @@ class GroundBasis:
     (chain 1 slowest, chain 3 fastest)."""
 
     vectors: np.ndarray          # 8 x 2^10, rows are the basis states
-    patterns: tuple[str, ...]
 
-    def coefficients(self, state: np.ndarray, check: bool = True) -> np.ndarray:
-        """Expansion of a state over the basis; optionally verify the state
-        actually lies in the ground space."""
+    def coefficients(self, state: np.ndarray) -> np.ndarray:
+        """Expansion of a state over the basis; the state must lie in the
+        ground space."""
         coeffs = self.vectors.conj() @ state
-        if check:
-            residual = np.linalg.norm(state) ** 2 - np.linalg.norm(coeffs) ** 2
-            if residual > GROUND_TOL:
-                raise ValueError(f"state leaks out of the ground space ({residual:.3e})")
+        residual = np.linalg.norm(state) ** 2 - np.linalg.norm(coeffs) ** 2
+        if residual > GROUND_TOL:
+            raise ValueError(f"state leaks out of the ground space ({residual:.3e})")
         return coeffs
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
@@ -266,15 +254,15 @@ class GroundBasis:
 
 @lru_cache(maxsize=1)
 def ground_basis() -> GroundBasis:
-    patterns = tuple(_chain_patterns(*flags) for flags in iproduct((0, 1), repeat=3))
-    vectors = np.array([product_state(p) for p in patterns])
+    vectors = np.array([product_state(_chain_patterns(*flags))
+                        for flags in iproduct((0, 1), repeat=3)])
     h0 = spin_hamiltonian("H0").dense()
     for v in vectors:
         assert np.allclose(h0 @ v, GROUND_ENERGY * v, atol=1e-10)
     gram = vectors.conj() @ vectors.T
     assert np.max(np.abs(gram - np.eye(8))) < 1e-10
     vectors.setflags(write=False)
-    return GroundBasis(vectors=vectors, patterns=patterns)
+    return GroundBasis(vectors=vectors)
 
 
 def _encode_matrix() -> np.ndarray:
@@ -398,17 +386,11 @@ def cooling_step(state: np.ndarray, term: PauliTerm, pairing: PauliTerm,
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One stage transition: passive rotations, then ITE + cooling of the
-    newly introduced commuting term."""
+    """One stage transition: ITE + cooling of the newly introduced commuting
+    term."""
 
-    hamiltonian: str
-    rotations: tuple[tuple[int, str, str], ...]
     term: PauliTerm
     pairing: PauliTerm
-
-
-def _step(label, rotations, term, pairing) -> ScheduleStep:
-    return ScheduleStep(label, tuple(rotations), term, pairing)
 
 
 # Pairings are single-site flips anticommuting with the step term.  The
@@ -417,38 +399,36 @@ def _step(label, rotations, term, pairing) -> ScheduleStep:
 # touch the exponentially suppressed residue.
 SCHEDULES: dict[str, tuple[ScheduleStep, ...]] = {
     "s1": (
-        _step("H1", [(3, "z", "x")], _t(-1, x=(2, 3)), _t(-1, z=3)),
-        _step("H2", [(4, "x", "y")], _t(1, x=3, y=4), _t(1, z=4)),
-        _step("H3", [(4, "y", "z")], _t(1, z=4), _t(1, x=4)),
-        _step("H0", [(3, "x", "z")], _t(1, z=3), _t(1, x=3)),
-        _step("H0", [(4, "z", "x")], _t(-1, x=(4, 5)), _t(1, z=4)),
+        ScheduleStep(_t(-1, x=(2, 3)), _t(-1, z=3)),
+        ScheduleStep(_t(1, x=3, y=4), _t(1, z=4)),
+        ScheduleStep(_t(1, z=4), _t(1, x=4)),
+        ScheduleStep(_t(1, z=3), _t(1, x=3)),
+        ScheduleStep(_t(-1, x=(4, 5)), _t(1, z=4)),
     ),
     "s1^-1": (
-        _step("H3", [(3, "z", "x")], _t(-1, x=(2, 3)), _t(-1, z=3)),
-        _step("H3", [(4, "x", "z")], _t(1, z=4), _t(1, x=4)),
-        _step("H2", [(4, "z", "y")], _t(1, x=3, y=4), _t(1, z=4)),
-        _step("H1", [(4, "y", "x")], _t(-1, x=(4, 5)), _t(1, z=4)),
-        _step("H0", [(3, "x", "z")], _t(1, z=3), _t(1, x=3)),
+        ScheduleStep(_t(-1, x=(2, 3)), _t(-1, z=3)),
+        ScheduleStep(_t(1, z=4), _t(1, x=4)),
+        ScheduleStep(_t(1, x=3, y=4), _t(1, z=4)),
+        ScheduleStep(_t(-1, x=(4, 5)), _t(1, z=4)),
+        ScheduleStep(_t(1, z=3), _t(1, x=3)),
     ),
     "s2": (
-        _step("H'1", [(4, "x", "z")], _t(1, z=4), _t(1, x=4)),
-        _step("H'2", [(8, "x", "z")], _t(1, z=8), _t(1, x=8)),
-        _step("H'2", [(5, "x", "y"), (6, "x", "z"), (7, "z", "x")],
-              _t(-1, y=5, z=6, x=7), _t(1, z=7)),
-        _step("H'3", [(8, "z", "y")], _t(1, x=7, y=8), _t(1, z=8)),
-        _step("H'4", [(8, "y", "x")], _t(-1, x=(8, 9)), _t(1, z=8)),
-        _step("H'5", [(7, "x", "z")], _t(1, z=7), _t(1, x=7)),
-        _step("H0", [(4, "z", "x")], _t(-1, x=(4, 5)), _t(1, z=4)),
+        ScheduleStep(_t(1, z=4), _t(1, x=4)),
+        ScheduleStep(_t(1, z=8), _t(1, x=8)),
+        ScheduleStep(_t(-1, y=5, z=6, x=7), _t(1, z=7)),
+        ScheduleStep(_t(1, x=7, y=8), _t(1, z=8)),
+        ScheduleStep(_t(-1, x=(8, 9)), _t(1, z=8)),
+        ScheduleStep(_t(1, z=7), _t(1, x=7)),
+        ScheduleStep(_t(-1, x=(4, 5)), _t(1, z=4)),
     ),
     "s2^-1": (
-        _step("H'5", [(4, "x", "z")], _t(1, z=4), _t(1, x=4)),
-        _step("H'4", [(5, "x", "y"), (6, "x", "z"), (7, "z", "x")],
-              _t(-1, y=5, z=6, x=7), _t(1, z=7)),
-        _step("H'3", [(8, "x", "y")], _t(1, x=7, y=8), _t(1, z=8)),
-        _step("H'2", [(8, "y", "z")], _t(1, z=8), _t(1, x=8)),
-        _step("H'1", [(8, "z", "x")], _t(-1, x=(8, 9)), _t(1, z=8)),
-        _step("H'1", [(7, "x", "z")], _t(1, z=7), _t(1, x=7)),
-        _step("H0", [(4, "z", "x")], _t(-1, x=(4, 5)), _t(1, z=4)),
+        ScheduleStep(_t(1, z=4), _t(1, x=4)),
+        ScheduleStep(_t(-1, y=5, z=6, x=7), _t(1, z=7)),
+        ScheduleStep(_t(1, x=7, y=8), _t(1, z=8)),
+        ScheduleStep(_t(1, z=8), _t(1, x=8)),
+        ScheduleStep(_t(-1, x=(8, 9)), _t(1, z=8)),
+        ScheduleStep(_t(1, z=7), _t(1, x=7)),
+        ScheduleStep(_t(-1, x=(4, 5)), _t(1, z=4)),
     ),
 }
 
@@ -473,23 +453,6 @@ def braid_sequence_states(name: str, state: np.ndarray, tau: float = DEFAULT_TAU
     for step in SCHEDULES[name]:
         state = cooling_step(state, step.term, step.pairing, tau)
         yield state
-
-
-def export_schedule(name: str) -> list[dict]:
-    """Flat JSON-ready step list: rotate / ite / cool entries in order."""
-    out: list[dict] = []
-    for step in SCHEDULES[name]:
-        for site, frm, to in step.rotations:
-            out.append({"op": "rotate", "site": site, "from": frm, "to": to,
-                        "hamiltonian": step.hamiltonian})
-        spec = {"coefficient": step.term.coefficient,
-                "factors": {str(s): a for s, a in sorted(step.term.factors.items())}}
-        out.append({"op": "ite", "term": spec, "hamiltonian": step.hamiltonian})
-        pspec = {"coefficient": step.pairing.coefficient,
-                 "factors": {str(s): a for s, a in sorted(step.pairing.factors.items())}}
-        out.append({"op": "cool", "term": spec, "pairing": pspec,
-                    "hamiltonian": step.hamiltonian})
-    return out
 
 
 def extract_braid_matrix(name: str, tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray]:

@@ -70,9 +70,6 @@ class ChiMatrix:
     def entry(self, row: str, col: str) -> complex:
         return complex(self.matrix[self.labels.index(row), self.labels.index(col)])
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
 
 def chi_from_unitary(u: np.ndarray) -> ChiMatrix:
     """Rank-one chi matrix of the channel rho -> U rho U^+."""
@@ -89,11 +86,6 @@ def density_matrix(state: np.ndarray) -> np.ndarray:
     if abs(np.linalg.norm(state) - 1.0) > 1e-10:
         raise ValueError("state must be normalised")
     return np.outer(state, state.conj())
-
-
-def state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """<psi| rho |psi> for a density matrix against a pure reference."""
-    return float(np.real(np.vdot(psi, rho @ psi)))
 
 
 def matrix_to_json(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> dict:

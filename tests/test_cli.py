@@ -84,9 +84,9 @@ def test_jones_capacity_exit_3(capsys):
     code, _, err = run(capsys, "jones", f"strands={MAX_PAIRS + 1} s1", "--backend", "anyon")
     assert code == EXIT_CAPACITY
     assert f"capped at {MAX_PAIRS} pairs" in err
-    code, _, err = run(capsys, "jones", " ".join(["s1 s2^-1"] * 600), "--backend", "kauffman")
+    code, _, err = run(capsys, "jones", " ".join(["s1 s2^-1"] * 1000), "--backend", "kauffman")
     assert code == EXIT_CAPACITY
-    assert "1200 crossings on 3 strands" in err and "work bound" in err
+    assert "2000 crossings on 3 strands" in err and "work bound" in err
 
 
 def test_jones_anyon_beyond_three_pairs(capsys):

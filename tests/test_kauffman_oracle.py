@@ -262,10 +262,11 @@ class TestBracket:
         assert state_sum_bracket(BraidWord(3, ())) == power(D, 2)
 
     def test_capacity_limit(self):
-        # 1200 crossings on 3 strands, and 60 on 16, lie beyond the work bound
-        with pytest.raises(CapacityError, match=r"1200 crossings on 3 strands, up to 3 "
-                                                r"of them open at once, exceed .* work bound"):
-            bracket(BraidWord(3, (1, -2) * 600))
+        # 2000 crossings on 3 strands, and 60 on 16, need 4 and over 10 times
+        # the work bound
+        with pytest.raises(CapacityError, match=r"2000 crossings on 3 strands exceed .* work "
+                                                r"bound .* at letter \d+, with \d+ diagrams live"):
+            bracket(BraidWord(3, (1, -2) * 1000))
         with pytest.raises(CapacityError, match="60 crossings on 16 strands"):
             bracket(BraidWord(16, tuple(range(1, 16)) * 4))
 
@@ -305,6 +306,11 @@ class TestBracket:
             words.append(BraidWord(strands, tuple(
                 rng.choice([-1, 1]) * rng.randint(1, strands - 1)
                 for _ in range(rng.randint(25, 60 if strands <= 5 else 40)))))
+        # a wide word that opens many strands early and closes them late
+        # (9728 diagrams at most), past 24 crossings
+        wide = (-11, 5, -7, -4, -3, -10, -9, 12, -15, 6, -13, -14, -8, 5, 7, -2, -10, 4,
+                -13, -11, 7, -15, -13, -3, 1, 1)
+        words += [BraidWord(16, wide), BraidWord(16, wide + (2, 3, 2, 1, 3, 2))]
         for word in words:
             assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
 

@@ -40,8 +40,6 @@ from .kauffman_oracle import (
 from .pauli import PauliTerm
 from .spin_sim import (
     GroundBasis,
-    Hamiltonian,
-    MajoranaOperator,
     braid_sequence,
     cooling_step,
     extract_braid_matrix,
@@ -50,7 +48,6 @@ from .spin_sim import (
     jones_spin_abs,
     logical_decode,
     logical_encode,
-    majorana,
     prepare_logical,
     spin_hamiltonian,
 )

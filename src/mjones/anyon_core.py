@@ -39,7 +39,7 @@ import numpy as np
 
 from .braidlang import BraidWord
 from .kauffman_oracle import CapacityError
-from .pauli import PauliString, majorana_string, string_action
+from .pauli import PauliTerm, majorana_string, string_action
 
 QUANTUM_DIMENSION = math.sqrt(2.0)
 
@@ -54,7 +54,7 @@ def _anyon(strand: int) -> int:
     return 2 if strand == 1 else 2 * strand - 1
 
 
-def _mode(anyon: int, pairs: int) -> PauliString:
+def _mode(anyon: int, pairs: int) -> PauliTerm:
     return majorana_string((anyon + 1) // 2, "a" if anyon % 2 else "b", pairs)
 
 
@@ -63,7 +63,7 @@ def _exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """(source, coefficient) with gamma_a gamma_b |v> = coefficient * v[source]."""
     if a == b or not (1 <= a <= 2 * pairs and 1 <= b <= 2 * pairs):
         raise ValueError(f"exchange ({a}, {b}) out of range for {pairs} pairs")
-    src, coeff = string_action(_mode(a, pairs) * _mode(b, pairs))
+    src, coeff = string_action(_mode(a, pairs) * _mode(b, pairs), pairs)
     coeff.setflags(write=False)
     return src, coeff
 

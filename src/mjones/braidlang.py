@@ -65,14 +65,6 @@ class BraidWord:
         """Same letters on a wider braid; the closure gains unknot components."""
         return BraidWord(strands, self.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-g for g in reversed(self.letters)))
-
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if other.strands != self.strands:
-            raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
-
     def __str__(self) -> str:
         return format_braid(self)
 
@@ -163,7 +155,6 @@ class LinkInvariants:
 
     writhe: int
     components: int
-    component_of_strand: tuple[int, ...]
     linking: tuple[tuple[int, ...], ...]
     proper: bool
 
@@ -214,7 +205,6 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
     return LinkInvariants(
         writhe=word.writhe,
         components=ncomp,
-        component_of_strand=tuple(comp_of),
         linking=tuple(linking),
         proper=proper,
     )

@@ -2,11 +2,14 @@
 spectra of commuting sums, and state-vector kernels.
 
 Sites are numbered 1..n with site 1 as the most significant bit of the
-basis index.  A string is held as X/Z bitmasks plus a complex phase
-(Y = iXZ contributes both bits); products, commutation checks and dense
-matrices all derive from that form.  Applying a string to a state vector
-is a single fancy-indexed gather with per-index phases, O(2^n); the index
-and sign arrays are built once per word and register size and cached.
+basis index.  Every layer uses one type, :class:`PauliTerm`: a
+coefficient (real for Hamiltonian terms, possibly complex for products of
+Majorana strings) times a map from site to axis.  Kernels read a term as
+X/Z bitmasks (Y = iXZ contributes both bits); products, commutation checks
+and dense matrices all derive from that form.  Applying a term to a state
+vector is a single fancy-indexed gather with per-index phases, O(2^n); the
+index and sign arrays are built once per word and register size and
+cached.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ _SITE_PRODUCT = {
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """Real coefficient times a product of single-site Pauli factors.
+    """Coefficient, possibly complex, times a product of single-site Pauli
+    factors.
 
     An empty factor map is the identity term.  Site indices must lie in
     1..n for the register the term is used on; that is checked at
     application time, not construction.
     """
 
-    coefficient: float
+    coefficient: complex
     factors: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -50,6 +54,18 @@ class PauliTerm:
 
     def __neg__(self) -> "PauliTerm":
         return PauliTerm(-self.coefficient, self.factors)
+
+    def __mul__(self, other: "PauliTerm") -> "PauliTerm":
+        coefficient = self.coefficient * other.coefficient
+        factors: dict[int, str] = {}
+        for site in set(self.factors) | set(other.factors):
+            a = self.factors.get(site, "i")
+            b = other.factors.get(site, "i")
+            p, c = _SITE_PRODUCT[(a, b)]
+            coefficient *= p
+            if c != "i":
+                factors[site] = c
+        return PauliTerm(coefficient, factors)
 
     def label(self) -> str:
         if not self.factors:
@@ -65,41 +81,6 @@ class PauliTerm:
             if site in other.factors and other.factors[site] != axis
         )
         return clashes % 2 == 0
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Phase times a bare Pauli word, in X/Z mask form (site 1 = high bit)."""
-
-    n_sites: int
-    phase: complex = 1.0
-    factors: Mapping[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", dict(self.factors))
-        for site in self.factors:
-            if not 1 <= site <= self.n_sites:
-                raise ValueError(f"site {site} out of range for {self.n_sites} sites")
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if other.n_sites != self.n_sites:
-            raise ValueError("site-count mismatch")
-        phase = self.phase * other.phase
-        factors: dict[int, str] = {}
-        for site in set(self.factors) | set(other.factors):
-            a = self.factors.get(site, "i")
-            b = other.factors.get(site, "i")
-            p, c = _SITE_PRODUCT[(a, b)]
-            phase *= p
-            if c != "i":
-                factors[site] = c
-        return PauliString(self.n_sites, phase, factors)
-
-    def as_term(self) -> PauliTerm:
-        """Convert to a real-coefficient term; fails on residual imaginary phase."""
-        if abs(complex(self.phase).imag) > 1e-14:
-            raise ValueError(f"phase {self.phase} is not real")
-        return PauliTerm(float(complex(self.phase).real), self.factors)
 
 
 def _masks(factors: Mapping[int, str], n: int) -> tuple[int, int, int]:
@@ -128,12 +109,16 @@ def _parity(values: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def majorana_string(site: int, flavor: str, n: int) -> PauliString:
+def majorana_string(site: int, flavor: str, n: int) -> PauliTerm:
     """Jordan-Wigner image of a Majorana mode of fermion ``site`` on ``n``
     sites: Z...Z X for flavor 'a', Z...Z Y for flavor 'b'."""
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} out of range for {n} sites")
+    if flavor not in ("a", "b"):
+        raise ValueError(f"flavor must be 'a' or 'b', got {flavor!r}")
     factors = {s: "z" for s in range(1, site)}
     factors[site] = "x" if flavor == "a" else "y"
-    return PauliString(n, 1.0, factors)
+    return PauliTerm(1.0, factors)
 
 
 @lru_cache(maxsize=None)
@@ -147,30 +132,29 @@ def _kernel(flip: int, phase_mask: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return src, signs
 
 
-def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(source index, coefficient vector) with string |v> = coefficient * v[source]."""
-    flip, phase_mask, ycount = _masks(string.factors, string.n_sites)
-    src, signs = _kernel(flip, phase_mask, string.n_sites)
-    return src, (string.phase * 1j ** ycount) * signs
+def string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source index, coefficient vector) with term |v> = coefficient * v[source]
+    on ``n`` sites."""
+    flip, phase_mask, ycount = _masks(term.factors, n)
+    src, signs = _kernel(flip, phase_mask, n)
+    return src, (term.coefficient * 1j ** ycount) * signs
 
 
 def apply_pauli(term: PauliTerm, state: np.ndarray, n: int) -> np.ndarray:
-    """Return (coefficient * Pauli word) |state> without materialising a matrix."""
+    """Return term |state> without materialising a matrix."""
     if state.shape != (1 << n,):
         raise ValueError(f"state has shape {state.shape}, expected ({1 << n},)")
-    flip, phase_mask, ycount = _masks(term.factors, n)
-    src, signs = _kernel(flip, phase_mask, n)
-    return (term.coefficient * (1j ** ycount)) * signs * state[src]
+    src, coeff = string_action(term, n)
+    return coeff * state[src]
 
 
 def dense_sum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a sum of terms (verification paths only)."""
+    """Dense 2^n x 2^n matrix of a sum of terms (tests and benchmarks only)."""
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     rows = np.arange(1 << n)
     for t in terms:
-        flip, phase_mask, ycount = _masks(t.factors, n)
-        src, signs = _kernel(flip, phase_mask, n)
-        out[rows, src] += (t.coefficient * (1j ** ycount)) * signs
+        src, coeff = string_action(t, n)
+        out[rows, src] += coeff
     return out
 
 
@@ -181,9 +165,13 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
     GF(2) (no product of a non-empty subset is a multiple of the identity),
     every sign pattern s in {+1, -1}^m labels a joint eigenspace of
     dimension 2^(n-m), so the spectrum is {sum_i c_i s_i}, each value
-    repeated 2^(n-m) times.  Any other set raises ValueError.
+    repeated 2^(n-m) times.  Any other set, or a coefficient with a non-zero
+    imaginary part, raises ValueError.
     """
     terms = list(terms)
+    for t in terms:
+        if complex(t.coefficient).imag:
+            raise ValueError(f"term {t.label()} has a complex coefficient")
     for i, a in enumerate(terms):
         for b in terms[i + 1:]:
             if not a.commutes_with(b):
@@ -201,5 +189,5 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
         rows = sorted(rows + [v], reverse=True)
     m = len(terms)
     signs = 1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
-    values = signs @ np.array([t.coefficient for t in terms], dtype=float)
+    values = signs @ np.array([complex(t.coefficient).real for t in terms])
     return np.sort(np.repeat(values, 1 << (n - m)))

@@ -36,8 +36,11 @@ from itertools import product as iproduct
 import numpy as np
 
 from .braidlang import BraidWord
-# keep these bound: perfbench/tracing.py wraps spin_sim.apply_pauli and spin_sim.dense_sum by name
-from .pauli import PauliString, PauliTerm, apply_pauli, dense_sum, majorana_string
+# every operator here is a pauli.PauliTerm: Hamiltonian terms and pairings
+# with real coefficients, Majorana products with complex ones.  dense_sum has
+# no caller here; it stays bound because perfbench/tracing.py wraps
+# spin_sim.apply_pauli and spin_sim.dense_sum by name
+from .pauli import PauliTerm, apply_pauli, dense_sum, majorana_string  # noqa: F401
 
 N_SITES = 10
 DIM = 1 << N_SITES
@@ -95,30 +98,8 @@ def state_from_rows(rows) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Majorana operators and Hamiltonians
+# Hamiltonians
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MajoranaOperator:
-    """Endpoint Majorana component of fermion ``site``: the Jordan-Wigner
-    string Z...Z X (flavor a) or Z...Z Y (flavor b)."""
-
-    site: int
-    flavor: str
-
-    def __post_init__(self):
-        if not 1 <= self.site <= N_SITES:
-            raise ValueError(f"site {self.site} out of range")
-        if self.flavor not in ("a", "b"):
-            raise ValueError(f"flavor must be 'a' or 'b', got {self.flavor!r}")
-
-    def string(self) -> PauliString:
-        return majorana_string(self.site, self.flavor, N_SITES)
-
-
-def majorana(site: int, flavor: str) -> MajoranaOperator:
-    return MajoranaOperator(site, flavor)
 
 
 def _t(coeff: float, **factors) -> PauliTerm:
@@ -128,15 +109,6 @@ def _t(coeff: float, **factors) -> PauliTerm:
         for s in sites if isinstance(sites, tuple) else (sites,):
             fmap[s] = axis
     return PauliTerm(coeff, fmap)
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    label: str
-    terms: tuple[PauliTerm, ...]
-
-    def dense(self) -> np.ndarray:
-        return dense_sum(self.terms, N_SITES)
 
 
 _SPIN_TERMS: dict[str, list[PauliTerm]] = {
@@ -198,16 +170,18 @@ JW_PARTNERS = {
 }
 
 
-def spin_hamiltonian(label: str) -> Hamiltonian:
+def spin_hamiltonian(label: str) -> tuple[PauliTerm, ...]:
+    """The commuting Pauli terms of a spin stage Hamiltonian."""
     if label not in _SPIN_TERMS:
         raise KeyError(f"unknown spin Hamiltonian label {label!r}")
-    return Hamiltonian(label, tuple(_SPIN_TERMS[label]))
+    return tuple(_SPIN_TERMS[label])
 
 
-def fermionic_strings(label: str) -> list[PauliString]:
-    """The i*gamma*gamma products as Pauli strings, in the listed pair order.
+def fermionic_strings(label: str) -> list[PauliTerm]:
+    """The i*gamma*gamma products as Pauli terms, in the listed pair order.
 
-    Each product is Hermitian with unit-modulus real coefficient.  Writing a
+    Each product is Hermitian: its coefficient is +-1, held as a complex
+    number with zero imaginary part.  Writing a
     pair in the opposite order negates the term; the spectrum is insensitive
     to these signs because the strings are independent and commute.
     """
@@ -215,8 +189,8 @@ def fermionic_strings(label: str) -> list[PauliString]:
         raise KeyError(f"unknown fermionic Hamiltonian label {label!r}")
     out = []
     for (s1, f1), (s2, f2) in _FERMI_PAIRS[label]:
-        prod = majorana(s1, f1).string() * majorana(s2, f2).string()
-        out.append(PauliString(N_SITES, 1j * prod.phase, prod.factors))
+        prod = majorana_string(s1, f1, N_SITES) * majorana_string(s2, f2, N_SITES)
+        out.append(PauliTerm(1j * prod.coefficient, prod.factors))
     return out
 
 
@@ -256,11 +230,14 @@ class GroundBasis:
 def ground_basis() -> GroundBasis:
     vectors = np.array([product_state(_chain_patterns(*flags))
                         for flags in iproduct((0, 1), repeat=3)])
-    h0 = spin_hamiltonian("H0").dense()
-    for v in vectors:
-        assert np.allclose(h0 @ v, GROUND_ENERGY * v, atol=1e-10)
+    # H0 v = -7 v for every vector, from the terms' sparse actions
+    h0 = spin_hamiltonian("H0")
+    for i, v in enumerate(vectors):
+        h0v = sum(apply_pauli(term, v, N_SITES) for term in h0)
+        assert np.max(np.abs(h0v - GROUND_ENERGY * v)) < 1e-10, \
+            f"basis vector {i} is not an H0 eigenvector at energy {GROUND_ENERGY}"
     gram = vectors.conj() @ vectors.T
-    assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-10, "ground basis is not orthonormal"
     vectors.setflags(write=False)
     return GroundBasis(vectors=vectors)
 

@@ -168,9 +168,8 @@ def check_jw_spectra() -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for flabel, slabel in spin_sim.JW_PARTNERS.items():
-        fermi = commuting_spectrum([s.as_term() for s in spin_sim.fermionic_strings(flabel)],
-                                   spin_sim.N_SITES)
-        spin = commuting_spectrum(spin_sim.spin_hamiltonian(slabel).terms, spin_sim.N_SITES)
+        fermi = commuting_spectrum(spin_sim.fermionic_strings(flabel), spin_sim.N_SITES)
+        spin = commuting_spectrum(spin_sim.spin_hamiltonian(slabel), spin_sim.N_SITES)
         worst = max(worst, float(np.max(np.abs(fermi - spin))))
     elapsed = time.perf_counter() - t0
     ok = worst == 0.0 and elapsed < 5.0
@@ -293,7 +292,7 @@ def check_property_suite(tau: float = spin_sim.DEFAULT_TAU,
             break
 
     rng2 = np.random.default_rng(20108)
-    term = spin_sim.spin_hamiltonian("H1").terms[1]   # -x2x3
+    term = spin_sim.spin_hamiltonian("H1")[1]   # -x2x3
     for _ in range(5):
         raw = rng2.normal(size=spin_sim.DIM) + 1j * rng2.normal(size=spin_sim.DIM)
         state = raw / np.linalg.norm(raw)

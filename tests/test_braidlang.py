@@ -174,8 +174,8 @@ def test_writhe_of_word_times_reverse_inverse_vanishes():
             rng.choice([-1, 1]) * rng.randint(1, strands - 1)
             for _ in range(rng.randint(0, 8))
         )
-        word = BraidWord(strands, letters)
-        assert (word * word.inverse()).writhe == 0
+        inverse = tuple(-g for g in reversed(letters))
+        assert BraidWord(strands, letters + inverse).writhe == 0
 
 
 def test_component_count_sign_invariant():
@@ -237,8 +237,7 @@ def test_jones_from_arf_argument_contract():
 
 def test_strand_cap_is_the_float_range_of_the_unlink_value():
     def unlink(m):
-        return LinkInvariants(writhe=0, components=m, component_of_strand=(),
-                              linking=(), proper=True)
+        return LinkInvariants(writhe=0, components=m, linking=(), proper=True)
 
     assert MAX_STRANDS == 2048
     assert math.isfinite(jones_from_arf(unlink(MAX_STRANDS), 0))

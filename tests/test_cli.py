@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, schemas."""
 
+import hashlib
 import json
 import math
 import os
@@ -72,6 +73,30 @@ def test_jones_json_schema_and_stability(capsys):
     # byte-stable comparison payload; timing may differ
     assert json.dumps(doc1["payload"], sort_keys=True) == json.dumps(doc2["payload"], sort_keys=True)
     assert doc1["payload"]["backends"]["anyon"]["V_re"] == pytest.approx(-math.sqrt(2))
+
+
+# sha256 of json.dumps(payload, sort_keys=True) for the README's sample words
+# under --backend all: a change to any digit of any value shows here
+PAYLOAD_SHA256 = {
+    "s1": "5cb39e1a0ea93805d3ef9a10e3547f7da693da4aa6b8f5e51d9f33044d00bee8",
+    "s1 s1": "3970a5025c20fa4b09eed9e0226a85326ac6dc18ee479f5f546ec7c576fe1da3",
+    "s1 s1 s1": "1974b47ca0462bc6b71391c73d2ed84bb46c4f528e1dded982ffa32135102e46",
+    "s1 s1 s1 s1": "3baafea4ee42e852f7dd0043e47c1446a73e01c7bb7a8663fc6ee3c161e8227c",
+    "s1 s2^-1 s1 s2^-1": "f9f2de63550b80323213c37ad25058f8773fe2e2478bcc1809254d4fb3c23a64",
+    "s1 s2^-1 s1 s2^-1 s1 s2^-1":
+        "6deddbede5838f2026befcbbaabd1bc4db466bf654bb92e86d2cd77b79b75a09",
+}
+
+
+def test_sample_word_payloads_are_pinned(capsys):
+    changed = []
+    for word, digest in PAYLOAD_SHA256.items():
+        code, out, _ = run(capsys, "jones", word, "--backend", "all", "--output", "json")
+        assert code == EXIT_OK, word
+        payload = json.dumps(json.loads(out)["payload"], sort_keys=True)
+        if hashlib.sha256(payload.encode()).hexdigest() != digest:
+            changed.append(word)
+    assert not changed, f"payload changed for {changed}"
 
 
 def test_jones_parse_error_exit_2(capsys):

@@ -269,6 +269,10 @@ class TestBracket:
             bracket(BraidWord(3, (1, -2) * 1000))
         with pytest.raises(CapacityError, match="60 crossings on 16 strands"):
             bracket(BraidWord(16, tuple(range(1, 16)) * 4))
+        # 700 crossings on 3 live of 2048 strands: the final product by
+        # d^2044 alone costs several seconds, so it is refused before letter 2
+        with pytest.raises(CapacityError, match="700 crossings on 2048 strands .* at letter 1,"):
+            bracket(BraidWord(2048, (1, -2) * 350))
 
     def test_distant_strand_multiplies_by_loop_factor(self):
         rng = random.Random(3)

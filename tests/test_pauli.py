@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mjones.pauli import PauliString, PauliTerm, apply_pauli, commuting_spectrum, dense_sum
+from mjones.pauli import PauliTerm, apply_pauli, commuting_spectrum, dense_sum, string_action
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,13 +38,14 @@ def test_commutes_with_overlap_parity():
 
 
 def test_string_products():
-    x1 = PauliString(2, 1.0, {1: "x"})
-    y1 = PauliString(2, 1.0, {1: "y"})
-    z1 = PauliString(2, 1.0, {1: "z"})
-    assert (x1 * y1).phase == 1j and (x1 * y1).factors == {1: "z"}
-    assert (y1 * x1).phase == -1j
+    x1 = PauliTerm(1.0, {1: "x"})
+    y1 = PauliTerm(1.0, {1: "y"})
+    z1 = PauliTerm(1.0, {1: "z"})
+    assert (x1 * y1).coefficient == 1j and (x1 * y1).factors == {1: "z"}
+    assert (y1 * x1).coefficient == -1j
     assert (x1 * x1).factors == {}
-    assert (z1 * y1).phase == -1j and (z1 * y1).factors == {1: "x"}
+    assert (z1 * y1).coefficient == -1j and (z1 * y1).factors == {1: "x"}
+    assert (PauliTerm(2.0, {1: "x"}) * PauliTerm(1j, {2: "z"})) == PauliTerm(2j, {1: "x", 2: "z"})
 
 
 def test_string_product_matches_matrices():
@@ -53,18 +54,10 @@ def test_string_product_matches_matrices():
     for _ in range(30):
         f1 = {s: rng.choice(list("xyz")) for s in rng.choice([1, 2, 3], size=rng.integers(0, 4), replace=False)}
         f2 = {s: rng.choice(list("xyz")) for s in rng.choice([1, 2, 3], size=rng.integers(0, 4), replace=False)}
-        s1 = PauliString(n, 1.0, f1)
-        s2 = PauliString(n, 1.0, f2)
-        prod = s1 * s2
-        lhs = kron_term(PauliTerm(1.0, f1), n) @ kron_term(PauliTerm(1.0, f2), n)
-        rhs = prod.phase * kron_term(PauliTerm(1.0, prod.factors), n)
-        assert np.allclose(lhs, rhs)
-
-
-def test_as_term_rejects_imaginary_phase():
-    s = PauliString(2, 1j, {1: "x"})
-    with pytest.raises(ValueError):
-        s.as_term()
+        s1 = PauliTerm(1.0, f1)
+        s2 = PauliTerm(1.0, f2)
+        lhs = kron_term(s1, n) @ kron_term(s2, n)
+        assert np.allclose(lhs, kron_term(s1 * s2, n))
 
 
 def test_apply_pauli_matches_dense():
@@ -78,6 +71,16 @@ def test_apply_pauli_matches_dense():
         assert np.allclose(apply_pauli(term, state, n), kron_term(term, n) @ state)
 
 
+def test_string_action_is_the_gather_apply_pauli_does():
+    term = PauliTerm(0.5j, {1: "y", 3: "z"})
+    state = np.arange(8) + 1j * np.arange(8, 0, -1)
+    src, coeff = string_action(term, 3)
+    assert np.array_equal(coeff * state[src], apply_pauli(term, state, 3))
+    assert np.allclose(coeff * state[src], kron_term(term, 3) @ state)
+    with pytest.raises(ValueError, match="shape"):
+        apply_pauli(term, state, 4)
+
+
 def test_dense_sum():
     terms = [PauliTerm(-1.0, {1: "x", 2: "x"}), PauliTerm(1.0, {3: "z"})]
     expected = kron_term(terms[0], 3) + kron_term(terms[1], 3)
@@ -88,9 +91,9 @@ def test_dense_sum():
 
 def independent(terms, n) -> bool:
     # no product of a non-empty subset of the words is the identity
-    strings = [PauliString(n, 1.0, t.factors) for t in terms]
+    strings = [PauliTerm(1.0, t.factors) for t in terms]
     for mask in range(1, 1 << len(strings)):
-        prod = PauliString(n)
+        prod = PauliTerm(1.0)
         for i, string in enumerate(strings):
             if mask >> i & 1:
                 prod = prod * string
@@ -136,3 +139,10 @@ def test_commuting_spectrum_rejects_non_commuting_terms(terms):
 def test_commuting_spectrum_rejects_dependent_terms(terms):
     with pytest.raises(ValueError, match="product of the other terms"):
         commuting_spectrum(terms, 2)
+
+
+def test_commuting_spectrum_rejects_complex_coefficient():
+    # a term with an imaginary coefficient is not Hermitian; -1+0j is fine
+    with pytest.raises(ValueError, match="complex coefficient"):
+        commuting_spectrum([PauliTerm(1j, {1: "x"})], 2)
+    assert list(commuting_spectrum([PauliTerm(-1 + 0j, {1: "x"})], 1)) == [-1.0, 1.0]

@@ -1,13 +1,14 @@
 """Ten-qubit replay: Hamiltonians, ground space, cooling, and braid schedules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mjones import spin_sim
 from mjones.braidlang import BraidWord
-from mjones.pauli import PauliTerm, commuting_spectrum, dense_sum
+from mjones.pauli import PauliTerm, commuting_spectrum, dense_sum, majorana_string
 from mjones.spin_sim import (
     DEFAULT_TAU,
     DIM,
@@ -28,7 +29,6 @@ from mjones.spin_sim import (
     jones_spin_abs,
     logical_decode,
     logical_encode,
-    majorana,
     prepare_logical,
     product_state,
     schedule_checkpoints,
@@ -48,35 +48,37 @@ def fidelity(a, b) -> float:
 
 
 def fermionic_dense(label: str) -> np.ndarray:
-    return dense_sum([s.as_term() for s in fermionic_strings(label)], N_SITES)
+    return dense_sum(fermionic_strings(label), N_SITES)
+
+
+def majorana(site: int, flavor: str) -> PauliTerm:
+    return majorana_string(site, flavor, N_SITES)
 
 
 class TestMajorana:
     def test_square_to_identity(self):
         for site, flavor in [(1, "a"), (1, "b"), (5, "a"), (10, "b")]:
-            s = majorana(site, flavor).string()
-            assert (s * s).phase == 1 and not (s * s).factors
+            s = majorana(site, flavor)
+            assert (s * s).coefficient == 1 and not (s * s).factors
 
     def test_same_site_flavors_anticommute(self):
-        a = majorana(1, "a").string()
-        b = majorana(1, "b").string()
+        a = majorana(1, "a")
+        b = majorana(1, "b")
         ab = a * b
         ba = b * a
         assert ab.factors == ba.factors
-        assert ab.phase == -ba.phase
+        assert ab.coefficient == -ba.coefficient
 
     def test_distinct_operators_anticommute(self):
         ops = [majorana(s, f) for s in (1, 2, 3) for f in "ab"]
         for i, p in enumerate(ops):
             for q in ops[i + 1:]:
-                pq = p.string() * q.string()
-                qp = q.string() * p.string()
-                assert pq.phase == -qp.phase
+                assert (p * q).coefficient == -(q * p).coefficient
 
     def test_jordan_wigner_bond(self):
         # i * gamma_1b gamma_2a is the ferromagnetic bond -x1x2
-        prod = majorana(1, "b").string() * majorana(2, "a").string()
-        term = (1j * prod.phase, prod.factors)
+        prod = majorana(1, "b") * majorana(2, "a")
+        term = (1j * prod.coefficient, prod.factors)
         assert term == (-1, {1: "x", 2: "x"})
 
     def test_site_range(self):
@@ -84,19 +86,21 @@ class TestMajorana:
             majorana(0, "a")
         with pytest.raises(ValueError):
             majorana(11, "b")
+        with pytest.raises(ValueError):
+            majorana(1, "c")
 
 
 class TestHamiltonians:
     def test_h0_has_seven_terms(self):
-        assert len(spin_hamiltonian("H0").terms) == 7
+        assert len(spin_hamiltonian("H0")) == 7
 
     def test_hp4_contains_three_site_term(self):
-        terms = spin_hamiltonian("H'4").terms
+        terms = spin_hamiltonian("H'4")
         assert PauliTerm(-1.0, {5: "y", 6: "z", 7: "x"}) in terms
 
     def test_terms_commute_within_every_label(self):
         for label in ("H0", "H1", "H2", "H3", "H'1", "H'2", "H'3", "H'4", "H'5"):
-            commuting_spectrum(spin_hamiltonian(label).terms, N_SITES)   # raises otherwise
+            commuting_spectrum(spin_hamiltonian(label), N_SITES)   # raises otherwise
 
     def test_unknown_labels_rejected(self):
         with pytest.raises(KeyError):
@@ -107,7 +111,7 @@ class TestHamiltonians:
     def test_hm0_commutes_with_zero_modes(self):
         h = fermionic_dense("HM0")
         for site, flavor in ZERO_MODES:
-            g = dense_sum([majorana(site, flavor).string().as_term()], N_SITES)
+            g = dense_sum([majorana(site, flavor)], N_SITES)
             assert np.max(np.abs(h @ g - g @ h)) < 1e-12
 
     def test_hm0_hermitian_integer_spectrum(self):
@@ -121,9 +125,9 @@ class TestHamiltonians:
         # pair-ordering sign; bond terms match exactly
         for flabel, slabel in spin_sim.JW_PARTNERS.items():
             spin_terms = {frozenset(t.factors.items()): t.coefficient
-                          for t in spin_hamiltonian(slabel).terms}
-            for s in fermionic_strings(flabel):
-                t = s.as_term()
+                          for t in spin_hamiltonian(slabel)}
+            for t in fermionic_strings(flabel):
+                assert t.coefficient.imag == 0
                 key = frozenset(t.factors.items())
                 assert key in spin_terms
                 assert abs(t.coefficient) == abs(spin_terms[key])
@@ -131,18 +135,38 @@ class TestHamiltonians:
     def test_spectrum_matches_one_pair(self):
         # the dense reference for the closed-form spectra verify compares
         fermi = np.linalg.eigvalsh(fermionic_dense("HM2"))
-        spin = np.linalg.eigvalsh(spin_hamiltonian("H2").dense())
+        spin = np.linalg.eigvalsh(dense_sum(spin_hamiltonian("H2"), N_SITES))
         assert np.max(np.abs(fermi - spin)) < 1e-10
 
 
 class TestGroundSpace:
     def test_energy_and_orthonormality(self):
         basis = ground_basis()
-        h0 = spin_hamiltonian("H0").dense()
+        h0 = dense_sum(spin_hamiltonian("H0"), N_SITES)
         for v in basis.vectors:
             assert np.vdot(v, h0 @ v).real == pytest.approx(-7.0)
         gram = basis.vectors.conj() @ basis.vectors.T
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+
+    def test_energy_check_builds_no_dense_hamiltonian(self):
+        # a dense 1024 x 1024 H0 alone is 16.8 MB; the check applies its
+        # seven terms to each basis vector instead
+        tracemalloc.start()
+        try:
+            ground_basis.__wrapped__()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_energy_check_rejects_an_excited_pattern(self, monkeypatch):
+        # connector site 3 flipped to its z3 = +1 state: still eight
+        # orthonormal product states, but at energy -5
+        patterns = spin_sim._chain_patterns
+        monkeypatch.setattr(spin_sim, "_chain_patterns",
+                            lambda *flags: patterns(*flags)[:2] + "z" + patterns(*flags)[3:])
+        with pytest.raises(AssertionError, match="not an H0 eigenvector"):
+            ground_basis.__wrapped__()
 
     def test_logical_zero_preparation(self):
         # |000> decodes to the expected +/- pattern over the eight components

@@ -11,6 +11,7 @@
 from .braidlang import (
     BraidSyntaxError,
     BraidWord,
+    CapacityError,
     LinkInvariants,
     arf_invariant,
     closure_permutation,
@@ -30,7 +31,6 @@ from .anyon_core import (
 )
 from .kauffman_oracle import (
     A_AT_T_I,
-    CapacityError,
     LaurentPolynomial,
     bracket,
     eval_at,

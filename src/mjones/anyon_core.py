@@ -37,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braidlang import BraidWord
-from .kauffman_oracle import CapacityError
+from .braidlang import BraidWord, CapacityError
 from .pauli import PauliTerm, majorana_string, string_action
 
 QUANTUM_DIMENSION = math.sqrt(2.0)

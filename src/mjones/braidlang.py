@@ -21,11 +21,18 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 
 
 class BraidSyntaxError(ValueError):
     """Raised for malformed braid-word text; message carries the token position."""
+
+
+class CapacityError(ValueError):
+    """A size limit exceeded: more than ``MAX_STRANDS`` strands, or a
+    backend's own cap (the bracket's work bound, the anyon backend's pair
+    count, the spin register's three strands)."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,8 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
             t = perm[t]
         ncomp += 1
 
-    crossing_sum = [[0] * ncomp for _ in range(ncomp)]
+    pair_sum: dict[tuple[int, int], int] = {}   # signed crossings of components i < j
+    total = [0] * ncomp      # each component's signed crossings with all others
     at_pos = list(range(word.strands))
     for g in word.letters:
         k = abs(g) - 1
@@ -181,31 +189,29 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb:
             s = 1 if g > 0 else -1
-            crossing_sum[ca][cb] += s
-            crossing_sum[cb][ca] += s
+            key = (ca, cb) if ca < cb else (cb, ca)
+            pair_sum[key] = pair_sum.get(key, 0) + s
+            total[ca] += s
+            total[cb] += s
         at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
 
-    linking = []
-    for i in range(ncomp):
-        row = []
-        for j in range(ncomp):
-            # each inter-component crossing was recorded twice (once per order)
-            total = crossing_sum[i][j]
-            if total % 2 != 0:
-                raise AssertionError(
-                    "inter-component crossing count is odd; impossible for a closure"
-                )
-            row.append(total // 2)
-        linking.append(tuple(row))
+    rows = defaultdict(lambda: [0] * ncomp)    # the rows with a nonzero entry
+    for (i, j), crossings in pair_sum.items():
+        if crossings % 2 != 0:
+            raise AssertionError(
+                "inter-component crossing count is odd; impossible for a closure"
+            )
+        if crossings:
+            rows[i][j] = rows[j][i] = crossings // 2
+    zero = (0,) * ncomp
+    linking = tuple(tuple(rows[i]) if i in rows else zero for i in range(ncomp))
 
-    proper = all(
-        sum(linking[i][j] for j in range(ncomp) if j != i) % 2 == 0
-        for i in range(ncomp)
-    )
+    # a component's total linking is half its crossings with the others
+    proper = all(t % 4 == 0 for t in total)
     return LinkInvariants(
         writhe=word.writhe,
         components=ncomp,
-        linking=tuple(linking),
+        linking=linking,
         proper=proper,
     )
 

@@ -5,8 +5,10 @@ Three subcommands:
 ``jones WORD``
     Evaluate the Jones value at t = i of the word's closure with one or all
     backends and cross-check them.  Exit status: 0 all requested backends
-    agree, 1 disagreement, 2 unparseable input, 3 capacity exceeded,
-    4 internal error.
+    agree, or no two could be compared (the text says "agreement:
+    unchecked"), 1 disagreement, 2 unparseable input, 3 capacity exceeded,
+    4 internal error.  A backend past its cap is skipped under ``--backend
+    all``; any other error of a backend is an internal error.
 
 ``braid-info WORD``
     Print the closure's combinatorial invariants and closed-form Jones
@@ -36,13 +38,13 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
 
 from . import anyon_core, kauffman_oracle, spin_sim, verify as verify_mod
 from .braidlang import (
     MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
+    CapacityError,
     arf_invariant,
     format_braid,
     jones_from_arf,
@@ -50,7 +52,6 @@ from .braidlang import (
     lookup_arf_data,
     parse_braid,
 )
-from .kauffman_oracle import CapacityError
 
 EXIT_OK = 0
 EXIT_DISAGREE = 1
@@ -173,34 +174,6 @@ def _check_tau(tau: float) -> None:
         raise ValueError("tau must be positive")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    backend: str = "all"
-    pairs: int | None = None
-    tau: float = spin_sim.DEFAULT_TAU
-    tolerance: float = 1e-8
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.pairs is not None and self.pairs < 1:
-            raise ValueError("pairs must be a positive count")
-        _check_tau(self.tau)
-        # a tolerance of inf would accept every value
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
-
-
-@dataclass
-class Report:
-    word: str
-    strands: int
-    invariants: dict
-    backends: dict = field(default_factory=dict)
-    comparisons: list = field(default_factory=list)
-    agree: bool = True
-    timing: dict = field(default_factory=dict)
-
-
 def _invariants_payload(word: BraidWord) -> dict:
     if word.strands > MAX_STRANDS:   # before anything is allocated per strand
         raise CapacityError(f"{word.strands} strands: V(i) = sqrt(2)^(n-1) is a "
@@ -217,81 +190,70 @@ def _invariants_payload(word: BraidWord) -> dict:
     }
 
 
-def _effective_strands(word: BraidWord, config: RunConfig) -> int:
-    n = word.strands if config.pairs is None else config.pairs
+def _anyon(word: BraidWord, tau: float) -> dict:
+    value = anyon_core.jones_su2_2(word, word.strands).value
+    return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
+            "V_abs_majorana": anyon_core.jones_majorana_abs(word, word.strands)}
+
+
+def _spin(word: BraidWord, tau: float) -> dict:
+    return {"V_abs": spin_sim.jones_spin_abs(word, tau)}
+
+
+def _kauffman(word: BraidWord, tau: float) -> dict:
+    poly = kauffman_oracle.jones_polynomial(word)
+    value = kauffman_oracle.eval_at(poly, kauffman_oracle.A_AT_T_I)
+    return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
+            "polynomial": str(poly)}
+
+
+# report entry of each backend for a word at its pair count, in report order
+_BACKENDS = {"anyon": _anyon, "spin": _spin, "kauffman": _kauffman}
+
+
+def run_jones(word: BraidWord, backend: str = "all", pairs: int | None = None,
+              tau: float = spin_sim.DEFAULT_TAU, tolerance: float = 1e-8) -> tuple[dict, dict]:
+    """Evaluate the requested backends on the word padded to the pair count;
+    returns the report payload and the wall-clock seconds of each backend."""
+    n = word.strands if pairs is None else pairs
     if n < word.strands:
-        raise CapacityError(
-            f"--pairs {n} is below the word's strand count {word.strands}"
-        )
-    return n
-
-
-def run_jones(word: BraidWord, config: RunConfig) -> Report:
-    """Evaluate the requested backends on the word padded to the pair count."""
-    n = _effective_strands(word, config)
+        raise CapacityError(f"--pairs {n} is below the word's strand count {word.strands}")
     padded = word.with_strands(n)
-    report = Report(
-        word=format_braid(padded),
-        strands=n,
-        invariants=_invariants_payload(padded),
-    )
-    wanted = ("anyon", "spin", "kauffman") if config.backend == "all" else (config.backend,)
-
-    def record(name, fn):
+    invariants = _invariants_payload(padded)
+    backends, timing = {}, {}
+    for name in _BACKENDS if backend == "all" else (backend,):
         t0 = time.perf_counter()
         try:
-            report.backends[name] = fn()
-        except (CapacityError, ValueError) as exc:
-            if config.backend != "all":
-                raise CapacityError(str(exc)) from exc
-            report.backends[name] = {"skipped": str(exc)}
-        report.timing[f"{name}_s"] = time.perf_counter() - t0
-
-    if "anyon" in wanted:
-        def run_anyon():
-            jv = anyon_core.jones_su2_2(padded, n)
-            return {
-                "V_re": jv.value.real,
-                "V_im": jv.value.imag,
-                "V_abs": abs(jv.value),
-                "V_abs_majorana": anyon_core.jones_majorana_abs(padded, n),
-            }
-        record("anyon", run_anyon)
-
-    if "spin" in wanted:
-        def run_spin():
-            return {"V_abs": spin_sim.jones_spin_abs(padded, config.tau)}
-        record("spin", run_spin)
-
-    if "kauffman" in wanted:
-        def run_kauffman():
-            poly = kauffman_oracle.jones_polynomial(padded)
-            value = kauffman_oracle.eval_at(poly, kauffman_oracle.A_AT_T_I)
-            return {
-                "V_re": value.real,
-                "V_im": value.imag,
-                "V_abs": abs(value),
-                "polynomial": str(poly),
-            }
-        record("kauffman", run_kauffman)
-
-    _compare_backends(report, config.tolerance)
-    return report
+            backends[name] = _BACKENDS[name](padded, tau)
+        except CapacityError as exc:
+            if backend != "all":
+                raise
+            backends[name] = {"skipped": str(exc)}
+        timing[f"{name}_s"] = time.perf_counter() - t0
+    comparisons = _compare_backends(backends, invariants, tolerance)
+    payload = {
+        "word": format_braid(padded),
+        "strands": n,
+        "config": {"backend": backend, "pairs": n,
+                   "tau": tau if math.isfinite(tau) else "inf", "tolerance": tolerance},
+        "invariants": invariants,
+        "backends": backends,
+        "agreement": {"agree": all(c["within"] for c in comparisons),
+                      "comparisons": comparisons},
+    }
+    return payload, timing
 
 
-def _compare_backends(report: Report, tol: float) -> None:
-    live = {k: v for k, v in report.backends.items() if "skipped" not in v}
+def _compare_backends(backends: dict, invariants: dict, tol: float) -> list[dict]:
+    live = {k: v for k, v in backends.items() if "skipped" not in v}
     # relative to sqrt(2)^(m-1), the size of a nonzero V(i) on m components
-    scaled_tol = tol * math.sqrt(2.0) ** (report.invariants["components"] - 1)
+    scaled_tol = tol * math.sqrt(2.0) ** (invariants["components"] - 1)
+    comparisons = []
 
     def add(pair, kind, delta):
         delta = float(delta)
-        within = delta <= scaled_tol
-        report.comparisons.append(
-            {"pair": pair, "kind": kind, "delta": delta, "within": within}
-        )
-        if not within:
-            report.agree = False
+        comparisons.append({"pair": pair, "kind": kind, "delta": delta,
+                            "within": delta <= scaled_tol})
 
     if "anyon" in live and "kauffman" in live:
         da = complex(live["anyon"]["V_re"], live["anyon"]["V_im"])
@@ -303,52 +265,39 @@ def _compare_backends(report: Report, tol: float) -> None:
     for a, b in (("anyon", "spin"), ("kauffman", "spin")):
         if a in live and b in live:
             add(f"{a}/{b}", "magnitude", abs(live[a]["V_abs"] - live[b]["V_abs"]))
-    arf_v = report.invariants.get("jones_from_arf")
+    arf_v = invariants.get("jones_from_arf")
     if arf_v is not None and "kauffman" in live:
         add("arf/kauffman", "signed",
             abs(complex(live["kauffman"]["V_re"], live["kauffman"]["V_im"]) - arf_v))
+    return comparisons
 
 
-def _report_json(report: Report, config: RunConfig) -> str:
-    payload = {
-        "word": report.word,
-        "strands": report.strands,
-        "config": {
-            "backend": config.backend,
-            "pairs": report.strands,
-            "tau": config.tau if math.isfinite(config.tau) else "inf",
-            "tolerance": config.tolerance,
-        },
-        "invariants": report.invariants,
-        "backends": report.backends,
-        "agreement": {"agree": report.agree, "comparisons": report.comparisons},
-    }
-    return json.dumps({"payload": payload, "timing": report.timing},
-                      sort_keys=True, indent=2)
+def _report_csv(payload: dict) -> str:
+    inv = payload["invariants"]
 
-
-def _report_csv(report: Report) -> str:
     def get(backend, key):
-        entry = report.backends.get(backend, {})
+        entry = payload["backends"].get(backend, {})
         if "skipped" in entry or key not in entry:
             return ""
         return f"{entry[key]:.12g}"
 
     row = ",".join([
-        f'"{report.word}"',
-        str(report.invariants["writhe"]),
-        str(report.invariants["components"]),
-        str(report.invariants["proper"]).lower(),
+        '"' + payload["word"] + '"',
+        str(inv["writhe"]),
+        str(inv["components"]),
+        str(inv["proper"]).lower(),
         get("anyon", "V_re"), get("anyon", "V_im"), get("anyon", "V_abs_majorana"),
         get("kauffman", "V_re"), get("kauffman", "V_im"),
-        str(report.agree).lower(),
+        str(payload["agreement"]["agree"]).lower(),
     ])
     return CSV_HEADER + "\n" + row
 
 
-def _report_text(report: Report) -> str:
-    inv = report.invariants
-    lines = [f"word: {report.word}   (strands/pairs: {report.strands})"]
+def _report_text(payload: dict) -> str:
+    """The report as text; a payload without ``backends`` (braid-info) shows
+    the invariants only."""
+    inv = payload["invariants"]
+    lines = [f"word: {payload['word']}   (strands/pairs: {payload['strands']})"]
     lines.append(
         f"writhe: {inv['writhe']}   components: {inv['components']}   proper: {inv['proper']}"
     )
@@ -358,10 +307,10 @@ def _report_text(report: Report) -> str:
         lines.append(f"arf: {inv['arf']}   V(i) from arf: {inv['jones_from_arf']:+.6f}")
     else:
         lines.append("not proper: V(i) = 0")
-    for name in ("anyon", "spin", "kauffman"):
-        entry = report.backends.get(name)
-        if entry is None:
-            continue
+    backends = payload.get("backends")
+    if not backends:
+        return "\n".join(lines)
+    for name, entry in backends.items():     # in report order
         if "skipped" in entry:
             lines.append(f"{name:9s} skipped: {entry['skipped']}")
         elif "V_re" in entry:
@@ -370,11 +319,13 @@ def _report_text(report: Report) -> str:
             )
         else:
             lines.append(f"{name:9s} |V| = {entry['V_abs']:.9f}")
-    for cmp_ in report.comparisons:
+    agreement = payload["agreement"]
+    for cmp_ in agreement["comparisons"]:
         mark = "ok" if cmp_["within"] else "DISAGREE"
         lines.append(f"  {cmp_['pair']:16s} {cmp_['kind']:9s} delta = {cmp_['delta']:.3e}  {mark}")
-    if report.backends:
-        lines.append("agreement: " + ("yes" if report.agree else "NO"))
+    lines.append("agreement: " + ("unchecked (no two routes compared)"
+                                  if not agreement["comparisons"]
+                                  else "yes" if agreement["agree"] else "NO"))
     return "\n".join(lines)
 
 
@@ -389,34 +340,40 @@ def _emit(text: str) -> None:
 
 def cmd_jones(args) -> int:
     try:
-        config = RunConfig(backend=args.backend, pairs=args.pairs, tau=args.tau,
-                           tolerance=args.tolerance, output=args.output)
+        if args.pairs is not None and args.pairs < 1:
+            raise ValueError("pairs must be a positive count")
+        _check_tau(args.tau)
+        # a tolerance of inf would accept every value
+        if not 0 < args.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
         word = parse_braid(args.word)
     except (BraidSyntaxError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = run_jones(word, config)
+        payload, timing = run_jones(word, args.backend, args.pairs, args.tau, args.tolerance)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    _emit(_report_json(report, config) if config.output == "json"
-          else _report_csv(report) if config.output == "csv" else _report_text(report))
-    return EXIT_OK if report.agree else EXIT_DISAGREE
+    if args.output == "json":
+        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
+    else:
+        _emit(_report_csv(payload) if args.output == "csv" else _report_text(payload))
+    return EXIT_OK if payload["agreement"]["agree"] else EXIT_DISAGREE
 
 
 def cmd_braid_info(args) -> int:
     try:
         word = parse_braid(args.word)
-        inv_payload = _invariants_payload(word)
+        invariants = _invariants_payload(word)
     except BraidSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    report = Report(word=format_braid(word), strands=word.strands, invariants=inv_payload)
-    _emit(_report_text(report))
+    _emit(_report_text({"word": format_braid(word), "strands": word.strands,
+                        "invariants": invariants}))
     return EXIT_OK
 
 
@@ -434,7 +391,7 @@ def cmd_verify(args) -> int:
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
-            "artifacts": verify_mod.report_artifacts(tau=args.tau, matrices=matrices),
+            "artifacts": verify_mod.report_artifacts(matrices),
         }
         timing = {r.name: r.elapsed for r in results}
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
@@ -458,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jones = sub.add_parser("jones", help="evaluate a braid word's closure")
     p_jones.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1 s2^-1'")
-    p_jones.add_argument("--backend", choices=("anyon", "spin", "kauffman", "all"),
+    p_jones.add_argument("--backend", choices=(*_BACKENDS, "all"),
                          default="all")
     p_jones.add_argument("--pairs", type=int, default=None,
                          help="anyon pair count / strand padding, a positive count "

@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .braidlang import BraidWord
+from .braidlang import BraidWord, CapacityError
 
 # the bracket's capacity, in bit operations of its transfer, charged letter
 # by letter: each live diagram costs two shifts and adds on its packed weight
@@ -64,11 +64,6 @@ PRODUCT_BITS = 140
 
 # evaluation point for t = i  (A^-4 = i)
 A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
-
-
-class CapacityError(ValueError):
-    """A backend's size limit exceeded (the bracket's work bound, the
-    anyon backend's pair cap)."""
 
 
 @dataclass(frozen=True)

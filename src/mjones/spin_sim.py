@@ -35,7 +35,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .braidlang import BraidWord
+from .braidlang import BraidWord, CapacityError
 # every operator here is a pauli.PauliTerm: Hamiltonian terms and pairings
 # with real coefficients, Majorana products with complex ones.  dense_sum has
 # no caller here; it stays bound because perfbench/tracing.py wraps
@@ -453,7 +453,7 @@ def braid_word_state(word: BraidWord, state: np.ndarray | None = None,
     """Apply a link braid word (generators 1 and 2 only) to a state,
     defaulting to the logical |000> preparation."""
     if word.max_generator() > 2:
-        raise ValueError("the ten-site register realises generators s1 and s2 only")
+        raise CapacityError("the ten-site register realises generators s1 and s2 only")
     if state is None:
         state = prepare_logical(0)
     names = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1"}
@@ -466,7 +466,7 @@ def jones_spin_abs(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
     """|V| at t = i from the protocol return amplitude: 2^{(n-1)/2} |<phi0|phi_f>|
     with n the word's strand count (spectator chains contribute factor 1)."""
     if word.strands > 3:
-        raise ValueError("the ten-site register supports at most three strands")
+        raise CapacityError("the ten-site register supports at most three strands")
     phi0 = prepare_logical(0)
     final = braid_word_state(word, phi0.copy(), tau)
     return float(2.0 ** ((word.strands - 1) / 2.0) * abs(np.vdot(phi0, final)))

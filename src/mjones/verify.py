@@ -1,6 +1,7 @@
 """Cross-validation suite: every backend checked against its golden values.
 
-Each check is a named function returning a :class:`CheckResult`; ``run_all``
+Each check is a named function of the run's :class:`BraidMatrices`, which
+also carries its ``tau``, returning a :class:`CheckResult`; ``run_all``
 executes them in a fixed order so reports are stable.  The golden constants
 are the closed-form values of the five sample links (Hopf, trefoil,
 Solomon, figure-eight, Borromean rings), the stage tables of the exchange
@@ -116,7 +117,7 @@ def _phase_align(candidate: np.ndarray, reference: np.ndarray, allow_scale: bool
 # ---------------------------------------------------------------------------
 
 
-def check_anyon_golden_values() -> CheckResult:
+def check_anyon_golden_values(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst_abs = 0.0
     worst_signed = 0.0
@@ -134,7 +135,7 @@ def check_anyon_golden_values() -> CheckResult:
         f"{elapsed * 1e3:.1f} ms (limit 100 ms)", elapsed)
 
 
-def check_amplitude_goldens() -> CheckResult:
+def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for (name, word, _, _), amp_ref in zip(GOLDEN_LINKS, GOLDEN_AMPLITUDES):
@@ -147,7 +148,7 @@ def check_amplitude_goldens() -> CheckResult:
         f"max |amplitude| deviation {worst:.2e} (tol 1e-12)", time.perf_counter() - t0)
 
 
-def check_oracle_agreement() -> CheckResult:
+def check_oracle_agreement(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for name, word, _, _ in GOLDEN_LINKS:
@@ -164,7 +165,7 @@ def check_oracle_agreement() -> CheckResult:
         time.perf_counter() - t0)
 
 
-def check_jw_spectra() -> CheckResult:
+def check_jw_spectra(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for flabel, slabel in spin_sim.JW_PARTNERS.items():
@@ -180,8 +181,9 @@ def check_jw_spectra() -> CheckResult:
         f"{elapsed * 1e3:.1f} ms (limit 5 s)", elapsed)
 
 
-def check_intermediate_states(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
+def check_intermediate_states(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
+    tau = matrices.tau
     coeffs = spin_sim.logical_decode(np.eye(8)[0])
     state0 = spin_sim.ground_basis().combine(coeffs)
     worst = 1.0
@@ -199,13 +201,13 @@ def check_intermediate_states(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         time.perf_counter() - t0)
 
 
-def check_final_states(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
+def check_final_states(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst_p = 0.0
     worst_f = 1.0
     phi0 = spin_sim.prepare_logical(0)
     for (name, word, _, _), p_ref in zip(GOLDEN_LINKS, GOLDEN_PROBABILITIES):
-        final = spin_sim.braid_word_state(word, phi0.copy(), tau)
+        final = spin_sim.braid_word_state(word, phi0.copy(), matrices.tau)
         worst_p = max(worst_p, abs(spin_sim.amplitude_probability(phi0, final) - p_ref))
         logical = spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
         worst_f = min(worst_f, float(abs(np.vdot(FINAL_LOGICAL_REFS[name], logical)) ** 2))
@@ -216,10 +218,8 @@ def check_final_states(tau: float = spin_sim.DEFAULT_TAU) -> CheckResult:
         f"min final-state fidelity {worst_f:.12f}", time.perf_counter() - t0)
 
 
-def check_braid_matrices(tau: float = spin_sim.DEFAULT_TAU,
-                         matrices: BraidMatrices | None = None) -> CheckResult:
+def check_braid_matrices(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
-    matrices = matrices or BraidMatrices(tau)
     worst = 0.0
     for name in spin_sim.BRAID_NAMES:
         u, logical = matrices(name)
@@ -233,10 +233,9 @@ def check_braid_matrices(tau: float = spin_sim.DEFAULT_TAU,
         time.perf_counter() - t0)
 
 
-def check_chi_goldens(tau: float = spin_sim.DEFAULT_TAU,
-                      matrices: BraidMatrices | None = None) -> CheckResult:
+def check_chi_goldens(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
-    _, logical = (matrices or BraidMatrices(tau))("s1")
+    _, logical = matrices("s1")
     factor = logical.reshape(4, 2, 4, 2)[:, 0, :, 0]   # spectator qubit stripped
     chi = tomography.chi_from_unitary(factor)
     dev = max(
@@ -250,10 +249,8 @@ def check_chi_goldens(tau: float = spin_sim.DEFAULT_TAU,
         f"max chi entry deviation {dev:.2e} (tol 1e-12)", time.perf_counter() - t0)
 
 
-def check_property_suite(tau: float = spin_sim.DEFAULT_TAU,
-                         matrices: BraidMatrices | None = None) -> CheckResult:
+def check_property_suite(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
-    matrices = matrices or BraidMatrices(tau)
     failures = []
 
     for pairs in (2, 3):
@@ -325,28 +322,19 @@ CHECKS = (
 
 def run_all(tau: float = spin_sim.DEFAULT_TAU,
             matrices: BraidMatrices | None = None) -> list[CheckResult]:
-    """Execute every check in fixed order; ``tau`` reaches the replay checks,
-    and the checks that read braid matrices share ``matrices``."""
+    """Execute every check in fixed order on one shared ``matrices``, which
+    carries ``tau`` to the replay checks."""
     matrices = matrices or BraidMatrices(tau)
-    results = []
-    for fn in CHECKS:
-        if fn in (check_braid_matrices, check_chi_goldens, check_property_suite):
-            results.append(fn(tau, matrices))
-        elif fn in (check_intermediate_states, check_final_states):
-            results.append(fn(tau))
-        else:
-            results.append(fn())
-    return results
+    return [fn(matrices) for fn in CHECKS]
 
 
-def report_artifacts(tau: float = spin_sim.DEFAULT_TAU,
-                     matrices: BraidMatrices | None = None) -> dict:
+def report_artifacts(matrices: BraidMatrices) -> dict:
     """Reconstructed matrices for the machine-readable report: the process
     matrix of the mid-pair exchange's logical factor and the density matrix
     of the far exchange's final state, as nested [re, im] arrays."""
-    _, logical = (matrices or BraidMatrices(tau))("s1")
+    _, logical = matrices("s1")
     chi = tomography.chi_from_unitary(logical.reshape(4, 2, 4, 2)[:, 0, :, 0])
-    final = spin_sim.braid_sequence("s2^-1", spin_sim.prepare_logical(0), tau)
+    final = spin_sim.braid_sequence("s2^-1", spin_sim.prepare_logical(0), matrices.tau)
     rho = tomography.density_matrix(
         spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
     )

@@ -1,14 +1,18 @@
 """Braid parsing, closure invariants, and the Seifert-form sign of V(i)."""
 
+import ast
 import math
+import pathlib
 import random
 
 import pytest
 
+from mjones import anyon_core, kauffman_oracle
 from mjones.braidlang import (
     MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
+    CapacityError,
     LinkInvariants,
     SeifertForm,
     arf_invariant,
@@ -164,6 +168,60 @@ def test_linking_matrix_symmetric_zero_diagonal():
         m = inv.linking
         assert all(m[i][i] == 0 for i in range(inv.components))
         assert all(m[i][j] == m[j][i] for i in range(inv.components) for j in range(inv.components))
+
+
+def _link_invariants_by_matrix(word):
+    """The m x m reference: every pair's signed crossings, halved, and each
+    row's sum for properness."""
+    perm = closure_permutation(word)
+    comp_of = [-1] * word.strands
+    ncomp = 0
+    for s in range(word.strands):
+        if comp_of[s] < 0:
+            t = s
+            while comp_of[t] < 0:
+                comp_of[t] = ncomp
+                t = perm[t]
+            ncomp += 1
+    crossing_sum = [[0] * ncomp for _ in range(ncomp)]
+    at_pos = list(range(word.strands))
+    for g in word.letters:
+        k = abs(g) - 1
+        ca, cb = comp_of[at_pos[k]], comp_of[at_pos[k + 1]]
+        if ca != cb:
+            crossing_sum[ca][cb] += 1 if g > 0 else -1
+            crossing_sum[cb][ca] += 1 if g > 0 else -1
+        at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
+    assert all(total % 2 == 0 for row in crossing_sum for total in row)
+    linking = tuple(tuple(total // 2 for total in row) for row in crossing_sum)
+    proper = all(sum(linking[i][j] for j in range(ncomp) if j != i) % 2 == 0
+                 for i in range(ncomp))
+    return LinkInvariants(word.writhe, ncomp, linking, proper)
+
+
+def test_link_invariants_match_the_matrix_reference():
+    rng = random.Random(23)
+    proper = 0
+    for trial in range(1200):
+        strands = rng.randint(2, 9)
+        letters = tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(0, 24)))
+        # every third word gains unknot components, as --pairs pads it
+        padding = rng.randint(1, 6) if trial % 3 == 0 else 0
+        word = BraidWord(strands + padding, letters)
+        inv = link_invariants(word)
+        assert inv == _link_invariants_by_matrix(word), word
+        proper += inv.proper
+    assert 0 < proper < 1200     # both branches of properness are reached
+
+
+def test_capacity_error_is_owned_by_the_shared_layer():
+    assert kauffman_oracle.CapacityError is CapacityError
+    assert issubclass(CapacityError, ValueError)
+    # the anyon route imports no other route
+    tree = ast.parse(pathlib.Path(anyon_core.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "kauffman_oracle" not in imported and "braidlang" in imported
 
 
 def test_writhe_of_word_times_reverse_inverse_vanishes():

@@ -99,6 +99,63 @@ def test_sample_word_payloads_are_pinned(capsys):
     assert not changed, f"payload changed for {changed}"
 
 
+# sha256 of the text and the CSV report of the same words under --backend all
+# (the text report carries no timing)
+TEXT_SHA256 = {
+    "s1": "d31342aeba0ba1d70a71ccb5cdc49de55db8ea2ca5850caff11a40cf5fc1ae17",
+    "s1 s1": "ceae1fabf36fa76111c1eeb409bdcac10a8190bf27f437629f46b79363cf5c7e",
+    "s1 s1 s1": "72d9d86a832ec93bf29ca1a6a2905b36f985c54af6ccedc42dc8b4982b551e8e",
+    "s1 s1 s1 s1": "1eafaf7f9e791edf137dd3d9fa0c71a256c407dc501d7c3c654df9531c921e0a",
+    "s1 s2^-1 s1 s2^-1": "284df1b9d47db47d02bbc270ae8cc65d455bfe843c4197c86a84a0f3990de58b",
+    "s1 s2^-1 s1 s2^-1 s1 s2^-1":
+        "45b0cc13147755dcd86f9696c169f1dcf88acbfa5bb111dcbf4445edf8957ea6",
+}
+CSV_SHA256 = {
+    "s1": "77ea2bea5a5fc9dafbdcc750b9c4a1e9abb2f6f2d8a8975389c979ce3620810f",
+    "s1 s1": "e899f7dfc52d5bb15d96725b8ef5b61a55cd99b44e158e025fffe66609dc1367",
+    "s1 s1 s1": "8a8c86d0fb788f0e258abfb22229f9cf1179a338f63058aa26e9e451b1362660",
+    "s1 s1 s1 s1": "23b477c413048d241ad0c83add93c8be4803c167250bd26e18fda719c1d113f7",
+    "s1 s2^-1 s1 s2^-1": "0b49376c810089bafef9bd00093e2f77d15d4a95997898521b6c7c41838f647b",
+    "s1 s2^-1 s1 s2^-1 s1 s2^-1":
+        "e8ee11891c2d87cc3d0e687e8b23fdfe41e7fdbb301b0458f6a18b9ba3ba6a9d",
+}
+
+
+@pytest.mark.parametrize("output", ["text", "csv"])
+def test_sample_word_text_and_csv_are_pinned(capsys, output):
+    changed = []
+    for word, digest in {"text": TEXT_SHA256, "csv": CSV_SHA256}[output].items():
+        code, out, _ = run(capsys, "jones", word, "--backend", "all", "--output", output)
+        assert code == EXIT_OK, word
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(word)
+    assert not changed, f"{output} report changed for {changed}"
+
+
+LONG_PADDED = "strands=2048 " + " ".join(["s1 s2^-1"] * 350)
+
+
+@pytest.mark.parametrize("argv", [
+    ["s1 s1 s1", "--backend", "spin"],
+    [LONG_PADDED],      # anyon, spin and kauffman all past their caps
+], ids=["spin-alone", "every-backend-skipped"])
+def test_nothing_compared_is_unchecked_not_agreement(capsys, argv):
+    code, out, _ = run(capsys, "jones", *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "agreement: unchecked (no two routes compared)"
+    assert "delta" not in out
+
+
+def test_nothing_compared_keeps_the_json_and_csv_form(capsys):
+    # agree stays true, and the JSON comparison list is empty
+    argv = ["jones", "s1 s1 s1", "--backend", "spin", "--output"]
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["payload"]["agreement"] == {"agree": True, "comparisons": []}
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == EXIT_OK and out.rstrip().endswith(",true")
+
+
 def test_jones_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "jones", "s1 sbad")
     assert code == EXIT_PARSE
@@ -112,6 +169,9 @@ def test_jones_capacity_exit_3(capsys):
     code, _, err = run(capsys, "jones", " ".join(["s1 s2^-1"] * 1000), "--backend", "kauffman")
     assert code == EXIT_CAPACITY
     assert "2000 crossings on 3 strands" in err and "work bound" in err
+    code, out, err = run(capsys, "jones", "s1 s2 s3", "--backend", "spin")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err == "capacity error: the ten-site register supports at most three strands\n"
 
 
 def test_jones_anyon_beyond_three_pairs(capsys):
@@ -427,6 +487,18 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == "" and "Traceback" in err
     assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("backend", ["all", "spin"])
+def test_a_backend_value_error_is_internal_not_skipped(capsys, monkeypatch, backend):
+    # only a capacity cap skips a backend; any other ValueError is a fault
+    def broken(word, tau):
+        raise ValueError("broken replay")
+
+    monkeypatch.setattr(cli.spin_sim, "jones_spin_abs", broken)
+    code, out, err = run(capsys, "jones", "s1", "--backend", backend)
+    assert code == EXIT_INTERNAL
+    assert out == "" and err.splitlines()[-1] == "internal error: ValueError: broken replay"
 
 
 # --- a reader that closes the pipe early ------------------------------------

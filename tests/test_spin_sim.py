@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mjones import spin_sim
-from mjones.braidlang import BraidWord
+from mjones.braidlang import BraidWord, CapacityError
 from mjones.pauli import PauliTerm, commuting_spectrum, dense_sum, majorana_string
 from mjones.spin_sim import (
     DEFAULT_TAU,
@@ -426,8 +426,10 @@ class TestWordReplay:
             assert jones_spin_abs(word) == pytest.approx(value, abs=1e-8)
 
     def test_word_capacity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError, match="at most three strands"):
             jones_spin_abs(BraidWord(4, (3,)))
+        with pytest.raises(CapacityError, match="generators s1 and s2 only"):
+            braid_word_state(BraidWord(4, (1, 3)))
 
     def test_amplitude_probability_basics(self):
         phi0 = prepare_logical(0)

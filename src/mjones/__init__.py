@@ -22,12 +22,10 @@ from .braidlang import (
     parse_braid,
 )
 from .anyon_core import (
-    JonesValue,
     braid_generators,
     evolve,
     jones_majorana_abs,
     jones_su2_2,
-    vacuum_amplitude,
 )
 from .kauffman_oracle import (
     A_AT_T_I,

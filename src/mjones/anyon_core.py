@@ -32,7 +32,6 @@ O(letters * 2^n); above MAX_PAIRS the backend raises CapacityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,11 +90,6 @@ def evolve(letters, pairs: int) -> np.ndarray:
     return state
 
 
-def vacuum_amplitude(state: np.ndarray) -> complex:
-    """Amplitude <0...0|U|0...0>, read from the evolved vacuum U|0...0>."""
-    return complex(state[0])
-
-
 def link_to_anyon_word(word: BraidWord, pairs: int) -> list[tuple[int, int]]:
     """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
     sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k."""
@@ -107,21 +101,13 @@ def link_to_anyon_word(word: BraidWord, pairs: int) -> list[tuple[int, int]]:
             for g in word.letters]
 
 
-@dataclass(frozen=True)
-class JonesValue:
-    """Signed Jones value at t = i."""
-
-    value: complex
-
-
-def jones_su2_2(word: BraidWord, pairs: int) -> JonesValue:
+def jones_su2_2(word: BraidWord, pairs: int) -> complex:
     """Signed Jones value at t = i of the word's closure on ``pairs`` pairs."""
     state = evolve(link_to_anyon_word(word, pairs), pairs)
-    value = QUANTUM_DIMENSION ** (pairs - 1) * vacuum_amplitude(state)
-    return JonesValue(value=complex(value))
+    return QUANTUM_DIMENSION ** (pairs - 1) * complex(state[0])
 
 
 def jones_majorana_abs(word: BraidWord, pairs: int) -> float:
     """|V| at t = i via the amplitude-magnitude relation 2^{(n-1)/2} |<0|U|0>|."""
     state = evolve(link_to_anyon_word(word, pairs), pairs)
-    return 2.0 ** ((pairs - 1) / 2.0) * abs(vacuum_amplitude(state))
+    return 2.0 ** ((pairs - 1) / 2.0) * abs(complex(state[0]))

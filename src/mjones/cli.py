@@ -191,7 +191,7 @@ def _invariants_payload(word: BraidWord) -> dict:
 
 
 def _anyon(word: BraidWord, tau: float) -> dict:
-    value = anyon_core.jones_su2_2(word, word.strands).value
+    value = anyon_core.jones_su2_2(word, word.strands)
     return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
             "V_abs_majorana": anyon_core.jones_majorana_abs(word, word.strands)}
 

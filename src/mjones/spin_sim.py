@@ -27,7 +27,6 @@ With this choice the far-pair exchange comes out exactly I (x) (II - i YX)
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -470,36 +469,6 @@ def jones_spin_abs(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
     phi0 = prepare_logical(0)
     final = braid_word_state(word, phi0.copy(), tau)
     return float(2.0 ** ((word.strands - 1) / 2.0) * abs(np.vdot(phi0, final)))
-
-
-# ---------------------------------------------------------------------------
-# ancilla-circuit form of a cooling step (demonstration path)
-# ---------------------------------------------------------------------------
-
-
-def ancilla_cooling_circuit(state: np.ndarray, term: PauliTerm, pairing: PauliTerm,
-                            tau: float, alpha: float = 0.0) -> np.ndarray:
-    """Eleven-qubit rendering of one cooling step.
-
-    The ancilla (most significant qubit) passes through Hadamard and the
-    phase gate diag(1, -i e^{i alpha}); the evolution correlates it with
-    the energy branch while weighting amplitudes by exp(-tau E); the
-    controlled pairing folds the excited branch onto the ground space and a
-    final Hadamard closes the loop.  For any tau the system register ends
-    entirely in the ground eigenspace of the term; at alpha = pi/2 and
-    tau -> 0 the ancilla-|0> branch reproduces :func:`cooling_step`.
-    """
-    _check_unit_spectrum(term)
-    _check_pairing(term, pairing)
-    ground, excited = _ground_excited_split(state, term)
-    # weights exp(tau) and exp(-tau), divided by exp(tau) so that every tau
-    # up to inf stays finite; normalize removes the common factor
-    branch0 = ground
-    branch1 = (-1j * cmath.exp(1j * alpha)) * math.exp(-2.0 * tau) * apply_pauli(
-        pairing, excited, N_SITES)
-    # final Hadamard on the ancilla
-    full = np.concatenate([(branch0 + branch1), (branch0 - branch1)]) / math.sqrt(2)
-    return normalize(full)
 
 
 # ---------------------------------------------------------------------------

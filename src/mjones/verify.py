@@ -3,13 +3,16 @@
 Each check is a named function of the run's :class:`BraidMatrices`, which
 also carries its ``tau``, returning a :class:`CheckResult`; ``run_all``
 executes them in a fixed order so reports are stable.  The golden constants
-are the closed-form values of the five sample links (Hopf, trefoil,
-Solomon, figure-eight, Borromean rings), the stage tables of the exchange
-schedules, and the closed-form ground-space / logical matrices of the
-four braid generators.  The Jordan-Wigner check compares spectra exactly:
-every stage Hamiltonian is a sum of commuting, GF(2)-independent Pauli
-terms, whose spectrum has a closed form (``pauli.commuting_spectrum``), so
-nothing is diagonalised.
+are the signed V(i) of the five sample links (Hopf, trefoil, Solomon,
+figure-eight, Borromean rings), from which |V|, the return amplitude and
+the replay probability follow; the stage tables of the exchange schedules;
+and the closed-form ground-space / logical matrices of the four braid
+generators, compared up to a global phase.  The Jordan-Wigner check
+compares spectra exactly: every stage Hamiltonian is a sum of commuting,
+GF(2)-independent Pauli terms, whose spectrum has a closed form
+(``pauli.commuting_spectrum``), so nothing is diagonalised.  Any two such
+sums of equally many +-1 terms share that spectrum, so the check also
+requires the partners to be the same Pauli words, signs aside.
 """
 
 from __future__ import annotations
@@ -26,30 +29,22 @@ from .braidlang import BraidWord
 from .pauli import commuting_spectrum
 from .pauli import dense_sum  # noqa: F401  (perfbench/tracing.py wraps verify.dense_sum)
 
-# the five sample words with strand counts, |V(i)| and signed V(i)
+# the five sample words with strand counts and signed V(i); |V|, the return
+# amplitude |<0|U|0>| and the replay probability all follow from V
 GOLDEN_LINKS = (
-    ("hopf", BraidWord(2, (1, 1)), 0.0, 0.0),
-    ("trefoil", BraidWord(2, (1, 1, 1)), 1.0, -1.0),
-    ("solomon", BraidWord(2, (1, 1, 1, 1)), math.sqrt(2.0), -math.sqrt(2.0)),
-    ("figure-eight", BraidWord(3, (1, -2, 1, -2)), 1.0, -1.0),
-    ("borromean", BraidWord(3, (1, -2, 1, -2, 1, -2)), 2.0, -2.0),
+    ("hopf", BraidWord(2, (1, 1)), 0.0),
+    ("trefoil", BraidWord(2, (1, 1, 1)), -1.0),
+    ("solomon", BraidWord(2, (1, 1, 1, 1)), -math.sqrt(2.0)),
+    ("figure-eight", BraidWord(3, (1, -2, 1, -2)), -1.0),
+    ("borromean", BraidWord(3, (1, -2, 1, -2, 1, -2)), -2.0),
 )
-# return-amplitude magnitudes |<phi0|U|phi0>| for the same five words
-GOLDEN_AMPLITUDES = (0.0, 1.0 / math.sqrt(2.0), 1.0, 0.5, 1.0)
-# overlap probabilities of the ten-qubit replay
-GOLDEN_PROBABILITIES = (0.0, 0.5, 1.0, 0.25, 1.0)
 
-# words whose signed V is pinned (figure-eight is magnitude-only golden,
-# though the sign comes out identical anyway)
-SIGNED_LINKS = ("hopf", "trefoil", "solomon", "borromean")
-
-# closed-form ground-space matrices; the diagonal pair is conventionally
-# recorded with a spurious 1/sqrt2 scalar, hence the scalar-tolerant check
+# closed-form ground-space matrices
 _A4 = np.array([[1, 0, 1, 0], [0, 1, 0, -1], [-1, 0, 1, 0], [0, 1, 0, 1]]) / math.sqrt(2)
 _A4I = np.array([[1, 0, -1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, -1, 0, 1]]) / math.sqrt(2)
 GROUND_MATRIX_REFS = {
-    "s1": np.diag([1, 1, 1j, 1j, 1j, 1j, 1, 1]) / math.sqrt(2),
-    "s1^-1": np.diag([1, 1, -1j, -1j, -1j, -1j, 1, 1]) / math.sqrt(2),
+    "s1": np.diag([1, 1, 1j, 1j, 1j, 1j, 1, 1]),
+    "s1^-1": np.diag([1, 1, -1j, -1j, -1j, -1j, 1, 1]),
     "s2": np.kron(np.eye(2), _A4),
     "s2^-1": np.kron(np.eye(2), _A4I),
 }
@@ -102,14 +97,21 @@ class CheckResult:
     elapsed: float
 
 
-def _phase_align(candidate: np.ndarray, reference: np.ndarray, allow_scale: bool) -> float:
-    """Max entry deviation after aligning a global phase (and optionally a
-    global scale) to the reference."""
+def _golden_amplitude(word: BraidWord, v: float) -> float:
+    """|<0|U|0>| of a golden link: |V| / 2^((n-1)/2), the relation that
+    ``anyon_core.jones_majorana_abs`` inverts."""
+    return abs(v) / 2.0 ** ((word.strands - 1) / 2)
+
+
+def _phase_align(candidate: np.ndarray, reference: np.ndarray) -> float:
+    """Max entry deviation after aligning a global phase to the reference."""
     idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
     lam = candidate[idx] / reference[idx]
-    if not allow_scale:
-        lam = lam / abs(lam)
-    return float(np.max(np.abs(candidate - lam * reference)))
+    return float(np.max(np.abs(candidate - lam / abs(lam) * reference)))
+
+
+def _pauli_words(terms) -> set[frozenset]:
+    return {frozenset(t.factors.items()) for t in terms}
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +123,10 @@ def check_anyon_golden_values(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst_abs = 0.0
     worst_signed = 0.0
-    for name, word, vabs, vsigned in GOLDEN_LINKS:
+    for _, word, v in GOLDEN_LINKS:
         got_abs = anyon_core.jones_majorana_abs(word, word.strands)
-        worst_abs = max(worst_abs, abs(got_abs - vabs))
-        if name in SIGNED_LINKS:
-            got = anyon_core.jones_su2_2(word, word.strands).value
-            worst_signed = max(worst_signed, abs(got - vsigned))
+        worst_abs = max(worst_abs, abs(got_abs - abs(v)))
+        worst_signed = max(worst_signed, abs(anyon_core.jones_su2_2(word, word.strands) - v))
     elapsed = time.perf_counter() - t0
     ok = worst_abs <= 1e-12 and worst_signed <= 1e-9 and elapsed < 0.1
     return CheckResult(
@@ -138,10 +138,10 @@ def check_anyon_golden_values(matrices: BraidMatrices) -> CheckResult:
 def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
-    for (name, word, _, _), amp_ref in zip(GOLDEN_LINKS, GOLDEN_AMPLITUDES):
+    for _, word, v in GOLDEN_LINKS:
         state = anyon_core.evolve(anyon_core.link_to_anyon_word(word, word.strands),
                                   word.strands)
-        worst = max(worst, abs(abs(anyon_core.vacuum_amplitude(state)) - amp_ref))
+        worst = max(worst, abs(abs(complex(state[0])) - _golden_amplitude(word, v)))
     ok = worst <= 1e-12
     return CheckResult(
         "amplitude-goldens", ok,
@@ -151,12 +151,9 @@ def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
 def check_oracle_agreement(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
-    for name, word, _, _ in GOLDEN_LINKS:
+    for _, word, _ in GOLDEN_LINKS:
         oracle = kauffman_oracle.jones_at_i(word)
-        anyon = anyon_core.jones_su2_2(word, word.strands).value
-        if name in SIGNED_LINKS:
-            worst = max(worst, abs(oracle - anyon))
-        worst = max(worst, abs(abs(oracle) - abs(anyon)))
+        worst = max(worst, abs(oracle - anyon_core.jones_su2_2(word, word.strands)))
     unknot_ok = kauffman_oracle.jones_polynomial(BraidWord(2, (1,))) == 1
     ok = worst <= 1e-9 and unknot_ok
     return CheckResult(
@@ -168,15 +165,21 @@ def check_oracle_agreement(matrices: BraidMatrices) -> CheckResult:
 def check_jw_spectra(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
+    mismatch = ""
     for flabel, slabel in spin_sim.JW_PARTNERS.items():
-        fermi = commuting_spectrum(spin_sim.fermionic_strings(flabel), spin_sim.N_SITES)
-        spin = commuting_spectrum(spin_sim.spin_hamiltonian(slabel), spin_sim.N_SITES)
+        fermi_terms = spin_sim.fermionic_strings(flabel)
+        spin_terms = spin_sim.spin_hamiltonian(slabel)
+        fermi = commuting_spectrum(fermi_terms, spin_sim.N_SITES)
+        spin = commuting_spectrum(spin_terms, spin_sim.N_SITES)
         worst = max(worst, float(np.max(np.abs(fermi - spin))))
+        # equal spectra alone would pass any equally many +-1 terms
+        if not mismatch and _pauli_words(fermi_terms) != _pauli_words(spin_terms):
+            mismatch = f"Pauli words of {flabel} differ from {slabel}'s (signs ignored); "
     elapsed = time.perf_counter() - t0
-    ok = worst == 0.0 and elapsed < 5.0
+    ok = worst == 0.0 and not mismatch and elapsed < 5.0
     return CheckResult(
         "jw-spectra", ok,
-        f"max spectrum deviation {worst:.2e} (exact; closed-form spectra of commuting, "
+        f"{mismatch}max spectrum deviation {worst:.2e} (exact; closed-form spectra of commuting, "
         f"independent Pauli sums) over {len(spin_sim.JW_PARTNERS)} pairs, "
         f"{elapsed * 1e3:.1f} ms (limit 5 s)", elapsed)
 
@@ -206,8 +209,9 @@ def check_final_states(matrices: BraidMatrices) -> CheckResult:
     worst_p = 0.0
     worst_f = 1.0
     phi0 = spin_sim.prepare_logical(0)
-    for (name, word, _, _), p_ref in zip(GOLDEN_LINKS, GOLDEN_PROBABILITIES):
+    for name, word, v in GOLDEN_LINKS:
         final = spin_sim.braid_word_state(word, phi0.copy(), matrices.tau)
+        p_ref = _golden_amplitude(word, v) ** 2
         worst_p = max(worst_p, abs(spin_sim.amplitude_probability(phi0, final) - p_ref))
         logical = spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
         worst_f = min(worst_f, float(abs(np.vdot(FINAL_LOGICAL_REFS[name], logical)) ** 2))
@@ -223,9 +227,8 @@ def check_braid_matrices(matrices: BraidMatrices) -> CheckResult:
     worst = 0.0
     for name in spin_sim.BRAID_NAMES:
         u, logical = matrices(name)
-        allow_scale = name in ("s1", "s1^-1")   # reference forms carry a spurious scalar
-        worst = max(worst, _phase_align(u, GROUND_MATRIX_REFS[name], allow_scale))
-        worst = max(worst, _phase_align(logical, LOGICAL_MATRIX_REFS[name], False))
+        worst = max(worst, _phase_align(u, GROUND_MATRIX_REFS[name]))
+        worst = max(worst, _phase_align(logical, LOGICAL_MATRIX_REFS[name]))
     ok = worst <= 1e-8
     return CheckResult(
         "braid-matrix-reconstruction", ok,
@@ -270,7 +273,7 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
     for fwd, bwd in (("s1", "s1^-1"), ("s2", "s2^-1")):
         uf, _ = matrices(fwd)
         ub, _ = matrices(bwd)
-        dev = _phase_align(uf @ ub, np.eye(8), False)
+        dev = _phase_align(uf @ ub, np.eye(8))
         if dev > 1e-8:
             failures.append(f"{fwd} then {bwd} is not the identity: {dev:.2e}")
 

@@ -23,8 +23,8 @@ def report(number: int, result: verify.CheckResult) -> None:
     assert result.passed, f"criterion {number}: {result.detail}"
 
 def test_criterion_1_five_link_golden_values():
-    # |V| within 1e-12 for all five words, signed values within 1e-9 for the
-    # four sign-pinned links, all inside 0.1 s
+    # |V| within 1e-12 and signed V within 1e-9 for all five words, all
+    # inside 0.1 s
     report(1, verify.check_anyon_golden_values(MATRICES))
 
 def test_criterion_2_amplitude_goldens():
@@ -32,14 +32,15 @@ def test_criterion_2_amplitude_goldens():
     report(2, verify.check_amplitude_goldens(MATRICES))
 
 def test_criterion_3_oracle_agreement():
-    # bracket oracle matches the anyon backend: signed for four links,
-    # magnitude for all five, within 1e-9; V(unknot) = 1 exactly
+    # bracket oracle matches the anyon backend signed for all five links
+    # within 1e-9; V(unknot) = 1 exactly
     report(3, verify.check_oracle_agreement(MATRICES))
 
 def test_criterion_4_jordan_wigner_spectra():
     # sorted spectra of every fermionic stage Hamiltonian equal the spin
     # partner's exactly: both are closed-form spectra of commuting,
-    # GF(2)-independent Pauli sums (no eigensolve), all inside 5 s
+    # GF(2)-independent Pauli sums (no eigensolve); the partners are also
+    # the same Pauli words up to sign; all inside 5 s
     report(4, verify.check_jw_spectra(MATRICES))
 
 def test_criterion_5_protocol_replay():
@@ -50,7 +51,7 @@ def test_criterion_5_protocol_replay():
 
 def test_criterion_6_matrix_reconstruction():
     # ground-space and logical matrices match the printed forms up to a
-    # global phase (scalar-tolerant for the diagonal pair), entries <= 1e-8
+    # global phase, entries <= 1e-8
     report(6, verify.check_braid_matrices(MATRICES))
 
 def test_criterion_7_chi_goldens():

@@ -394,5 +394,5 @@ def test_arf_route_matches_anyon_backend_up_to_sixteen_strands():
             word = _random_word(rng, strands, rng.randint(0, 24))
             inv = link_invariants(word)
             arf = _arf(word) if inv.proper else None
-            assert jones_su2_2(word, strands).value == pytest.approx(
+            assert jones_su2_2(word, strands) == pytest.approx(
                 jones_from_arf(inv, arf), abs=1e-9), word

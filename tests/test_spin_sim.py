@@ -16,7 +16,6 @@ from mjones.spin_sim import (
     N_SITES,
     SCHEDULES,
     amplitude_probability,
-    ancilla_cooling_circuit,
     braid_sequence,
     braid_sequence_states,
     braid_word_state,
@@ -312,8 +311,6 @@ class TestIteAndCooling:
         term = PauliTerm(1.0, {3: "z"})
         with pytest.raises(ValueError, match="pairing"):
             cooling_step(ground, term, PauliTerm(1.0, {5: "z"}))
-        with pytest.raises(ValueError, match="pairing"):
-            ancilla_cooling_circuit(ground, term, PauliTerm(1.0, {5: "z"}), tau=1.0)
 
 
 class TestBraidSequences:
@@ -435,45 +432,3 @@ class TestWordReplay:
         phi0 = prepare_logical(0)
         assert amplitude_probability(phi0, phi0) == pytest.approx(1.0)
         assert amplitude_probability(phi0, prepare_logical(5)) == pytest.approx(0.0, abs=1e-14)
-
-
-class TestAncillaCircuit:
-    TERM = PauliTerm(-1.0, {2: "x", 3: "x"})
-    PAIRING = PauliTerm(-1.0, {3: "z"})
-
-    def _input(self):
-        return prepare_logical(0)
-
-    def test_system_register_fully_cooled(self):
-        state = self._input()
-        for tau in (0.0, 0.5, 5.0):
-            full = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=tau)
-            for branch in (full[:DIM], full[DIM:]):
-                _, excited = spin_sim._ground_excited_split(branch, self.TERM)
-                assert np.linalg.norm(excited) < 1e-10
-
-    def test_small_tau_branch_matches_cooling_step(self):
-        state = self._input()
-        full = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=0.0, alpha=math.pi / 2)
-        branch0 = full[:DIM]
-        branch0 /= np.linalg.norm(branch0)
-        direct = cooling_step(state, self.TERM, self.PAIRING)
-        assert fidelity(branch0, direct) >= 1 - 1e-12
-
-    @pytest.mark.parametrize("tau", [1000.0, math.inf])
-    def test_huge_tau_stays_finite_and_cooled(self, tau):
-        rng = np.random.default_rng(8)
-        for state in (self._input(), rand_state(rng)):
-            full = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=tau)
-            for branch in (full[:DIM], full[DIM:]):
-                _, excited = spin_sim._ground_excited_split(branch, self.TERM)
-                assert np.linalg.norm(excited) < 1e-10
-            reference = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=50.0)
-            assert np.max(np.abs(full - reference)) < 1e-12
-
-    def test_large_tau_ancilla_factorises(self):
-        state = self._input()
-        full = ancilla_cooling_circuit(state, self.TERM, self.PAIRING, tau=20.0)
-        cooled = cooling_step(state, self.TERM, self.PAIRING)
-        expected = np.concatenate([cooled, cooled]) / math.sqrt(2)
-        assert fidelity(expected, full) >= 1 - 1e-12

@@ -6,9 +6,10 @@ Three subcommands:
     Evaluate the Jones value at t = i of the word's closure with one or all
     backends and cross-check them.  Exit status: 0 all requested backends
     agree, or no two could be compared (the text says "agreement:
-    unchecked"), 1 disagreement, 2 unparseable input, 3 capacity exceeded,
-    4 internal error.  A backend past its cap is skipped under ``--backend
-    all``; any other error of a backend is an internal error.
+    unchecked"), 1 disagreement, 2 unparseable input or a tau too small
+    for the spin replay, 3 capacity exceeded, 4 internal error.  A backend
+    past its cap is skipped under ``--backend all``; any other error of a
+    backend is an internal error.
 
 ``braid-info WORD``
     Print the closure's combinatorial invariants and closed-form Jones
@@ -16,6 +17,8 @@ Three subcommands:
 
 ``verify``
     Run the full cross-validation suite and print one line per check.
+    Exit status: 0 every check passed, 1 a check failed, 2 an invalid tau
+    or one too small for the spin replay.
 
 ``jones`` and ``braid-info`` take at most ``MAX_STRANDS`` (2048) strands.
 A reader that closes the output pipe early ends a report quietly, with
@@ -172,6 +175,12 @@ def _check_tau(tau: float) -> None:
     # exact projection
     if not tau > 0:
         raise ValueError("tau must be positive")
+
+
+def _tau_too_small(tau: float, exc: spin_sim.DegenerateEvolutionError) -> int:
+    # below about 1e-13 the cooling fold cancels the replayed state outright
+    print(f"parse error: tau={tau} is too small for the spin replay: {exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 def _invariants_payload(word: BraidWord) -> dict:
@@ -355,6 +364,8 @@ def cmd_jones(args) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except spin_sim.DegenerateEvolutionError as exc:
+        return _tau_too_small(args.tau, exc)
     if args.output == "json":
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
     else:
@@ -385,13 +396,17 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
     # each braid generator is extracted once per verify run, at its tau
     matrices = verify_mod.BraidMatrices(args.tau)
-    results = verify_mod.run_all(tau=args.tau, matrices=matrices)
+    try:
+        results = verify_mod.run_all(tau=args.tau, matrices=matrices)
+        artifacts = verify_mod.report_artifacts(matrices) if args.output == "json" else None
+    except spin_sim.DegenerateEvolutionError as exc:
+        return _tau_too_small(args.tau, exc)
     if args.output == "json":
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
-            "artifacts": verify_mod.report_artifacts(matrices),
+            "artifacts": artifacts,
         }
         timing = {r.name: r.elapsed for r in results}
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))

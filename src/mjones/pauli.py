@@ -7,9 +7,11 @@ coefficient (real for Hamiltonian terms, possibly complex for products of
 Majorana strings) times a map from site to axis.  Kernels read a term as
 X/Z bitmasks (Y = iXZ contributes both bits); products, commutation checks
 and dense matrices all derive from that form.  Applying a term to a state
-vector is a single fancy-indexed gather with per-index phases, O(2^n); the
-index and sign arrays are built once per word and register size and
-cached.
+vector is a single fancy-indexed gather with per-index phases, O(2^n).
+The index and sign arrays are built once per word and register size and
+shared; each term keeps its coefficient vector (coefficient times the
+signs) per register size, built on first use.  A term is therefore treated
+as immutable once applied: its factor map is never edited in place.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class PauliTerm:
 
     coefficient: complex
     factors: Mapping[int, str] = field(default_factory=dict)
+    # register size -> (source index, coefficient vector), filled by
+    # string_action.  Kept per term, not in a cache keyed by value:
+    # complex(-0.0, 1) == complex(0.0, 1), yet the coefficient vectors of
+    # two such equal terms differ in the signs of their zeros.
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", dict(self.factors))
@@ -134,10 +141,16 @@ def _kernel(flip: int, phase_mask: int, n: int) -> tuple[np.ndarray, np.ndarray]
 
 def string_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(source index, coefficient vector) with term |v> = coefficient * v[source]
-    on ``n`` sites."""
-    flip, phase_mask, ycount = _masks(term.factors, n)
-    src, signs = _kernel(flip, phase_mask, n)
-    return src, (term.coefficient * 1j ** ycount) * signs
+    on ``n`` sites.  Built on the term's first use at ``n`` and kept on the
+    term; both arrays are read-only."""
+    action = term._actions.get(n)
+    if action is None:
+        flip, phase_mask, ycount = _masks(term.factors, n)
+        src, signs = _kernel(flip, phase_mask, n)
+        coeff = (term.coefficient * 1j ** ycount) * signs
+        coeff.setflags(write=False)
+        action = term._actions[n] = (src, coeff)
+    return action
 
 
 def apply_pauli(term: PauliTerm, state: np.ndarray, n: int) -> np.ndarray:

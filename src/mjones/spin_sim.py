@@ -56,8 +56,15 @@ class DegenerateEvolutionError(RuntimeError):
     """State annihilated by a projection step (no ground-space component)."""
 
 
+def _norm(state: np.ndarray) -> float:
+    # the same sum np.linalg.norm forms for a complex vector (numpy 2.4),
+    # without its dispatch; the replay calls this on every stage
+    re, im = state.real, state.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def normalize(state: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(state)
+    nrm = _norm(state)
     if nrm < NORM_TOL:
         raise DegenerateEvolutionError("state has no weight in the surviving eigenspace")
     return state / nrm
@@ -211,11 +218,12 @@ class GroundBasis:
     (chain 1 slowest, chain 3 fastest)."""
 
     vectors: np.ndarray          # 8 x 2^10, rows are the basis states
+    bras: np.ndarray             # vectors.conj(), the rows as bras
 
     def coefficients(self, state: np.ndarray) -> np.ndarray:
         """Expansion of a state over the basis; the state must lie in the
         ground space."""
-        coeffs = self.vectors.conj() @ state
+        coeffs = self.bras @ state
         residual = np.linalg.norm(state) ** 2 - np.linalg.norm(coeffs) ** 2
         if residual > GROUND_TOL:
             raise ValueError(f"state leaks out of the ground space ({residual:.3e})")
@@ -235,10 +243,12 @@ def ground_basis() -> GroundBasis:
         h0v = sum(apply_pauli(term, v, N_SITES) for term in h0)
         assert np.max(np.abs(h0v - GROUND_ENERGY * v)) < 1e-10, \
             f"basis vector {i} is not an H0 eigenvector at energy {GROUND_ENERGY}"
-    gram = vectors.conj() @ vectors.T
+    bras = vectors.conj()
+    gram = bras @ vectors.T
     assert np.max(np.abs(gram - np.eye(8))) < 1e-10, "ground basis is not orthonormal"
     vectors.setflags(write=False)
-    return GroundBasis(vectors=vectors)
+    bras.setflags(write=False)
+    return GroundBasis(vectors=vectors, bras=bras)
 
 
 def _encode_matrix() -> np.ndarray:
@@ -279,7 +289,7 @@ def prepare_logical(index: int) -> np.ndarray:
 
 
 def ground_space_weight(state: np.ndarray) -> float:
-    coeffs = ground_basis().vectors.conj() @ state
+    coeffs = ground_basis().bras @ state
     return float(np.linalg.norm(coeffs) ** 2)
 
 
@@ -331,7 +341,7 @@ def _stage(state: np.ndarray, term: PauliTerm, tau: float,
     if pairing is not None:
         _check_pairing(term, pairing)
         excited = apply_pauli(pairing, excited, N_SITES)
-    elif tau > 0 and np.linalg.norm(ground) < NORM_TOL:
+    elif tau > 0 and _norm(ground) < NORM_TOL:
         raise DegenerateEvolutionError(
             "state is orthogonal to the surviving eigenspace of the term"
         )

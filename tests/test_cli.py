@@ -363,6 +363,36 @@ def test_verify_weak_projection_fails(capsys):
     assert "protocol-intermediate-states" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["jones", "s1", "--tau", "1e-13"],
+    ["jones", "s1 s1", "--tau", "1e-17", "--backend", "spin"],
+    ["verify", "--tau", "1e-17"],
+    ["verify", "--tau", "1e-17", "--output", "json"],
+])
+def test_tau_too_small_for_the_spin_replay_is_rejected(capsys, argv):
+    # the cooling fold cancels the state outright: one line, no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"parse error: tau={float(argv[argv.index('--tau') + 1])} "
+                          "is too small for the spin replay: ")
+
+
+def test_tau_too_small_is_rejected_on_every_sample_word(capsys):
+    for word in PAYLOAD_SHA256:
+        code, _, err = run(capsys, "jones", word, "--tau", "1e-13")
+        assert code == EXIT_PARSE and "Traceback" not in err, word
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["jones", "s1", "--tau", "1e-13", "--backend", "anyon"], EXIT_OK),
+    (["jones", "s1", "--tau", "1e-9"], EXIT_DISAGREE),
+])
+def test_small_tau_the_replay_survives_keeps_its_status(capsys, argv, code):
+    assert run(capsys, *argv)[0] == code
+
+
 
 # --- one parser per process ----------------------------------------------
 

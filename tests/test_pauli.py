@@ -81,6 +81,54 @@ def test_string_action_is_the_gather_apply_pauli_does():
         apply_pauli(term, state, 4)
 
 
+def test_string_action_is_built_once_per_term_and_size():
+    term = PauliTerm(-1.0, {2: "x", 3: "y"})
+    src, coeff = string_action(term, 4)
+    again = string_action(term, 4)
+    assert again[0] is src and again[1] is coeff
+    assert string_action(term, 5)[1] is not coeff
+    for array in (src, coeff):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def fresh_action(term: PauliTerm, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, (c * i^#Y) * signs) derived bit by bit, without the kernel."""
+    flip = sum(1 << (n - s) for s, a in term.factors.items() if a in "xy")
+    phase = sum(1 << (n - s) for s, a in term.factors.items() if a in "yz")
+    ycount = sum(a == "y" for a in term.factors.values())
+    src = np.array([k ^ flip for k in range(1 << n)])
+    signs = np.array([-1.0 if bin(j & phase).count("1") % 2 else 1.0 for j in src])
+    return src, (term.coefficient * 1j ** ycount) * signs
+
+
+def test_cached_string_action_equals_a_fresh_build():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        sites = rng.choice(np.arange(1, n + 1), size=rng.integers(0, n + 1), replace=False)
+        factors = {int(s): str(rng.choice(list("xyyz"))) for s in sites}
+        term = PauliTerm(complex(rng.normal(), rng.normal()), factors)
+        for _ in range(2):      # the build, then the kept arrays
+            src, coeff = string_action(term, n)
+            want_src, want_coeff = fresh_action(term, n)
+            assert np.array_equal(src, want_src)
+            assert coeff.tobytes() == want_coeff.tobytes()
+
+
+def test_equal_terms_keep_their_own_kernels():
+    a = PauliTerm(1.5 - 2j, {1: "y", 3: "x"})
+    b = PauliTerm(1.5 - 2j, {1: "y", 3: "x"})
+    string_action(a, 3)
+    assert a == b and repr(a) == repr(b)
+    assert "_actions" not in repr(a)
+    assert all(np.array_equal(x, y) for x, y in zip(string_action(a, 3), string_action(b, 3)))
+    # equal coefficients whose zeros differ in sign keep their own signed zeros
+    plus, minus = PauliTerm(complex(0.0, 1), {1: "z"}), PauliTerm(complex(-0.0, 1), {1: "z"})
+    assert plus == minus
+    assert string_action(plus, 1)[1].tobytes() != string_action(minus, 1)[1].tobytes()
+
+
 def test_dense_sum():
     terms = [PauliTerm(-1.0, {1: "x", 2: "x"}), PauliTerm(1.0, {3: "z"})]
     expected = kron_term(terms[0], 3) + kron_term(terms[1], 3)

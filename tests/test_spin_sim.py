@@ -1,6 +1,8 @@
 """Ten-qubit replay: Hamiltonians, ground space, cooling, and braid schedules."""
 
+import hashlib
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from mjones import spin_sim
 from mjones.braidlang import BraidWord, CapacityError
 from mjones.pauli import PauliTerm, commuting_spectrum, dense_sum, majorana_string
 from mjones.spin_sim import (
+    BRAID_NAMES,
     DEFAULT_TAU,
     DIM,
     DegenerateEvolutionError,
@@ -146,6 +149,11 @@ class TestGroundSpace:
             assert np.vdot(v, h0 @ v).real == pytest.approx(-7.0)
         gram = basis.vectors.conj() @ basis.vectors.T
         assert np.max(np.abs(gram - np.eye(8))) < 1e-10
+
+    def test_bras_are_the_conjugated_rows_read_only(self):
+        basis = ground_basis()
+        assert np.array_equal(basis.bras, basis.vectors.conj())
+        assert not basis.bras.flags.writeable and not basis.vectors.flags.writeable
 
     def test_energy_check_builds_no_dense_hamiltonian(self):
         # a dense 1024 x 1024 H0 alone is 16.8 MB; the check applies its
@@ -432,3 +440,30 @@ class TestWordReplay:
         phi0 = prepare_logical(0)
         assert amplitude_probability(phi0, phi0) == pytest.approx(1.0)
         assert amplitude_probability(phi0, prepare_logical(5)) == pytest.approx(0.0, abs=1e-14)
+
+
+# sha256 over the replay's output bits: the repr of jones_spin_abs on 200
+# seeded words of 2-3 strands and 1-12 letters at three tau values, then
+# the raw bytes of each generator's extracted matrix pair.  A change in the
+# replay's arithmetic or its order shows here even when it lies far below
+# the tolerances of every other test.
+REPLAY_SHA256 = "26c72ff623c17ef6aa125afffec1d463ea25157d2b672825eb50b6339cc267c6"
+
+
+def replay_digest() -> str:
+    rng = random.Random("spin-replay-bits")
+    h = hashlib.sha256()
+    for _ in range(200):
+        strands = rng.choice((2, 3))
+        letters = tuple(rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(1, 12)))
+        for tau in (20.0, 1.0, math.inf):
+            h.update(repr(jones_spin_abs(BraidWord(strands, letters), tau)).encode())
+    for name in BRAID_NAMES:
+        for matrix in extract_braid_matrix(name, 20.0):
+            h.update(matrix.tobytes())
+    return h.hexdigest()
+
+
+def test_replay_bits_are_pinned():
+    assert replay_digest() == REPLAY_SHA256

@@ -18,15 +18,15 @@ and strand k > 1 carries anyon 2k-1.  sigma_k is the letter
 sigma_k^-1 is (a_{k+1}, a_k); sigma_1 exchanges anyons 2 and 3, sigma_2
 the non-adjacent anyons 3 and 5.
 
-The Jones value at t = i of the word's closure on n pairs is
+The Jones value at t = i of the closure of a word on n strands (n pairs) is
 
     V = d^(n-1) <0...0|U|0...0>,   d = sqrt(2),
 
 with no writhe phase: in this sign convention the unknot sigma_1 comes out
 exactly 1 and the sample links 0, -1, -sqrt 2, -1, -2, as the bracket
-oracle gives them.  Pairs beyond the word's strands are spectator
-worldlines that close to split unknots, each scaling V by d.  The cost is
-O(letters * 2^n); above MAX_PAIRS the backend raises CapacityError.
+oracle gives them.  Spectator pairs are extra strands of the word that no
+letter touches: each closes to a split unknot and scales V by d.  The
+cost is O(letters * 2^n); above MAX_PAIRS the backend raises CapacityError.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ def _exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """(source, coefficient) with gamma_a gamma_b |v> = coefficient * v[source]."""
     if a == b or not (1 <= a <= 2 * pairs and 1 <= b <= 2 * pairs):
         raise ValueError(f"exchange ({a}, {b}) out of range for {pairs} pairs")
-    src, coeff = string_action(_mode(a, pairs) * _mode(b, pairs), pairs)
-    coeff.setflags(write=False)
-    return src, coeff
+    return string_action(_mode(a, pairs) * _mode(b, pairs), pairs)
 
 
 def braid_generators(pairs: int) -> tuple[np.ndarray, ...]:
@@ -90,24 +88,20 @@ def evolve(letters, pairs: int) -> np.ndarray:
     return state
 
 
-def link_to_anyon_word(word: BraidWord, pairs: int) -> list[tuple[int, int]]:
+def link_to_anyon_word(word: BraidWord) -> list[tuple[int, int]]:
     """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
     sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k."""
-    if word.strands > pairs:
-        raise ValueError(
-            f"word needs {word.strands} strands but only {pairs} pairs are available"
-        )
     return [(_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
             for g in word.letters]
 
 
-def jones_su2_2(word: BraidWord, pairs: int) -> complex:
-    """Signed Jones value at t = i of the word's closure on ``pairs`` pairs."""
-    state = evolve(link_to_anyon_word(word, pairs), pairs)
-    return QUANTUM_DIMENSION ** (pairs - 1) * complex(state[0])
+def jones_su2_2(word: BraidWord) -> complex:
+    """Signed Jones value at t = i of the word's closure, one pair per strand."""
+    state = evolve(link_to_anyon_word(word), word.strands)
+    return QUANTUM_DIMENSION ** (word.strands - 1) * complex(state[0])
 
 
-def jones_majorana_abs(word: BraidWord, pairs: int) -> float:
+def jones_majorana_abs(word: BraidWord) -> float:
     """|V| at t = i via the amplitude-magnitude relation 2^{(n-1)/2} |<0|U|0>|."""
-    state = evolve(link_to_anyon_word(word, pairs), pairs)
-    return 2.0 ** ((pairs - 1) / 2.0) * abs(complex(state[0]))
+    state = evolve(link_to_anyon_word(word), word.strands)
+    return 2.0 ** ((word.strands - 1) / 2.0) * abs(complex(state[0]))

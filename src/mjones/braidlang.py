@@ -68,16 +68,19 @@ class BraidWord:
     def max_generator(self) -> int:
         return max((abs(g) for g in self.letters), default=0)
 
-    def with_strands(self, strands: int) -> "BraidWord":
-        """Same letters on a wider braid; the closure gains unknot components."""
-        return BraidWord(strands, self.letters)
-
     def __str__(self) -> str:
         return format_braid(self)
 
 
 _TOKEN = re.compile(r"^(?:s(\d+)(\^-1)?|(-?\d+))$")
 _STRANDS = re.compile(r"^strands=(\d+)$")
+
+
+def _number(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:   # past int()'s digit limit: malformed text, not a crash
+        raise BraidSyntaxError(str(exc)) from exc
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -93,7 +96,7 @@ def parse_braid(text: str) -> BraidWord:
     strands = None
     start = 0
     if tokens and (m := _STRANDS.match(tokens[0])):
-        strands = int(m.group(1))
+        strands = _number(m.group(1))
         if strands < 1:
             raise BraidSyntaxError("token 1: strand count must be positive")
         start = 1
@@ -104,10 +107,10 @@ def parse_braid(text: str) -> BraidWord:
         if not m:
             raise BraidSyntaxError(f"token {pos}: malformed braid token {tok!r}")
         if m.group(1) is not None:
-            k = int(m.group(1))
+            k = _number(m.group(1))
             g = -k if m.group(2) else k
         else:
-            g = int(m.group(3))
+            g = _number(m.group(3))
         if g == 0:
             raise BraidSyntaxError(f"token {pos}: generator index 0 is not allowed")
         letters.append(g)

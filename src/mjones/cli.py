@@ -24,9 +24,10 @@ Three subcommands:
 A reader that closes the output pipe early ends a report quietly, with
 the status computed.
 
-An exception that a subcommand does not handle itself is reported on
-stderr as its traceback followed by ``internal error: <type>: <message>``,
-with exit status 4, so a crash is never mistaken for a disagreement (1).
+The subcommands raise; ``main`` alone maps an exception to the exit
+status above, with one line on stderr.  Any other exception is reported
+as its traceback followed by ``internal error: <type>: <message>``, status
+4, so a crash is never mistaken for a disagreement (1).
 
 JSON reports keep all comparison data under a ``payload`` key that is
 byte-stable across runs; wall-clock numbers live in a separate ``timing``
@@ -65,122 +66,16 @@ EXIT_INTERNAL = 4
 CSV_HEADER = ("word,writhe,components,proper,V_anyon_re,V_anyon_im,"
               "V_abs_majorana,V_kauffman_re,V_kauffman_im,agree")
 
-_BACKEND_ENTRY = {
-    "type": "object",
-    "oneOf": [
-        {"required": ["skipped"], "properties": {"skipped": {"type": "string"}},
-         "additionalProperties": False},
-        {"required": ["V_abs"],
-         "properties": {
-             "V_re": {"type": "number"}, "V_im": {"type": "number"},
-             "V_abs": {"type": "number"}, "V_abs_majorana": {"type": "number"},
-             "polynomial": {"type": "string"}},
-         "additionalProperties": False},
-    ],
-}
 
-JONES_REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["payload", "timing"],
-    "properties": {
-        "payload": {
-            "type": "object",
-            "required": ["word", "strands", "config", "invariants", "backends", "agreement"],
-            "properties": {
-                "word": {"type": "string"},
-                "strands": {"type": "integer", "minimum": 1},
-                "config": {"type": "object"},
-                "invariants": {
-                    "type": "object",
-                    "required": ["writhe", "components", "linking", "proper"],
-                    "properties": {
-                        "writhe": {"type": "integer"},
-                        "components": {"type": "integer", "minimum": 1},
-                        "linking": {"type": "array",
-                                    "items": {"type": "array", "items": {"type": "integer"}}},
-                        "proper": {"type": "boolean"},
-                        "arf": {"type": ["integer", "null"]},
-                        "jones_from_arf": {"type": "number"},
-                    },
-                },
-                "backends": {"type": "object",
-                             "additionalProperties": _BACKEND_ENTRY},
-                "agreement": {
-                    "type": "object",
-                    "required": ["agree", "comparisons"],
-                    "properties": {
-                        "agree": {"type": "boolean"},
-                        "comparisons": {
-                            "type": "array",
-                            "items": {
-                                "type": "object",
-                                "required": ["pair", "kind", "delta", "within"],
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "timing": {"type": "object", "additionalProperties": {"type": "number"}},
-    },
-}
-
-_COMPLEX_MATRIX = {
-    "type": "object",
-    "required": ["entries"],
-    "properties": {
-        "entries": {
-            "type": "array",
-            "items": {"type": "array",
-                      "items": {"type": "array", "items": {"type": "number"},
-                                "minItems": 2, "maxItems": 2}},
-        },
-        "labels": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
-VERIFY_REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["payload", "timing"],
-    "properties": {
-        "payload": {
-            "type": "object",
-            "required": ["checks", "artifacts"],
-            "properties": {
-                "checks": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["name", "passed", "detail"],
-                        "properties": {
-                            "name": {"type": "string"},
-                            "passed": {"type": "boolean"},
-                            "detail": {"type": "string"},
-                        },
-                    },
-                },
-                "artifacts": {"type": "object",
-                              "additionalProperties": _COMPLEX_MATRIX},
-            },
-        },
-        "timing": {"type": "object", "additionalProperties": {"type": "number"}},
-    },
-}
+class FlagError(ValueError):
+    """An invalid flag value; a backend's own ValueError stays an internal error."""
 
 
 def _check_tau(tau: float) -> None:
     # written as "not > 0" so that NaN is rejected too; tau = inf is the
     # exact projection
     if not tau > 0:
-        raise ValueError("tau must be positive")
-
-
-def _tau_too_small(tau: float, exc: spin_sim.DegenerateEvolutionError) -> int:
-    # below about 1e-13 the cooling fold cancels the replayed state outright
-    print(f"parse error: tau={tau} is too small for the spin replay: {exc}", file=sys.stderr)
-    return EXIT_PARSE
+        raise FlagError("tau must be positive")
 
 
 def _invariants_payload(word: BraidWord) -> dict:
@@ -200,9 +95,9 @@ def _invariants_payload(word: BraidWord) -> dict:
 
 
 def _anyon(word: BraidWord, tau: float) -> dict:
-    value = anyon_core.jones_su2_2(word, word.strands)
+    value = anyon_core.jones_su2_2(word)
     return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
-            "V_abs_majorana": anyon_core.jones_majorana_abs(word, word.strands)}
+            "V_abs_majorana": anyon_core.jones_majorana_abs(word)}
 
 
 def _spin(word: BraidWord, tau: float) -> dict:
@@ -216,24 +111,20 @@ def _kauffman(word: BraidWord, tau: float) -> dict:
             "polynomial": str(poly)}
 
 
-# report entry of each backend for a word at its pair count, in report order
+# report entry of each backend for a word, in report order
 _BACKENDS = {"anyon": _anyon, "spin": _spin, "kauffman": _kauffman}
 
 
-def run_jones(word: BraidWord, backend: str = "all", pairs: int | None = None,
-              tau: float = spin_sim.DEFAULT_TAU, tolerance: float = 1e-8) -> tuple[dict, dict]:
-    """Evaluate the requested backends on the word padded to the pair count;
-    returns the report payload and the wall-clock seconds of each backend."""
-    n = word.strands if pairs is None else pairs
-    if n < word.strands:
-        raise CapacityError(f"--pairs {n} is below the word's strand count {word.strands}")
-    padded = word.with_strands(n)
-    invariants = _invariants_payload(padded)
+def run_jones(word: BraidWord, backend: str, tau: float,
+              tolerance: float) -> tuple[dict, dict]:
+    """Evaluate the requested backends on the word; returns the report
+    payload and the wall-clock seconds of each backend."""
+    invariants = _invariants_payload(word)
     backends, timing = {}, {}
     for name in _BACKENDS if backend == "all" else (backend,):
         t0 = time.perf_counter()
         try:
-            backends[name] = _BACKENDS[name](padded, tau)
+            backends[name] = _BACKENDS[name](word, tau)
         except CapacityError as exc:
             if backend != "all":
                 raise
@@ -241,9 +132,9 @@ def run_jones(word: BraidWord, backend: str = "all", pairs: int | None = None,
         timing[f"{name}_s"] = time.perf_counter() - t0
     comparisons = _compare_backends(backends, invariants, tolerance)
     payload = {
-        "word": format_braid(padded),
-        "strands": n,
-        "config": {"backend": backend, "pairs": n,
+        "word": format_braid(word),
+        "strands": word.strands,
+        "config": {"backend": backend, "pairs": word.strands,
                    "tau": tau if math.isfinite(tau) else "inf", "tolerance": tolerance},
         "invariants": invariants,
         "backends": backends,
@@ -348,24 +239,11 @@ def _emit(text: str) -> None:
 
 
 def cmd_jones(args) -> int:
-    try:
-        if args.pairs is not None and args.pairs < 1:
-            raise ValueError("pairs must be a positive count")
-        _check_tau(args.tau)
-        # a tolerance of inf would accept every value
-        if not 0 < args.tolerance < math.inf:
-            raise ValueError("tolerance must be finite and positive")
-        word = parse_braid(args.word)
-    except (BraidSyntaxError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        payload, timing = run_jones(word, args.backend, args.pairs, args.tau, args.tolerance)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except spin_sim.DegenerateEvolutionError as exc:
-        return _tau_too_small(args.tau, exc)
+    _check_tau(args.tau)
+    # a tolerance of inf would accept every value
+    if not 0 < args.tolerance < math.inf:
+        raise FlagError("tolerance must be finite and positive")
+    payload, timing = run_jones(parse_braid(args.word), args.backend, args.tau, args.tolerance)
     if args.output == "json":
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
     else:
@@ -374,39 +252,23 @@ def cmd_jones(args) -> int:
 
 
 def cmd_braid_info(args) -> int:
-    try:
-        word = parse_braid(args.word)
-        invariants = _invariants_payload(word)
-    except BraidSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+    word = parse_braid(args.word)
     _emit(_report_text({"word": format_braid(word), "strands": word.strands,
-                        "invariants": invariants}))
+                        "invariants": _invariants_payload(word)}))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        _check_tau(args.tau)
-    except ValueError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _check_tau(args.tau)
     # each braid generator is extracted once per verify run, at its tau
     matrices = verify_mod.BraidMatrices(args.tau)
-    try:
-        results = verify_mod.run_all(tau=args.tau, matrices=matrices)
-        artifacts = verify_mod.report_artifacts(matrices) if args.output == "json" else None
-    except spin_sim.DegenerateEvolutionError as exc:
-        return _tau_too_small(args.tau, exc)
+    results = verify_mod.run_all(matrices)
     if args.output == "json":
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
-            "artifacts": artifacts,
+            "artifacts": verify_mod.report_artifacts(matrices),
         }
         timing = {r.name: r.elapsed for r in results}
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
@@ -429,12 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_jones = sub.add_parser("jones", help="evaluate a braid word's closure")
-    p_jones.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1 s2^-1'")
+    p_jones.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1 s2^-1'; a leading "
+                                      "'strands=N' pads it to N strands")
     p_jones.add_argument("--backend", choices=(*_BACKENDS, "all"),
                          default="all")
-    p_jones.add_argument("--pairs", type=int, default=None,
-                         help="anyon pair count / strand padding, a positive count "
-                              "(default: the word's strand count)")
     p_jones.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
     p_jones.add_argument("--tolerance", type=float, default=1e-8)
     p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")
@@ -464,6 +324,17 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (BraidSyntaxError, FlagError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except spin_sim.DegenerateEvolutionError as exc:
+        # below about 1e-13 the cooling fold cancels the replayed state outright
+        print(f"parse error: tau={args.tau} is too small for the spin replay: {exc}",
+              file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

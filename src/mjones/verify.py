@@ -124,9 +124,9 @@ def check_anyon_golden_values(matrices: BraidMatrices) -> CheckResult:
     worst_abs = 0.0
     worst_signed = 0.0
     for _, word, v in GOLDEN_LINKS:
-        got_abs = anyon_core.jones_majorana_abs(word, word.strands)
+        got_abs = anyon_core.jones_majorana_abs(word)
         worst_abs = max(worst_abs, abs(got_abs - abs(v)))
-        worst_signed = max(worst_signed, abs(anyon_core.jones_su2_2(word, word.strands) - v))
+        worst_signed = max(worst_signed, abs(anyon_core.jones_su2_2(word) - v))
     elapsed = time.perf_counter() - t0
     ok = worst_abs <= 1e-12 and worst_signed <= 1e-9 and elapsed < 0.1
     return CheckResult(
@@ -139,8 +139,7 @@ def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for _, word, v in GOLDEN_LINKS:
-        state = anyon_core.evolve(anyon_core.link_to_anyon_word(word, word.strands),
-                                  word.strands)
+        state = anyon_core.evolve(anyon_core.link_to_anyon_word(word), word.strands)
         worst = max(worst, abs(abs(complex(state[0])) - _golden_amplitude(word, v)))
     ok = worst <= 1e-12
     return CheckResult(
@@ -153,7 +152,7 @@ def check_oracle_agreement(matrices: BraidMatrices) -> CheckResult:
     worst = 0.0
     for _, word, _ in GOLDEN_LINKS:
         oracle = kauffman_oracle.jones_at_i(word)
-        worst = max(worst, abs(oracle - anyon_core.jones_su2_2(word, word.strands)))
+        worst = max(worst, abs(oracle - anyon_core.jones_su2_2(word)))
     unknot_ok = kauffman_oracle.jones_polynomial(BraidWord(2, (1,))) == 1
     ok = worst <= 1e-9 and unknot_ok
     return CheckResult(
@@ -323,11 +322,9 @@ CHECKS = (
 )
 
 
-def run_all(tau: float = spin_sim.DEFAULT_TAU,
-            matrices: BraidMatrices | None = None) -> list[CheckResult]:
+def run_all(matrices: BraidMatrices) -> list[CheckResult]:
     """Execute every check in fixed order on one shared ``matrices``, which
-    carries ``tau`` to the replay checks."""
-    matrices = matrices or BraidMatrices(tau)
+    carries its ``tau`` to the replay checks."""
     return [fn(matrices) for fn in CHECKS]
 
 

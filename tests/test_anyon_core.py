@@ -9,6 +9,7 @@ import pytest
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
+    _exchange,
     braid_generators,
     evolve,
     jones_majorana_abs,
@@ -40,6 +41,15 @@ def test_exchange_is_the_majorana_product_form():
     gammas = [np.kron(x, np.eye(2)), np.kron(y, np.eye(2)), np.kron(z, x), np.kron(z, y)]
     for m, g in enumerate(braid_generators(2)):
         assert np.allclose(g, (np.eye(4) + gammas[m] @ gammas[m + 1]) / math.sqrt(2))
+
+
+def test_exchange_arrays_are_read_only():
+    # _exchange is cached: a caller that wrote into its arrays would change
+    # every later exchange of the same pair
+    for src, coeff in (_exchange(1, 2, 2), _exchange(5, 3, 3)):
+        assert not src.flags.writeable and not coeff.flags.writeable
+        with pytest.raises(ValueError):
+            coeff[0] = 0
 
 
 def test_generators_unitary():
@@ -82,7 +92,7 @@ def test_pair_count_above_the_cap_is_a_capacity_error():
     with pytest.raises(CapacityError):
         evolve([], MAX_PAIRS + 1)
     with pytest.raises(CapacityError):
-        jones_su2_2(BraidWord(MAX_PAIRS + 1, (1,)), MAX_PAIRS + 1)
+        jones_su2_2(BraidWord(MAX_PAIRS + 1, (1,)))
 
 
 def test_vacuum_amplitudes():
@@ -106,13 +116,13 @@ def test_conjugated_exchange_matches_direct_form():
     # the Borromean rings with sigma_2^-1 = (5, 3) written as B4 B3 B4^-1
     b1, b2, b3, b4, b5 = braid_generators(3)
     conjugated = np.linalg.matrix_power(b4 @ b3 @ np.linalg.inv(b4) @ b2, 3)[:, 0]
-    direct = evolve(link_to_anyon_word(BORROMEAN, 3), 3)
+    direct = evolve(link_to_anyon_word(BORROMEAN), 3)
     assert np.max(np.abs(direct - conjugated)) < 1e-12
     assert complex(conjugated[0]) == pytest.approx(-1)
 
 
 def test_figure_eight_amplitude_magnitude():
-    u = evolve(link_to_anyon_word(FIG8, 3), 3)
+    u = evolve(link_to_anyon_word(FIG8), 3)
     assert abs(complex(u[0])) == pytest.approx(0.5)
 
 
@@ -128,52 +138,43 @@ def test_amplitude_bounded_by_one():
 
 
 def test_jones_signed_values():
-    assert jones_su2_2(HOPF, 2) == pytest.approx(0, abs=1e-12)
-    assert jones_su2_2(TREFOIL, 2) == pytest.approx(-1)
-    assert jones_su2_2(SOLOMON, 2) == pytest.approx(-math.sqrt(2))
-    assert jones_su2_2(FIG8, 3) == pytest.approx(-1)
-    assert jones_su2_2(BORROMEAN, 3) == pytest.approx(-2)
+    assert jones_su2_2(HOPF) == pytest.approx(0, abs=1e-12)
+    assert jones_su2_2(TREFOIL) == pytest.approx(-1)
+    assert jones_su2_2(SOLOMON) == pytest.approx(-math.sqrt(2))
+    assert jones_su2_2(FIG8) == pytest.approx(-1)
+    assert jones_su2_2(BORROMEAN) == pytest.approx(-2)
 
 
 def test_jones_unknot_and_unlinks():
-    assert jones_su2_2(BraidWord(2, (1,)), 2) == pytest.approx(1)
-    assert jones_su2_2(BraidWord(2, ()), 2) == pytest.approx(math.sqrt(2))
-    assert jones_su2_2(BraidWord(3, ()), 3) == pytest.approx(2)
+    assert jones_su2_2(BraidWord(2, (1,))) == pytest.approx(1)
+    assert jones_su2_2(BraidWord(2, ())) == pytest.approx(math.sqrt(2))
+    assert jones_su2_2(BraidWord(3, ())) == pytest.approx(2)
 
 
 def test_spare_pair_scales_by_quantum_dimension():
     # an extra pair adds a split unknot: |V| gains a factor sqrt(2)
     for word in (TREFOIL, SOLOMON):
-        v2 = jones_majorana_abs(word, 2)
-        v3 = jones_majorana_abs(word.with_strands(3), 3)
+        v2 = jones_majorana_abs(word)
+        v3 = jones_majorana_abs(BraidWord(3, word.letters))
         assert v3 == pytest.approx(QUANTUM_DIMENSION * v2)
 
 
 def test_jones_majorana_abs_golden():
     expected = {
-        (HOPF, 2): 0.0,
-        (TREFOIL, 2): 1.0,
-        (SOLOMON, 2): math.sqrt(2),
-        (FIG8, 3): 1.0,
-        (BORROMEAN, 3): 2.0,
-        (BraidWord(3, ()), 3): 2.0,
+        HOPF: 0.0,
+        TREFOIL: 1.0,
+        SOLOMON: math.sqrt(2),
+        FIG8: 1.0,
+        BORROMEAN: 2.0,
+        BraidWord(3, ()): 2.0,
     }
-    for (word, pairs), value in expected.items():
-        assert jones_majorana_abs(word, pairs) == pytest.approx(value, abs=1e-12)
+    for word, value in expected.items():
+        assert jones_majorana_abs(word) == pytest.approx(value, abs=1e-12)
 
 
 def test_jones_majorana_abs_matches_signed_magnitude():
-    for word, pairs in ((HOPF, 2), (TREFOIL, 2), (SOLOMON, 2), (FIG8, 3), (BORROMEAN, 3)):
-        assert jones_majorana_abs(word, pairs) == pytest.approx(
-            abs(jones_su2_2(word, pairs)), abs=1e-12
-        )
-
-
-def test_word_wider_than_pairs_rejected():
-    with pytest.raises(ValueError):
-        jones_su2_2(BORROMEAN, 2)
-    with pytest.raises(ValueError):
-        link_to_anyon_word(BORROMEAN, 2)
+    for word in (HOPF, TREFOIL, SOLOMON, FIG8, BORROMEAN):
+        assert jones_majorana_abs(word) == pytest.approx(abs(jones_su2_2(word)), abs=1e-12)
 
 
 def test_signed_agreement_with_bracket_oracle_on_random_words():
@@ -181,9 +182,7 @@ def test_signed_agreement_with_bracket_oracle_on_random_words():
     rng = random.Random(99)
     for _ in range(300):
         word = random_word(rng, rng.randint(1, 8), 12)
-        assert jones_su2_2(word, word.strands) == pytest.approx(
-            jones_at_i(word), abs=1e-9
-        )
+        assert jones_su2_2(word) == pytest.approx(jones_at_i(word), abs=1e-9)
 
 
 def test_markov_stabilization():
@@ -192,10 +191,10 @@ def test_markov_stabilization():
     for _ in range(60):
         word = random_word(rng, rng.randint(1, 6), 10)
         n = word.strands
-        value = jones_su2_2(word, n)
+        value = jones_su2_2(word)
         for sign in (1, -1):
             stabilized = BraidWord(n + 1, word.letters + (sign * n,))
-            assert jones_su2_2(stabilized, n + 1) == pytest.approx(value, abs=1e-9)
+            assert jones_su2_2(stabilized) == pytest.approx(value, abs=1e-9)
 
 
 def test_torus_closures_beyond_the_sample_set():
@@ -204,4 +203,4 @@ def test_torus_closures_beyond_the_sample_set():
     values = {5: -1.0, 6: 0.0, 7: 1.0, 8: math.sqrt(2)}
     for m, expected in values.items():
         word = BraidWord(2, (1,) * m)
-        assert jones_su2_2(word, 2) == pytest.approx(expected, abs=1e-9)
+        assert jones_su2_2(word) == pytest.approx(expected, abs=1e-9)

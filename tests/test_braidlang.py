@@ -206,7 +206,7 @@ def test_link_invariants_match_the_matrix_reference():
         strands = rng.randint(2, 9)
         letters = tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
                         for _ in range(rng.randint(0, 24)))
-        # every third word gains unknot components, as --pairs pads it
+        # every third word gains unknot components, as a strands= prefix pads it
         padding = rng.randint(1, 6) if trial % 3 == 0 else 0
         word = BraidWord(strands + padding, letters)
         inv = link_invariants(word)
@@ -327,7 +327,7 @@ def test_lookup_arf_data_padded_word():
     # spare strands are split discs: one more surface piece each, no loops
     for word in (TREFOIL, BORROMEAN, HOPF):
         base = lookup_arf_data(word)
-        padded = lookup_arf_data(word.with_strands(word.strands + 2))
+        padded = lookup_arf_data(BraidWord(word.strands + 2, word.letters))
         assert (padded.diagonal, padded.rows) == (base.diagonal, base.rows)
         assert padded.pieces == base.pieces + 2
         assert gauss_sum(padded) == gauss_sum(base)
@@ -370,8 +370,8 @@ def test_arf_route_matches_bracket_oracle_on_proper_links():
 
     rng = random.Random(31)
     words = [parse_braid("s1"), TREFOIL, SOLOMON, FIG8, BORROMEAN, HOPF,
-             BraidWord(1, ()), BraidWord(3, ()), TREFOIL.with_strands(3),
-             BORROMEAN.with_strands(4)]
+             BraidWord(1, ()), BraidWord(3, ()), BraidWord(3, TREFOIL.letters),
+             BraidWord(4, BORROMEAN.letters)]
     words += [_random_word(rng, rng.randint(1, 8), rng.randint(0, 12)) for _ in range(1000)]
     zeros = 0
     for word in words:
@@ -394,5 +394,5 @@ def test_arf_route_matches_anyon_backend_up_to_sixteen_strands():
             word = _random_word(rng, strands, rng.randint(0, 24))
             inv = link_invariants(word)
             arf = _arf(word) if inv.proper else None
-            assert jones_su2_2(word, strands) == pytest.approx(
+            assert jones_su2_2(word) == pytest.approx(
                 jones_from_arf(inv, arf), abs=1e-9), word

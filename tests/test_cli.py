@@ -21,11 +21,114 @@ from mjones.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
-    JONES_REPORT_SCHEMA,
-    VERIFY_REPORT_SCHEMA,
     build_parser,
     main,
 )
+
+# the JSON reports' schemas, which the schema tests validate against
+_BACKEND_ENTRY = {
+    "type": "object",
+    "oneOf": [
+        {"required": ["skipped"], "properties": {"skipped": {"type": "string"}},
+         "additionalProperties": False},
+        {"required": ["V_abs"],
+         "properties": {
+             "V_re": {"type": "number"}, "V_im": {"type": "number"},
+             "V_abs": {"type": "number"}, "V_abs_majorana": {"type": "number"},
+             "polynomial": {"type": "string"}},
+         "additionalProperties": False},
+    ],
+}
+
+JONES_REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["payload", "timing"],
+    "properties": {
+        "payload": {
+            "type": "object",
+            "required": ["word", "strands", "config", "invariants", "backends", "agreement"],
+            "properties": {
+                "word": {"type": "string"},
+                "strands": {"type": "integer", "minimum": 1},
+                "config": {"type": "object"},
+                "invariants": {
+                    "type": "object",
+                    "required": ["writhe", "components", "linking", "proper"],
+                    "properties": {
+                        "writhe": {"type": "integer"},
+                        "components": {"type": "integer", "minimum": 1},
+                        "linking": {"type": "array",
+                                    "items": {"type": "array", "items": {"type": "integer"}}},
+                        "proper": {"type": "boolean"},
+                        "arf": {"type": ["integer", "null"]},
+                        "jones_from_arf": {"type": "number"},
+                    },
+                },
+                "backends": {"type": "object",
+                             "additionalProperties": _BACKEND_ENTRY},
+                "agreement": {
+                    "type": "object",
+                    "required": ["agree", "comparisons"],
+                    "properties": {
+                        "agree": {"type": "boolean"},
+                        "comparisons": {
+                            "type": "array",
+                            "items": {
+                                "type": "object",
+                                "required": ["pair", "kind", "delta", "within"],
+                            },
+                        },
+                    },
+                },
+            },
+        },
+        "timing": {"type": "object", "additionalProperties": {"type": "number"}},
+    },
+}
+
+_COMPLEX_MATRIX = {
+    "type": "object",
+    "required": ["entries"],
+    "properties": {
+        "entries": {
+            "type": "array",
+            "items": {"type": "array",
+                      "items": {"type": "array", "items": {"type": "number"},
+                                "minItems": 2, "maxItems": 2}},
+        },
+        "labels": {"type": "array", "items": {"type": "string"}},
+    },
+}
+
+VERIFY_REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["payload", "timing"],
+    "properties": {
+        "payload": {
+            "type": "object",
+            "required": ["checks", "artifacts"],
+            "properties": {
+                "checks": {
+                    "type": "array",
+                    "items": {
+                        "type": "object",
+                        "required": ["name", "passed", "detail"],
+                        "properties": {
+                            "name": {"type": "string"},
+                            "passed": {"type": "boolean"},
+                            "detail": {"type": "string"},
+                        },
+                    },
+                },
+                "artifacts": {"type": "object",
+                              "additionalProperties": _COMPLEX_MATRIX},
+            },
+        },
+        "timing": {"type": "object", "additionalProperties": {"type": "number"}},
+    },
+}
 
 
 def run(capsys, *argv):
@@ -182,7 +285,7 @@ def test_jones_anyon_beyond_three_pairs(capsys):
 
 
 def test_jones_all_skips_unsupported_spin(capsys):
-    code, out, _ = run(capsys, "jones", "strands=4 s1 s1 s1", "--pairs", "4", "--backend", "all")
+    code, out, _ = run(capsys, "jones", "strands=4 s1 s1 s1", "--backend", "all")
     # spin cannot host four strands; anyon and the oracle still answer
     assert code == EXIT_OK
     assert "spin      skipped" in out
@@ -196,18 +299,6 @@ def test_jones_four_strands_compares_anyon_with_the_oracle(capsys):
     comparisons = json.loads(out)["payload"]["agreement"]["comparisons"]
     signed = [c for c in comparisons if c["pair"] == "anyon/kauffman"]
     assert signed and signed[0]["kind"] == "signed" and signed[0]["within"]
-
-
-def test_jones_pairs_below_strands_rejected(capsys):
-    code, _, err = run(capsys, "jones", "s1 s2^-1", "--pairs", "2")
-    assert code == EXIT_CAPACITY
-
-
-@pytest.mark.parametrize("pairs", ["0", "-2"])
-def test_jones_non_positive_pairs_is_a_parse_error(capsys, pairs):
-    code, _, err = run(capsys, "jones", "s1", "--pairs", pairs)
-    assert code == EXIT_PARSE
-    assert "pairs must be a positive count" in err
 
 
 def test_jones_empty_word(capsys):
@@ -262,12 +353,14 @@ def test_flipped_arf_bit_is_a_disagreement(capsys, monkeypatch):
     assert "DISAGREE" in out
 
 
-@pytest.mark.parametrize("command", ["jones", "braid-info"])
-def test_link_table_option_is_unknown(capsys, command):
+@pytest.mark.parametrize("command, option", [
+    ("jones", "--link-table"), ("braid-info", "--link-table"), ("jones", "--pairs"),
+], ids=["jones", "braid-info", "jones-pairs"])
+def test_link_table_option_is_unknown(capsys, command, option):
     with pytest.raises(SystemExit) as exc:
-        main([command, "s1 s1 s1", "--link-table", "links.json"])
+        main([command, "s1 s1 s1", option, "3"])
     assert exc.value.code == EXIT_PARSE
-    assert "unrecognized arguments: --link-table" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("word", ["strands=60", "strands=500", "strands=81 s1 s1 s1 s1 s1"])
@@ -282,7 +375,7 @@ def test_jones_wide_words_agree_relative_to_their_size(capsys, word):
     ["braid-info", "strands=2049"],
     ["braid-info", "strands=3000"],
     ["jones", "strands=3000", "--backend", "kauffman"],
-    ["jones", "s1", "--pairs", "1000000000000"],
+    ["jones", "strands=1000000000000 s1"],
 ])
 def test_more_strands_than_a_double_holds_is_capacity(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -328,6 +421,16 @@ def test_braid_info_unlink(capsys):
 def test_braid_info_parse_error(capsys):
     code, _, err = run(capsys, "braid-info", "nope")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["jones", "braid-info"])
+@pytest.mark.parametrize("word", ["s" + "1" * 5000, "strands=" + "9" * 5000],
+                         ids=["generator", "strands"])
+def test_a_number_past_the_digit_limit_is_a_parse_error(capsys, command, word):
+    # more digits than int() converts: one stderr line, no traceback
+    code, out, err = run(capsys, command, word)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error: Exceeds the limit") and len(err.splitlines()) == 1
 
 
 def test_verify_json_schema(capsys):
@@ -419,14 +522,14 @@ def _call(capsys, dispatch, argv):
 
 
 def _fresh(argv):
-    """Dispatch through a newly built parser."""
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Dispatch through ``main`` on a newly built parser."""
+    cli._parser = None
+    return main(argv)
 
 
 # (argv, exit code) calls made in order through one process's ``main``
 LEAK_SEQUENCES = {
-    "pairs": [(["jones", "s1", "--pairs", "3", "--output", "json"], EXIT_OK),
+    "pairs": [(["jones", "strands=3 s1", "--output", "json"], EXIT_OK),
               (["jones", "s1", "--output", "json"], EXIT_OK)],
     "tau-then-verify": [(["jones", "s1 s1", "--tau", "5", "--tolerance", "1e-6",
                           "--backend", "spin"], EXIT_OK),
@@ -447,7 +550,7 @@ def test_each_main_call_matches_a_fresh_parser(capsys, name):
 
 
 def test_no_flag_leaks_into_the_next_jones_call(capsys):
-    code, _, _ = run(capsys, "jones", "s1", "--backend", "anyon", "--pairs", "3",
+    code, _, _ = run(capsys, "jones", "strands=3 s1", "--backend", "anyon",
                      "--tau", "5", "--tolerance", "1e-6", "--output", "json")
     assert code == EXIT_OK
     code, out, _ = run(capsys, "jones", "s1", "--output", "json")
@@ -462,9 +565,9 @@ def test_verify_after_jones_tau_uses_the_default(capsys, monkeypatch):
     seen = []
     run_all = cli.verify_mod.run_all
 
-    def spy(tau, **kwargs):
-        seen.append(tau)
-        return run_all(tau=tau, **kwargs)
+    def spy(matrices):
+        seen.append(matrices.tau)
+        return run_all(matrices)
 
     monkeypatch.setattr(cli.verify_mod, "run_all", spy)
     assert run(capsys, "jones", "s1", "--tau", "5", "--backend", "spin")[0] == EXIT_OK
@@ -500,7 +603,7 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting)
-    for argv in (["jones", "s1"], ["braid-info", "s1 s1"], ["jones", "s1 s1", "--pairs", "3"],
+    for argv in (["jones", "s1"], ["braid-info", "s1 s1"], ["jones", "strands=3 s1 s1"],
                  ["jones", "s1", "--tau", "nan"]):
         main(argv)
     capsys.readouterr()

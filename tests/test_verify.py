@@ -21,8 +21,8 @@ def matrices() -> verify.BraidMatrices:
 def test_figure_eight_sign_is_checked(monkeypatch):
     original = anyon_core.jones_su2_2
 
-    def flipped(word, pairs):
-        value = original(word, pairs)
+    def flipped(word):
+        value = original(word)
         return -value if word == FIG8 else value
 
     monkeypatch.setattr(anyon_core, "jones_su2_2", flipped)

@@ -3,7 +3,8 @@
 * :mod:`mjones.braidlang` - braid words and closure invariants
 * :mod:`mjones.anyon_core` - Ising-anyon braiding on n pairs as Majorana exchanges
 * :mod:`mjones.kauffman_oracle` - exact Temperley-Lieb bracket (classical oracle)
-* :mod:`mjones.spin_sim` - ten-qubit imaginary-time braiding replay
+* :mod:`mjones.spin_sim` - ten-qubit imaginary-time braiding replay and its exact
+  tau -> inf stabilizer-tableau walk
 * :mod:`mjones.tomography` - Pauli-basis state/process decompositions
 * :mod:`mjones.verify` - cross-validation suite behind ``mjones verify``
 """

@@ -84,10 +84,14 @@ def _invariants_payload(word: BraidWord) -> dict:
                             f"double only up to {MAX_STRANDS} strands")
     inv = link_invariants(word)
     arf = arf_invariant(inv, lookup_arf_data(word)) if inv.proper else None
+    # only the nonzero linking numbers, as [i, j, lk] with i < j: the full
+    # m x m matrix of a wide word would fill megabytes with zeros
+    linking = [[i, j, row[j]] for i, row in enumerate(inv.linking) if any(row)
+               for j in range(i + 1, inv.components) if row[j]]
     return {
         "writhe": inv.writhe,
         "components": inv.components,
-        "linking": [list(row) for row in inv.linking],
+        "linking": linking,
         "proper": inv.proper,
         "arf": arf,
         "jones_from_arf": jones_from_arf(inv, arf),
@@ -101,7 +105,7 @@ def _anyon(word: BraidWord, tau: float) -> dict:
 
 
 def _spin(word: BraidWord, tau: float) -> dict:
-    return {"V_abs": spin_sim.jones_spin_abs(word, tau)}
+    return {"V_abs": spin_sim.jones_spin_abs(word, tau), "method": spin_sim.spin_method(tau)}
 
 
 def _kauffman(word: BraidWord, tau: float) -> dict:
@@ -134,8 +138,8 @@ def run_jones(word: BraidWord, backend: str, tau: float,
     payload = {
         "word": format_braid(word),
         "strands": word.strands,
-        "config": {"backend": backend, "pairs": word.strands,
-                   "tau": tau if math.isfinite(tau) else "inf", "tolerance": tolerance},
+        "config": {"backend": backend, "tau": tau if math.isfinite(tau) else "inf",
+                   "tolerance": tolerance},
         "invariants": invariants,
         "backends": backends,
         "agreement": {"agree": all(c["within"] for c in comparisons),
@@ -197,12 +201,12 @@ def _report_text(payload: dict) -> str:
     """The report as text; a payload without ``backends`` (braid-info) shows
     the invariants only."""
     inv = payload["invariants"]
-    lines = [f"word: {payload['word']}   (strands/pairs: {payload['strands']})"]
+    lines = [f"word: {payload['word']}   (strands: {payload['strands']})"]
     lines.append(
         f"writhe: {inv['writhe']}   components: {inv['components']}   proper: {inv['proper']}"
     )
     if inv["components"] > 1:
-        lines.append("linking: " + "; ".join(str(row) for row in inv["linking"]))
+        lines.append("linking: " + ("; ".join(map(str, inv["linking"])) or "all zero"))
     if inv["proper"]:
         lines.append(f"arf: {inv['arf']}   V(i) from arf: {inv['jones_from_arf']:+.6f}")
     else:
@@ -218,7 +222,7 @@ def _report_text(payload: dict) -> str:
                 f"{name:9s} V(i) = {entry['V_re']:+.9f}{entry['V_im']:+.9f}i   |V| = {entry['V_abs']:.9f}"
             )
         else:
-            lines.append(f"{name:9s} |V| = {entry['V_abs']:.9f}")
+            lines.append(f"{name:9s} |V| = {entry['V_abs']:.9f}   ({entry['method']})")
     agreement = payload["agreement"]
     for cmp_ in agreement["comparisons"]:
         mark = "ok" if cmp_["within"] else "DISAGREE"
@@ -266,7 +270,8 @@ def cmd_verify(args) -> int:
     if args.output == "json":
         payload = {
             "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+                {"name": r.name, "passed": r.passed, "detail": r.describe(with_time=False)}
+                for r in results
             ],
             "artifacts": verify_mod.report_artifacts(matrices),
         }
@@ -274,7 +279,7 @@ def cmd_verify(args) -> int:
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
     else:
         width = max(len(r.name) for r in results)
-        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
+        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.describe(with_time=True)}"
                  for r in results]
         total = sum(r.elapsed for r in results)
         lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed in {total:.2f} s")

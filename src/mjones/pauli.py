@@ -1,5 +1,6 @@
 """Pauli strings on a small qubit register: algebra, dense forms, exact
-spectra of commuting sums, and state-vector kernels.
+spectra of commuting sums, state-vector kernels, and an exact
+stabilizer tableau.
 
 Sites are numbered 1..n with site 1 as the most significant bit of the
 basis index.  Every layer uses one type, :class:`PauliTerm`: a
@@ -204,3 +205,135 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
     signs = 1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
     values = signs @ np.array([complex(t.coefficient).real for t in terms])
     return np.sort(np.repeat(values, 1 << (n - m)))
+
+
+# ---------------------------------------------------------------------------
+# exact stabilizer tableau
+# ---------------------------------------------------------------------------
+#
+# A Pauli word is an (x, z, r) triple of ints meaning i^r X^x Z^z, with the
+# bits of _masks: bit n - site of x (z) puts an X (Z) on that site, so a Y
+# is i X Z.  The word of a term is exactly the operator apply_pauli applies.
+
+Word = tuple[int, int, int]
+
+_POWER_OF_I = {1: 0, 1j: 1, -1: 2, -1j: 3}
+
+RANDOM, CERTAIN, CONTRADICTED = "random", "certain", "contradicted"
+
+
+def pauli_word(term: PauliTerm, n: int) -> Word:
+    """The term as an (x, z, r) triple on ``n`` sites; its coefficient must
+    be a power of i."""
+    power = _POWER_OF_I.get(complex(term.coefficient))
+    if power is None:
+        raise ValueError(f"term {term.label()} has a coefficient that is not a power of i")
+    x, z, ycount = _masks(term.factors, n)
+    return x, z, (power + ycount) & 3
+
+
+def word_product(a: Word, b: Word) -> Word:
+    """The word a·b: moving b's X part past a's Z part costs (-1)^|z_a & x_b|."""
+    ax, az, ar = a
+    bx, bz, br = b
+    return ax ^ bx, az ^ bz, (ar + br + 2 * (az & bx).bit_count()) & 3
+
+
+def anticommute(a: Word, b: Word) -> bool:
+    """Words anticommute iff they clash on an odd number of sites."""
+    return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
+
+
+class StabilizerState:
+    """An n-qubit stabilizer state as an Aaronson-Gottesman tableau (PRA 70,
+    052328, 2004): n commuting Hermitian stabilizer words with the state as
+    their joint +1 eigenvector, and n destabilizer words, the i-th of which
+    anticommutes with the i-th stabilizer and commutes with the others.
+    Destabilizer phases carry no meaning.  Rows are edited in place."""
+
+    __slots__ = ("stabilizers", "destabilizers")
+
+    def __init__(self, stabilizers: list, destabilizers: list):
+        self.stabilizers = stabilizers
+        self.destabilizers = destabilizers
+
+    @classmethod
+    def from_generators(cls, words, n: int) -> "StabilizerState":
+        """The state stabilized by ``n`` commuting, independent Hermitian
+        words; the destabilizers come from one GF(2) solve."""
+        words = list(words)
+        if len(words) != n:
+            raise ValueError(f"{len(words)} generators for {n} qubits")
+        for i, w in enumerate(words):
+            if (w[2] - (w[0] & w[1]).bit_count()) & 1:
+                raise ValueError(f"generator {i} is not Hermitian")
+            if any(anticommute(w, v) for v in words[i + 1:]):
+                raise ValueError(f"generator {i} anticommutes with a later one")
+        # Row j of the system is the linear form d -> <d, S_j> on a word's
+        # x << n | z bits, that is S_j with its X and Z parts swapped.
+        # It is reduced to echelon form as it is read.
+        rows: list[tuple[int, int, int]] = []   # (bits, rows combined, pivot)
+        for j, (x, z, _) in enumerate(words):
+            bits, combo = z << n | x, 1 << j
+            for rbits, rcombo, pivot in rows:
+                if bits >> pivot & 1:
+                    bits ^= rbits
+                    combo ^= rcombo
+            if not bits:
+                raise ValueError(f"generator {j} is a product of the others")
+            pivot = bits.bit_length() - 1
+            rows = [(rbits ^ bits, rcombo ^ combo, rp) if rbits >> pivot & 1
+                    else (rbits, rcombo, rp) for rbits, rcombo, rp in rows]
+            rows.append((bits, combo, pivot))
+        # the unit vector at row k's pivot meets row k alone, so D_i, the sum
+        # of the pivots of the rows that combine S_i, meets S_i alone
+        low = (1 << n) - 1
+        destabilizers = []
+        for i in range(n):
+            d = 0
+            for _, combo, pivot in rows:
+                if combo >> i & 1:
+                    d |= 1 << pivot
+            destabilizers.append((d >> n, d & low, 0))
+        return cls(words, destabilizers)
+
+    def copy(self) -> "StabilizerState":
+        return StabilizerState(list(self.stabilizers), list(self.destabilizers))
+
+    def measure(self, word: Word) -> str:
+        """Force the +1 outcome of a Hermitian word.
+
+        RANDOM: the outcome had probability 1/2 and the state is projected.
+        CERTAIN: the state already reads +1.  CONTRADICTED: it reads -1, the
+        outcome has probability 0, and the state is left as it was.
+        """
+        wx, wz, wr = word
+        stabs, destabs = self.stabilizers, self.destabilizers
+        for p, (sx, sz, _) in enumerate(stabs):
+            if ((sx & wz) ^ (sz & wx)).bit_count() & 1:
+                s = stabs[p]
+                for rows in (stabs, destabs):
+                    for i, (x, z, _) in enumerate(rows):
+                        if i != p and ((x & wz) ^ (z & wx)).bit_count() & 1:
+                            rows[i] = word_product(rows[i], s)
+                destabs[p] = s
+                stabs[p] = word
+                return RANDOM
+        # the word commutes with every stabilizer, so it is +- the product of
+        # the stabilizers whose destabilizers it anticommutes with; that
+        # product's phase is accumulated as in word_product
+        az = ar = 0
+        for (dx, dz, _), (sx, sz, sr) in zip(destabs, stabs):
+            if ((dx & wz) ^ (dz & wx)).bit_count() & 1:
+                ar += sr + 2 * (az & sx).bit_count()
+                az ^= sz
+        return CERTAIN if (ar - wr) & 3 == 0 else CONTRADICTED
+
+    def conjugate(self, word: Word) -> None:
+        """Apply the Pauli word to the state: every row it anticommutes with
+        changes sign."""
+        wx, wz, _ = word
+        for rows in (self.stabilizers, self.destabilizers):
+            for i, (x, z, r) in enumerate(rows):
+                if ((x & wz) ^ (z & wx)).bit_count() & 1:
+                    rows[i] = (x, z, (r + 2) & 3)

@@ -23,6 +23,21 @@ mid-pair exchange acts on the logical pair as (II + i XX)/sqrt2 (up to a
 global phase); flipping it would conjugate that gate into (II - i XX).
 With this choice the far-pair exchange comes out exactly I (x) (II - i YX)
 / sqrt2 for the anticlockwise direction.
+
+|V| of a word comes from one of two runs of the same schedules, chosen by
+tau alone (``spin_method``).  The vector replay (``jones_spin_replay``) is
+the finite-tau experiment.  Its stage is normalize(g + e^(-2 tau) P e), with
+g and e the term's ground and excited parts and P the pairing.  Once
+e^(-2 tau) <= 2^-53, the double's unit roundoff, that is tau >= WALK_TAU =
+53 ln2 / 2 ~ 18.37, the stage equals its tau -> inf limit to within one
+rounding.  That limit is a forced Pauli measurement: project onto the
+term's -1 eigenspace, or apply P if g = 0.  The Majorana exchanges are
+Clifford (Bravyi & Kitaev 2002), phi0 = prepare_logical(0) is a stabilizer
+state (``PHI0_GENERATORS``), and so ``jones_spin_tableau`` runs every stage
+as an exact stabilizer-tableau walk (``pauli.StabilizerState``).  It reads
+|<phi0|phi_f>|^2 = 2^-k off the k random outcomes of measuring phi0's ten
+generators on the final state, or 0 when one is contradicted.  ``verify``
+and the stage-by-stage checks run the replay at their own tau.
 """
 
 from __future__ import annotations
@@ -40,6 +55,7 @@ from .braidlang import BraidWord, CapacityError
 # no caller here; it stays bound because perfbench/tracing.py wraps
 # spin_sim.apply_pauli and spin_sim.dense_sum by name
 from .pauli import PauliTerm, apply_pauli, dense_sum, majorana_string  # noqa: F401
+from .pauli import CERTAIN, CONTRADICTED, RANDOM, StabilizerState, pauli_word
 
 N_SITES = 10
 DIM = 1 << N_SITES
@@ -50,6 +66,7 @@ NORM_TOL = 1e-12
 GROUND_TOL = 1e-10
 
 BRAID_NAMES = ("s1", "s1^-1", "s2", "s2^-1")
+LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1"}
 
 
 class DegenerateEvolutionError(RuntimeError):
@@ -465,13 +482,12 @@ def braid_word_state(word: BraidWord, state: np.ndarray | None = None,
         raise CapacityError("the ten-site register realises generators s1 and s2 only")
     if state is None:
         state = prepare_logical(0)
-    names = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1"}
     for g in word.letters:
-        state = braid_sequence(names[g], state, tau)
+        state = braid_sequence(LETTER_NAMES[g], state, tau)
     return state
 
 
-def jones_spin_abs(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
+def jones_spin_replay(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
     """|V| at t = i from the protocol return amplitude: 2^{(n-1)/2} |<phi0|phi_f>|
     with n the word's strand count (spectator chains contribute factor 1)."""
     if word.strands > 3:
@@ -479,6 +495,88 @@ def jones_spin_abs(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
     phi0 = prepare_logical(0)
     final = braid_word_state(word, phi0.copy(), tau)
     return float(2.0 ** ((word.strands - 1) / 2.0) * abs(np.vdot(phi0, final)))
+
+
+# ---------------------------------------------------------------------------
+# the schedules as an exact stabilizer-tableau walk
+# ---------------------------------------------------------------------------
+
+# e^(-2 tau) <= 2^-53, the double's unit roundoff: from here on every stage
+# differs from its tau -> inf limit by less than one rounding of the replay
+WALK_TAU = 53 * math.log(2) / 2
+
+# the words that stabilize phi0 = prepare_logical(0): chain 1 by x1x2 and
+# z1z2, chains 2 and 3 by their two xx terms and -zzz, the connectors by -z
+PHI0_GENERATORS = (
+    _t(1, x=(1, 2)), _t(1, z=(1, 2)), _t(-1, z=3),
+    _t(1, x=(4, 5)), _t(1, x=(5, 6)), _t(-1, z=(4, 5, 6)), _t(-1, z=7),
+    _t(1, x=(8, 9)), _t(1, x=(9, 10)), _t(-1, z=(8, 9, 10)),
+)
+
+
+@lru_cache(maxsize=1)
+def _walk_tables():
+    """(phi0's tableau, its generators, the H0 terms negated, and each
+    letter's stages as (negated term, pairing)), all as Pauli words.  The
+    tableau is shared: a walk runs on a copy."""
+    def words(terms):
+        return tuple(pauli_word(t, N_SITES) for t in terms)
+
+    stages = {}
+    for g, name in LETTER_NAMES.items():
+        steps = SCHEDULES[name]
+        for step in steps:
+            _check_unit_spectrum(step.term)
+            _check_pairing(step.term, step.pairing)
+        stages[g] = tuple(zip(words(-step.term for step in steps),
+                              words(step.pairing for step in steps)))
+    generators = words(PHI0_GENERATORS)
+    return (StabilizerState.from_generators(generators, N_SITES), generators,
+            words(-t for t in _SPIN_TERMS["H0"]), stages)
+
+
+def jones_spin_tableau(word: BraidWord) -> float:
+    """|V| at t = i from the tau -> inf limit of every schedule stage.
+
+    A stage projects onto the term's -1 eigenspace, or, when the state lies
+    wholly in the +1 eigenspace, applies the pairing; both keep phi0's
+    stabilizer states stabilizer states.  |<phi0|phi_f>|^2 is 2^-k, with k
+    the number of phi0's generators whose +1 outcome is random on phi_f, or
+    0 when one is contradicted.
+    """
+    if word.strands > 3:   # on three strands the letters are s1 and s2 only
+        raise CapacityError("the ten-site register supports at most three strands")
+    phi0, generators, ground, stages = _walk_tables()
+    state = phi0.copy()
+    for g in word.letters:
+        # every H0 term reads -1 in the ground space
+        if any(state.measure(w) != CERTAIN for w in ground):
+            raise ValueError("input state is not in the ground space of H0")
+        for minus_term, pairing in stages[g]:
+            if state.measure(minus_term) == CONTRADICTED:
+                state.conjugate(pairing)
+    k = 0
+    for w in generators:
+        outcome = state.measure(w)
+        if outcome == CONTRADICTED:
+            return 0.0
+        k += outcome == RANDOM
+    return 2.0 ** ((word.strands - 1 - k) / 2)
+
+
+def spin_method(tau: float) -> str:
+    """The spin method tau selects: "tableau" when tau >= WALK_TAU, else
+    "replay" (NaN included)."""
+    return "tableau" if tau >= WALK_TAU else "replay"
+
+
+def jones_spin_abs(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
+    """|V| at t = i from the spin register: by :func:`jones_spin_tableau`
+    when ``spin_method(tau)`` is "tableau", where it equals the replay to
+    within one rounding, else by the vector replay :func:`jones_spin_replay`."""
+    if spin_method(tau) == "tableau":
+        return jones_spin_tableau(word)
+    return jones_spin_replay(word, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ _BACKEND_ENTRY = {
          "properties": {
              "V_re": {"type": "number"}, "V_im": {"type": "number"},
              "V_abs": {"type": "number"}, "V_abs_majorana": {"type": "number"},
-             "polynomial": {"type": "string"}},
+             "polynomial": {"type": "string"},
+             "method": {"enum": ["tableau", "replay"]}},
          "additionalProperties": False},
     ],
 }
@@ -59,7 +60,8 @@ JONES_REPORT_SCHEMA = {
                         "writhe": {"type": "integer"},
                         "components": {"type": "integer", "minimum": 1},
                         "linking": {"type": "array",
-                                    "items": {"type": "array", "items": {"type": "integer"}}},
+                                    "items": {"type": "array", "items": {"type": "integer"},
+                                              "minItems": 3, "maxItems": 3}},
                         "proper": {"type": "boolean"},
                         "arf": {"type": ["integer", "null"]},
                         "jones_from_arf": {"type": "number"},
@@ -181,13 +183,13 @@ def test_jones_json_schema_and_stability(capsys):
 # sha256 of json.dumps(payload, sort_keys=True) for the README's sample words
 # under --backend all: a change to any digit of any value shows here
 PAYLOAD_SHA256 = {
-    "s1": "5cb39e1a0ea93805d3ef9a10e3547f7da693da4aa6b8f5e51d9f33044d00bee8",
-    "s1 s1": "3970a5025c20fa4b09eed9e0226a85326ac6dc18ee479f5f546ec7c576fe1da3",
-    "s1 s1 s1": "1974b47ca0462bc6b71391c73d2ed84bb46c4f528e1dded982ffa32135102e46",
-    "s1 s1 s1 s1": "3baafea4ee42e852f7dd0043e47c1446a73e01c7bb7a8663fc6ee3c161e8227c",
-    "s1 s2^-1 s1 s2^-1": "f9f2de63550b80323213c37ad25058f8773fe2e2478bcc1809254d4fb3c23a64",
+    "s1": "bd6f6d16574d564b1dfade9c4ccacd583e40807d4f50343fd85a02110f63a976",
+    "s1 s1": "218181ee893e918c0dfd5e94f5feb1776470b464e46d46b497001c83de9b656c",
+    "s1 s1 s1": "7c1b9ce50e831df84579d99c42323d76d7c73274b7516ceeb4999106213b243f",
+    "s1 s1 s1 s1": "553869272f0f21691ded26870fafcd58aefffae61b784ba365c5154be3269e10",
+    "s1 s2^-1 s1 s2^-1": "4d53c1703e5cd954d9058cc11eb0df149c82e8acf31b29b19e700e57582dfb11",
     "s1 s2^-1 s1 s2^-1 s1 s2^-1":
-        "6deddbede5838f2026befcbbaabd1bc4db466bf654bb92e86d2cd77b79b75a09",
+        "2be5f9352a402f9584f3ee9fd9bdcfc13e182e1ac23c0d4719e59e46c3c6fd53",
 }
 
 
@@ -196,7 +198,12 @@ def test_sample_word_payloads_are_pinned(capsys):
     for word, digest in PAYLOAD_SHA256.items():
         code, out, _ = run(capsys, "jones", word, "--backend", "all", "--output", "json")
         assert code == EXIT_OK, word
-        payload = json.dumps(json.loads(out)["payload"], sort_keys=True)
+        doc = json.loads(out)["payload"]
+        # the tableau walk is exact: the spin value equals the bracket's |V|
+        kauffman_spin = [c for c in doc["agreement"]["comparisons"]
+                         if c["pair"] == "kauffman/spin"]
+        assert [c["delta"] for c in kauffman_spin] == [0.0], word
+        payload = json.dumps(doc, sort_keys=True)
         if hashlib.sha256(payload.encode()).hexdigest() != digest:
             changed.append(word)
     assert not changed, f"payload changed for {changed}"
@@ -205,13 +212,13 @@ def test_sample_word_payloads_are_pinned(capsys):
 # sha256 of the text and the CSV report of the same words under --backend all
 # (the text report carries no timing)
 TEXT_SHA256 = {
-    "s1": "d31342aeba0ba1d70a71ccb5cdc49de55db8ea2ca5850caff11a40cf5fc1ae17",
-    "s1 s1": "ceae1fabf36fa76111c1eeb409bdcac10a8190bf27f437629f46b79363cf5c7e",
-    "s1 s1 s1": "72d9d86a832ec93bf29ca1a6a2905b36f985c54af6ccedc42dc8b4982b551e8e",
-    "s1 s1 s1 s1": "1eafaf7f9e791edf137dd3d9fa0c71a256c407dc501d7c3c654df9531c921e0a",
-    "s1 s2^-1 s1 s2^-1": "284df1b9d47db47d02bbc270ae8cc65d455bfe843c4197c86a84a0f3990de58b",
+    "s1": "4cff23cd89426b0a0ab94130cbf36ee9db5951eb27de23b80f55c257d530c43e",
+    "s1 s1": "925113a2e02b3670e0f817b6fc27f83fcefa634408491466b1b92085c9da6e6e",
+    "s1 s1 s1": "f846b7e388c3768e81689798278ad90210d4b1f0da12a7f9d57280300ce39be5",
+    "s1 s1 s1 s1": "1a48680f0aa02084b20db9a914eed39023105cdc20183d16f20b51142e446662",
+    "s1 s2^-1 s1 s2^-1": "25422da5dffc746e80657b2d9c7032862a3f43f0e90f886cdca2c9594c34066a",
     "s1 s2^-1 s1 s2^-1 s1 s2^-1":
-        "45b0cc13147755dcd86f9696c169f1dcf88acbfa5bb111dcbf4445edf8957ea6",
+        "d000448a0c8796cc6dfb54dcb1ec45626149fe0b053218a131e220fa0f408671",
 }
 CSV_SHA256 = {
     "s1": "77ea2bea5a5fc9dafbdcc750b9c4a1e9abb2f6f2d8a8975389c979ce3620810f",
@@ -257,6 +264,42 @@ def test_nothing_compared_keeps_the_json_and_csv_form(capsys):
     assert json.loads(out)["payload"]["agreement"] == {"agree": True, "comparisons": []}
     code, out, _ = run(capsys, *argv, "csv")
     assert code == EXIT_OK and out.rstrip().endswith(",true")
+
+
+@pytest.mark.parametrize("tau, method", [("20", "tableau"), ("18.36", "replay"),
+                                         ("18.4", "tableau"), ("5", "replay")])
+def test_the_report_names_the_spin_method(capsys, tau, method):
+    code, out, _ = run(capsys, "jones", "s1 s1 s1", "--backend", "spin", "--tau", tau)
+    assert code == EXIT_OK
+    spin_line = next(line for line in out.splitlines() if line.startswith("spin"))
+    assert spin_line.endswith(f"   ({method})")
+    code, out, _ = run(capsys, "jones", "s1 s1 s1", "--backend", "spin", "--tau", tau,
+                       "--output", "json")
+    assert json.loads(out)["payload"]["backends"]["spin"]["method"] == method
+
+
+def test_linking_lists_the_nonzero_pairs_only(capsys):
+    code, out, _ = run(capsys, "jones", "s1 s1 s2 s2 s2 s2", "--backend", "kauffman",
+                       "--output", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["payload"]["invariants"]["linking"] == [[0, 1, 1], [1, 2, 2]]
+    code, out, _ = run(capsys, "braid-info", "s1 s1 s2 s2 s2 s2")
+    assert "linking: [0, 1, 1]; [1, 2, 2]\n" in out
+    code, out, _ = run(capsys, "braid-info", "s1 s2^-1 s1 s2^-1 s1 s2^-1")
+    assert "linking: all zero\n" in out
+
+
+def test_a_wide_report_stays_small(capsys):
+    # 2048 components: the full linking matrix would be 4 M zeros
+    code, out, _ = run(capsys, "jones", "strands=2048", "--backend", "kauffman",
+                       "--output", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["payload"]["invariants"]["linking"] == []
+    # the rest beside the bracket's exact polynomial (2048 coefficients of up
+    # to 615 digits, about 0.9 MB) is under 1 kB
+    del doc["payload"]["backends"]["kauffman"]["polynomial"]
+    assert len(json.dumps(doc, indent=2)) < 1000
 
 
 def test_jones_parse_error_exit_2(capsys):
@@ -399,7 +442,7 @@ def test_braid_info_hopf(capsys):
 def test_braid_info_solomon(capsys):
     code, out, _ = run(capsys, "braid-info", "s1 s1 s1 s1")
     assert code == EXIT_OK
-    assert "[0, 2]" in out
+    assert "linking: [0, 1, 2]\n" in out
     assert "arf: 1" in out
     assert "-1.414214" in out
 
@@ -442,6 +485,25 @@ def test_verify_json_schema(capsys):
     chi = doc["payload"]["artifacts"]["chi_mid_exchange_logical"]
     assert chi["labels"][0] == "II"
     assert chi["entries"][0][0] == pytest.approx([0.5, 0.0], abs=1e-12)
+
+
+def test_verify_json_payload_is_byte_stable(capsys):
+    # measured times go to ``timing`` only; the payload repeats byte for byte
+    payloads = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "verify", "--output", "json")
+        assert code == EXIT_OK
+        payloads.append(json.dumps(json.loads(out)["payload"], sort_keys=True))
+    assert payloads[0] == payloads[1]
+    assert "time limit 100 ms" in payloads[0] and "time limit 5 s" in payloads[0]
+
+
+def test_verify_text_shows_the_measured_time_against_the_limit(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_OK
+    assert re.search(r"anyon-golden-values .*\(tol 1e-9\), \d+\.\d ms \(limit 100 ms\)$",
+                     out, re.M)
+    assert re.search(r"jw-spectra .* pairs, \d+\.\d ms \(limit 5 s\)$", out, re.M)
 
 
 @pytest.mark.parametrize("tau", ["nan", "-1"])
@@ -557,8 +619,8 @@ def test_no_flag_leaks_into_the_next_jones_call(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)["payload"]
     assert payload["strands"] == 2    # the word's own strand count, not 3
-    assert payload["config"] == {"backend": "all", "pairs": 2,
-                                 "tau": spin_sim.DEFAULT_TAU, "tolerance": 1e-8}
+    assert payload["config"] == {"backend": "all", "tau": spin_sim.DEFAULT_TAU,
+                                 "tolerance": 1e-8}
 
 
 def test_verify_after_jones_tau_uses_the_default(capsys, monkeypatch):

@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from mjones.pauli import PauliTerm, apply_pauli, commuting_spectrum, dense_sum, string_action
+from mjones.pauli import (
+    CERTAIN,
+    CONTRADICTED,
+    RANDOM,
+    PauliTerm,
+    StabilizerState,
+    anticommute,
+    apply_pauli,
+    commuting_spectrum,
+    dense_sum,
+    pauli_word,
+    string_action,
+    word_product,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -194,3 +207,108 @@ def test_commuting_spectrum_rejects_complex_coefficient():
     with pytest.raises(ValueError, match="complex coefficient"):
         commuting_spectrum([PauliTerm(1j, {1: "x"})], 2)
     assert list(commuting_spectrum([PauliTerm(-1 + 0j, {1: "x"})], 1)) == [-1.0, 1.0]
+
+
+# --- the stabilizer tableau -----------------------------------------------------
+
+def term_of(word, n: int) -> PauliTerm:
+    """The PauliTerm of an (x, z, r) word: each Y carries a factor i."""
+    x, z, r = word
+    factors = {}
+    for site in range(1, n + 1):
+        bit = 1 << (n - site)
+        if x & bit:
+            factors[site] = "y" if z & bit else "x"
+        elif z & bit:
+            factors[site] = "z"
+    ycount = sum(axis == "y" for axis in factors.values())
+    return PauliTerm(1j ** ((r - ycount) % 4), factors)
+
+
+def random_word(rng, n: int, hermitian: bool = False):
+    x, z = int(rng.integers(1 << n)), int(rng.integers(1 << n))
+    r = int(rng.integers(4))
+    if hermitian:   # i^r X^x Z^z is Hermitian iff r and |x & z| have equal parity
+        r = (r & 2) | ((x & z).bit_count() & 1)
+    return x, z, r
+
+
+def random_vector(rng, n: int) -> np.ndarray:
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+def test_pauli_word_is_the_operator_apply_pauli_applies():
+    rng = np.random.default_rng(11)
+    n = 3
+    v = random_vector(rng, n)
+    for coefficient in (1, -1, 1j, -1j):
+        for factors in ({}, {1: "y"}, {1: "x", 2: "y", 3: "z"}, {2: "y", 3: "y"}):
+            term = PauliTerm(coefficient, factors)
+            word = pauli_word(term, n)
+            assert np.allclose(apply_pauli(term_of(word, n), v, n), apply_pauli(term, v, n))
+    with pytest.raises(ValueError, match="power of i"):
+        pauli_word(PauliTerm(0.5, {1: "x"}), n)
+
+
+def test_word_product_and_anticommutation_match_the_state_vector():
+    rng = np.random.default_rng(12)
+    n = 3
+    for _ in range(200):
+        a, b = random_word(rng, n), random_word(rng, n)
+        v = random_vector(rng, n)
+        ab_v = apply_pauli(term_of(a, n), apply_pauli(term_of(b, n), v, n), n)
+        ba_v = apply_pauli(term_of(b, n), apply_pauli(term_of(a, n), v, n), n)
+        assert np.allclose(apply_pauli(term_of(word_product(a, b), n), v, n), ab_v)
+        assert np.allclose(ab_v, -ba_v if anticommute(a, b) else ba_v)
+    # the phases of Y: X Y = i Z and Y X = -i Z
+    x1, y1 = pauli_word(PauliTerm(1, {1: "x"}), 1), pauli_word(PauliTerm(1, {1: "y"}), 1)
+    assert word_product(x1, y1) == pauli_word(PauliTerm(1j, {1: "z"}), 1)
+    assert word_product(y1, x1) == pauli_word(PauliTerm(-1j, {1: "z"}), 1)
+
+
+def test_tableau_tracks_random_stabilizer_states():
+    rng = np.random.default_rng(13)
+    n = 4
+    seen = set()
+    for _ in range(30):
+        state = StabilizerState.from_generators(
+            [(0, 1 << k, 0) for k in range(n)], n)      # Z on every site: |0000>
+        v = np.zeros(1 << n, dtype=complex)
+        v[0] = 1.0
+        for _ in range(12):
+            word = random_word(rng, n, hermitian=True)
+            wv = apply_pauli(term_of(word, n), v, n)
+            if rng.random() < 0.2:   # conjugation by a Pauli word applies it
+                state.conjugate(word)
+                v = wv
+            else:
+                outcome = state.measure(word)
+                seen.add(outcome)
+                expectation = np.vdot(v, wv).real
+                assert expectation == pytest.approx(
+                    {RANDOM: 0.0, CERTAIN: 1.0, CONTRADICTED: -1.0}[outcome], abs=1e-12)
+                if outcome == RANDOM:   # projected onto the +1 eigenspace
+                    v = (v + wv) / np.sqrt(2.0)
+            for i, s in enumerate(state.stabilizers):
+                assert np.allclose(apply_pauli(term_of(s, n), v, n), v)
+                assert [anticommute(d, s) for d in state.destabilizers] == [
+                    j == i for j in range(n)]
+    assert seen == {RANDOM, CERTAIN, CONTRADICTED}
+
+
+def test_copy_is_independent():
+    state = StabilizerState.from_generators([(0, 1, 0), (0, 2, 0)], 2)
+    twin = state.copy()
+    assert twin.measure((1, 0, 0)) == RANDOM
+    assert state.measure((0, 1, 0)) == CERTAIN
+
+
+@pytest.mark.parametrize("words, message", [
+    ([(0, 1, 0)], "1 generators for 2 qubits"),
+    ([(0, 1, 0), (2, 2, 0)], "not Hermitian"),
+    ([(0, 1, 0), (1, 0, 0)], "anticommutes"),
+    ([(0, 1, 0), (0, 1, 2)], "product of the others"),
+])
+def test_tableau_rejects_bad_generators(words, message):
+    with pytest.raises(ValueError, match=message):
+        StabilizerState.from_generators(words, 2)

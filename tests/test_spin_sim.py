@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mjones import spin_sim
-from mjones.braidlang import BraidWord, CapacityError
-from mjones.pauli import PauliTerm, commuting_spectrum, dense_sum, majorana_string
+from mjones.braidlang import BraidWord, CapacityError, link_invariants
+from mjones.pauli import (PauliTerm, apply_pauli, commuting_spectrum, dense_sum,
+                          majorana_string)
 from mjones.spin_sim import (
     BRAID_NAMES,
     DEFAULT_TAU,
@@ -29,6 +30,8 @@ from mjones.spin_sim import (
     ground_space_weight,
     ite_apply,
     jones_spin_abs,
+    jones_spin_replay,
+    jones_spin_tableau,
     logical_decode,
     logical_encode,
     prepare_logical,
@@ -442,7 +445,7 @@ class TestWordReplay:
         assert amplitude_probability(phi0, prepare_logical(5)) == pytest.approx(0.0, abs=1e-14)
 
 
-# sha256 over the replay's output bits: the repr of jones_spin_abs on 200
+# sha256 over the replay's output bits: the repr of jones_spin_replay on 200
 # seeded words of 2-3 strands and 1-12 letters at three tau values, then
 # the raw bytes of each generator's extracted matrix pair.  A change in the
 # replay's arithmetic or its order shows here even when it lies far below
@@ -458,7 +461,7 @@ def replay_digest() -> str:
         letters = tuple(rng.choice((-1, 1)) * rng.randint(1, strands - 1)
                         for _ in range(rng.randint(1, 12)))
         for tau in (20.0, 1.0, math.inf):
-            h.update(repr(jones_spin_abs(BraidWord(strands, letters), tau)).encode())
+            h.update(repr(jones_spin_replay(BraidWord(strands, letters), tau)).encode())
     for name in BRAID_NAMES:
         for matrix in extract_braid_matrix(name, 20.0):
             h.update(matrix.tobytes())
@@ -467,3 +470,72 @@ def replay_digest() -> str:
 
 def test_replay_bits_are_pinned():
     assert replay_digest() == REPLAY_SHA256
+
+
+# --- the tableau walk ---------------------------------------------------------
+
+def test_phi0_generators_stabilize_the_logical_zero_state():
+    phi0 = prepare_logical(0)
+    assert len(spin_sim.PHI0_GENERATORS) == N_SITES
+    for term in spin_sim.PHI0_GENERATORS:
+        assert np.max(np.abs(apply_pauli(term, phi0, N_SITES) - phi0)) < 1e-12, term.label()
+
+
+def seeded_words(seed, count, max_letters=14):
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.choice((2, 3))
+        yield BraidWord(strands, tuple(rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                                       for _ in range(rng.randint(0, max_letters))))
+
+
+@pytest.mark.parametrize("tau", [DEFAULT_TAU, math.inf])
+def test_tableau_walk_matches_the_replay(tau):
+    worst = 0.0
+    for word in seeded_words(f"walk-vs-replay-{tau}", 500):
+        worst = max(worst, abs(jones_spin_tableau(word) - jones_spin_replay(word, tau)))
+    assert worst <= 1e-12
+
+
+def test_tableau_walk_is_exact_by_closure_type():
+    # |V(i)| is sqrt(2)^(m-1) on a proper link of m components and 0 otherwise
+    for word in seeded_words("walk-exact", 1000, max_letters=30):
+        inv = link_invariants(word)
+        want = 2.0 ** ((inv.components - 1) / 2) if inv.proper else 0.0
+        assert jones_spin_tableau(word) == want, word
+
+
+def test_tableau_walk_capacity():
+    with pytest.raises(CapacityError, match="at most three strands"):
+        jones_spin_tableau(BraidWord(4, (1,)))
+
+
+def test_dispatch_at_the_roundoff_threshold(monkeypatch):
+    # e^(-2 tau) = 2^-53 at the threshold itself
+    assert math.exp(-2 * spin_sim.WALK_TAU) == pytest.approx(2.0 ** -53, rel=1e-12)
+    below = math.nextafter(spin_sim.WALK_TAU, 0.0)
+    ran = []
+    monkeypatch.setattr(spin_sim, "jones_spin_tableau", lambda word: ran.append("tableau") or 1.0)
+    monkeypatch.setattr(spin_sim, "jones_spin_replay",
+                        lambda word, tau: ran.append(("replay", tau)) or 1.0)
+    word = BraidWord(2, (1,))
+    for tau in (spin_sim.WALK_TAU, DEFAULT_TAU, 1e300, math.inf, below, 5.0, 1e-9):
+        jones_spin_abs(word, tau)
+    assert ran == ["tableau"] * 4 + [("replay", below), ("replay", 5.0), ("replay", 1e-9)]
+    assert [spin_sim.spin_method(t) for t in (spin_sim.WALK_TAU, below, math.nan)] == [
+        "tableau", "replay", "replay"]
+
+
+def test_tableau_walk_checks_the_ground_space_before_each_letter(monkeypatch):
+    # without its last step, s1 leaves x4x5 unrestored: the next letter
+    # starts outside the ground space of H0, as the replay also reports
+    monkeypatch.setitem(SCHEDULES, "s1", SCHEDULES["s1"][:-1])
+    spin_sim._walk_tables.cache_clear()
+    try:
+        jones_spin_tableau(BraidWord(2, (1,)))
+        for run in (jones_spin_tableau, jones_spin_replay):
+            with pytest.raises(ValueError, match="not in the ground space of H0"):
+                run(BraidWord(2, (1, 1)))
+    finally:
+        monkeypatch.undo()
+        spin_sim._walk_tables.cache_clear()

@@ -83,6 +83,21 @@ def _number(digits: str) -> int:
         raise BraidSyntaxError(str(exc)) from exc
 
 
+def _letter(tok: str, pos: int) -> int:
+    """The signed generator of one token, ``pos`` its position for errors."""
+    m = _TOKEN.match(tok)
+    if not m:
+        raise BraidSyntaxError(f"token {pos}: malformed braid token {tok!r}")
+    if m.group(1) is not None:
+        k = _number(m.group(1))
+        g = -k if m.group(2) else k
+    else:
+        g = _number(m.group(3))
+    if g == 0:
+        raise BraidSyntaxError(f"token {pos}: generator index 0 is not allowed")
+    return g
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse whitespace-separated braid tokens into a :class:`BraidWord`.
 
@@ -101,27 +116,23 @@ def parse_braid(text: str) -> BraidWord:
             raise BraidSyntaxError("token 1: strand count must be positive")
         start = 1
 
+    letter: dict[str, int] = {}     # each distinct token is matched once
     letters = []
     for pos, tok in enumerate(tokens[start:], start=start + 1):
-        m = _TOKEN.match(tok)
-        if not m:
-            raise BraidSyntaxError(f"token {pos}: malformed braid token {tok!r}")
-        if m.group(1) is not None:
-            k = _number(m.group(1))
-            g = -k if m.group(2) else k
-        else:
-            g = _number(m.group(3))
-        if g == 0:
-            raise BraidSyntaxError(f"token {pos}: generator index 0 is not allowed")
+        g = letter.get(tok)
+        if g is None:
+            g = letter[tok] = _letter(tok, pos)
         letters.append(g)
 
+    top = max(map(abs, letter.values()), default=0)
     if strands is None:
-        strands = 1 + max((abs(g) for g in letters), default=0)
-    for pos, g in enumerate(letters, start=start + 1):
-        if abs(g) >= strands:
-            raise BraidSyntaxError(
-                f"token {pos}: generator s{abs(g)} out of range for {strands} strands"
-            )
+        strands = 1 + top
+    if top >= strands:
+        pos, g = next((pos, g) for pos, g in enumerate(letters, start=start + 1)
+                      if abs(g) >= strands)
+        raise BraidSyntaxError(
+            f"token {pos}: generator s{abs(g)} out of range for {strands} strands"
+        )
     return BraidWord(strands, tuple(letters))
 
 

@@ -351,7 +351,7 @@ def _stage(state: np.ndarray, term: PauliTerm, tau: float,
     degenerate case is rejected for tau > 0 so schedules fail loudly
     instead of silently stalling.
     """
-    if tau < 0:
+    if not tau >= 0:    # NaN too
         raise ValueError("tau must be non-negative")
     _check_unit_spectrum(term)
     ground, excited = _ground_excited_split(state, term)

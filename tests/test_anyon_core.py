@@ -1,5 +1,6 @@
 """Exchange matrices, amplitudes, and Jones values of the anyon backend."""
 
+import hashlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
     _exchange,
+    _sector_exchange,
     braid_generators,
     evolve,
     jones_majorana_abs,
@@ -44,9 +46,9 @@ def test_exchange_is_the_majorana_product_form():
 
 
 def test_exchange_arrays_are_read_only():
-    # _exchange is cached: a caller that wrote into its arrays would change
-    # every later exchange of the same pair
-    for src, coeff in (_exchange(1, 2, 2), _exchange(5, 3, 3)):
+    # _exchange and its even-parity sector are cached: a caller that wrote
+    # into their arrays would change every later exchange of the same pair
+    for src, coeff in (_exchange(1, 2, 2), _exchange(5, 3, 3), _sector_exchange(5, 3, 5)):
         assert not src.flags.writeable and not coeff.flags.writeable
         with pytest.raises(ValueError):
             coeff[0] = 0
@@ -77,6 +79,30 @@ def test_evolve_identity_and_order():
     assert np.allclose(evolve([(1, 2), (2, 3)], 2), b2 @ b1 @ vacuum)
     # the reversed pair is the inverse exchange
     assert np.allclose(evolve([(2, 3), (3, 2)], 2), vacuum, atol=1e-12)
+
+
+# sha256 over the bytes of every evolve output below, pinned when every
+# amplitude was stepped on the full 2^n vector with numpy
+EVOLVE_SHA256 = "bc13dea7773d65f34adc93c2a3517e2d911f1b761fd09db3d4290cf4898377ff"
+
+
+def test_evolve_bytes_are_pinned():
+    # seeded link words and arbitrary exchanges, non-adjacent and reversed,
+    # at 1-10 pairs: both the list and the numpy stepping of the sector
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for pairs in range(1, 11):
+        odd = [i for i in range(1 << pairs) if bin(i).count("1") % 2]
+        for _ in range(12):
+            word = random_word(rng, pairs, 40)
+            exchanges = [tuple(rng.sample(range(1, 2 * pairs + 1), 2))
+                         for _ in range(rng.randint(0, 40))]
+            for letters in (link_to_anyon_word(word), exchanges):
+                state = evolve(letters, pairs)
+                # exactly +0.0 in both parts, not merely equal to zero
+                assert state[odd].tobytes() == bytes(16 * len(odd))
+                digest.update(state.tobytes())
+    assert digest.hexdigest() == EVOLVE_SHA256
 
 
 def test_evolve_rejects_bad_index():

@@ -73,6 +73,41 @@ def test_parse_rejects_zero_and_malformed():
         parse_braid("s1 s1 1.5")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("s1 s2^-1 " * 500 + "s1 sX s1 sX", "token 1002: malformed braid token 'sX'"),
+    ("s1 -1 1 " * 400 + "s0 s1", "token 1201: generator index 0 is not allowed"),
+    ("s2^-1 " * 999 + "-0", "token 1000: generator index 0 is not allowed"),
+    ("strands=3 " + "s1 -2 " * 500 + "s1 s3^-1 s2 3 s4",
+     "token 1003: generator s3 out of range for 3 strands"),
+    ("strands=3 " + "2 " * 999 + "-3", "token 1001: generator s3 out of range for 3 strands"),
+    ("strands=2 " + "s1 " * 998 + "s1^-1 s2 s2",
+     "token 1001: generator s2 out of range for 2 strands"),
+])
+def test_parse_error_after_many_repeated_tokens(text, message):
+    # each distinct token is matched once; a bad one still reports its
+    # first position, counted with the strands= prefix
+    with pytest.raises(BraidSyntaxError) as exc:
+        parse_braid(text)
+    assert str(exc.value) == message
+
+
+def test_parse_long_random_words():
+    rng = random.Random(11)
+    forms = (lambda k: f"s{k}", lambda k: f"s{k}^-1", str, lambda k: f"-{k}")
+    for _ in range(20):
+        strands = rng.randint(2, 7)
+        letters, tokens = [], []
+        for _ in range(1000):
+            k, form = rng.randint(1, strands - 1), rng.randrange(4)
+            letters.append(-k if form % 2 else k)
+            tokens.append(forms[form](k))
+        text = " ".join(tokens)
+        padded = rng.randint(strands, strands + 3)
+        assert parse_braid(f"strands={padded} {text}") == BraidWord(padded, tuple(letters))
+        top = max(abs(g) for g in letters)
+        assert parse_braid(text) == BraidWord(top + 1, tuple(letters))
+
+
 def test_format_canonical():
     assert format_braid(FIG8) == "s1 s2^-1 s1 s2^-1"
     assert format_braid(BraidWord(4, (1, 1))) == "strands=4 s1 s1"

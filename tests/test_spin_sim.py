@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,19 @@ def test_dispatch_at_the_roundoff_threshold(monkeypatch):
     assert ran == ["tableau"] * 4 + [("replay", below), ("replay", 5.0), ("replay", 1e-9)]
     assert [spin_sim.spin_method(t) for t in (spin_sim.WALK_TAU, below, math.nan)] == [
         "tableau", "replay", "replay"]
+
+
+def test_nan_tau_raises_in_the_replay():
+    # NaN goes to the replay, whose first stage refuses it as it refuses a
+    # negative tau, before any arithmetic could turn it into a nan result
+    word = BraidWord(2, (1, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="tau must be non-negative"):
+                jones_spin_abs(word, tau)
+            with pytest.raises(ValueError, match="tau must be non-negative"):
+                ite_apply(product_state("zzzzzzzzzz"), PauliTerm(1.0, {3: "z"}), tau)
 
 
 def test_tableau_walk_checks_the_ground_space_before_each_letter(monkeypatch):

@@ -35,6 +35,15 @@ class CapacityError(ValueError):
     count, the spin register's three strands)."""
 
 
+# The spin replay's default tau and its error, defined here rather than in
+# ``spin_sim`` so that the CLI can name them without loading numpy.
+DEFAULT_TAU = 20.0
+
+
+class DegenerateEvolutionError(RuntimeError):
+    """State annihilated by a projection step (no ground-space component)."""
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A braid word: strand count plus signed generator letters.
@@ -142,10 +151,31 @@ def format_braid(word: BraidWord) -> str:
     The ``strands=`` prefix is emitted only when the count is not implied
     by the letters.
     """
-    toks = [f"s{abs(g)}" + ("^-1" if g < 0 else "") for g in word.letters]
-    if word.strands != 1 + word.max_generator():
+    token = {g: f"s{abs(g)}" + ("^-1" if g < 0 else "") for g in set(word.letters)}
+    toks = [token[g] for g in word.letters]
+    if word.strands != 1 + max(map(abs, token), default=0):
         toks.insert(0, f"strands={word.strands}")
     return " ".join(toks)
+
+
+def _walk(word: BraidWord) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The closure permutation and the signed crossings of each ordered
+    strand pair, from one pass over the word.  A letter crossing strand
+    ``a`` (on the left) with strand ``b`` adds its sign under the key
+    ``a * strands + b``; strands are named by their starting positions."""
+    n = word.strands
+    at_pos = list(range(n))
+    crossed: dict[int, int] = {}
+    for g in word.letters:
+        k = abs(g) - 1
+        a, b = at_pos[k], at_pos[k + 1]
+        at_pos[k], at_pos[k + 1] = b, a
+        key = a * n + b
+        crossed[key] = crossed.get(key, 0) + (1 if g > 0 else -1)
+    perm = [0] * n
+    for pos, strand in enumerate(at_pos):
+        perm[strand] = pos
+    return tuple(perm), crossed
 
 
 def closure_permutation(word: BraidWord) -> tuple[int, ...]:
@@ -154,14 +184,7 @@ def closure_permutation(word: BraidWord) -> tuple[int, ...]:
     Entry ``i`` is the final position of the strand that starts at position
     ``i``; its cycles are the closure's components.
     """
-    at_pos = list(range(word.strands))
-    for g in word.letters:
-        k = abs(g) - 1
-        at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
-    perm = [0] * word.strands
-    for pos, strand in enumerate(at_pos):
-        perm[strand] = pos
-    return tuple(perm)
+    return _walk(word)[0]
 
 
 @dataclass(frozen=True)
@@ -182,10 +205,11 @@ class LinkInvariants:
 
 def link_invariants(word: BraidWord) -> LinkInvariants:
     """Writhe, components, linking matrix and properness of the closure."""
-    perm = closure_permutation(word)
-    comp_of = [-1] * word.strands
+    perm, crossed = _walk(word)
+    n = word.strands
+    comp_of = [-1] * n
     ncomp = 0
-    for s in range(word.strands):
+    for s in range(n):
         if comp_of[s] >= 0:
             continue
         t = s
@@ -196,18 +220,14 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
 
     pair_sum: dict[tuple[int, int], int] = {}   # signed crossings of components i < j
     total = [0] * ncomp      # each component's signed crossings with all others
-    at_pos = list(range(word.strands))
-    for g in word.letters:
-        k = abs(g) - 1
-        a, b = at_pos[k], at_pos[k + 1]
+    for key, crossings in crossed.items():
+        a, b = divmod(key, n)
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb:
-            s = 1 if g > 0 else -1
-            key = (ca, cb) if ca < cb else (cb, ca)
-            pair_sum[key] = pair_sum.get(key, 0) + s
-            total[ca] += s
-            total[cb] += s
-        at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
+            pair = (ca, cb) if ca < cb else (cb, ca)
+            pair_sum[pair] = pair_sum.get(pair, 0) + crossings
+            total[ca] += crossings
+            total[cb] += crossings
 
     rows = defaultdict(lambda: [0] * ncomp)    # the rows with a nonzero entry
     for (i, j), crossings in pair_sum.items():

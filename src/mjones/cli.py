@@ -43,12 +43,16 @@ import sys
 import time
 import traceback
 
-from . import anyon_core, kauffman_oracle, spin_sim, verify as verify_mod
+# the backends and ``verify`` are imported where they run, so that a
+# process loads only what its command and backend use: braid-info and the
+# kauffman backend never import numpy
 from .braidlang import (
+    DEFAULT_TAU,
     MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
     CapacityError,
+    DegenerateEvolutionError,
     arf_invariant,
     format_braid,
     jones_from_arf,
@@ -99,16 +103,22 @@ def _invariants_payload(word: BraidWord) -> dict:
 
 
 def _anyon(word: BraidWord, tau: float) -> dict:
+    from . import anyon_core
+
     value = anyon_core.jones_su2_2(word)
     return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
             "V_abs_majorana": anyon_core.jones_majorana_abs(word)}
 
 
 def _spin(word: BraidWord, tau: float) -> dict:
+    from . import spin_sim
+
     return {"V_abs": spin_sim.jones_spin_abs(word, tau), "method": spin_sim.spin_method(tau)}
 
 
 def _kauffman(word: BraidWord, tau: float) -> dict:
+    from . import kauffman_oracle
+
     poly = kauffman_oracle.jones_polynomial(word)
     value = kauffman_oracle.eval_at(poly, kauffman_oracle.A_AT_T_I)
     return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
@@ -263,17 +273,19 @@ def cmd_braid_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     _check_tau(args.tau)
     # each braid generator is extracted once per verify run, at its tau
-    matrices = verify_mod.BraidMatrices(args.tau)
-    results = verify_mod.run_all(matrices)
+    matrices = verify.BraidMatrices(args.tau)
+    results = verify.run_all(matrices)
     if args.output == "json":
         payload = {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.describe(with_time=False)}
                 for r in results
             ],
-            "artifacts": verify_mod.report_artifacts(matrices),
+            "artifacts": verify.report_artifacts(matrices),
         }
         timing = {r.name: r.elapsed for r in results}
         _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "'strands=N' pads it to N strands")
     p_jones.add_argument("--backend", choices=(*_BACKENDS, "all"),
                          default="all")
-    p_jones.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
+    p_jones.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_jones.add_argument("--tolerance", type=float, default=1e-8)
     p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")
     p_jones.set_defaults(fn=cmd_jones)
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(fn=cmd_braid_info)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    p_verify.add_argument("--tau", type=float, default=spin_sim.DEFAULT_TAU)
+    p_verify.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p_verify.add_argument("--output", choices=("text", "json"), default="text")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -335,7 +347,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except spin_sim.DegenerateEvolutionError as exc:
+    except DegenerateEvolutionError as exc:
         # below about 1e-13 the cooling fold cancels the replayed state outright
         print(f"parse error: tau={args.tau} is too small for the spin replay: {exc}",
               file=sys.stderr)

@@ -49,7 +49,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .braidlang import BraidWord, CapacityError
+from .braidlang import DEFAULT_TAU, BraidWord, CapacityError, DegenerateEvolutionError
 # every operator here is a pauli.PauliTerm: Hamiltonian terms and pairings
 # with real coefficients, Majorana products with complex ones.  dense_sum has
 # no caller here; it stays bound because perfbench/tracing.py wraps
@@ -59,7 +59,6 @@ from .pauli import CERTAIN, CONTRADICTED, RANDOM, StabilizerState, pauli_word
 
 N_SITES = 10
 DIM = 1 << N_SITES
-DEFAULT_TAU = 20.0
 GROUND_ENERGY = -7.0
 
 NORM_TOL = 1e-12
@@ -67,10 +66,6 @@ GROUND_TOL = 1e-10
 
 BRAID_NAMES = ("s1", "s1^-1", "s2", "s2^-1")
 LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1"}
-
-
-class DegenerateEvolutionError(RuntimeError):
-    """State annihilated by a projection step (no ground-space component)."""
 
 
 def _norm(state: np.ndarray) -> float:

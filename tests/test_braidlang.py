@@ -4,9 +4,12 @@ import ast
 import math
 import pathlib
 import random
+import sys
+import types
 
 import pytest
 
+import mjones
 from mjones import anyon_core, kauffman_oracle
 from mjones.braidlang import (
     MAX_STRANDS,
@@ -114,6 +117,24 @@ def test_format_canonical():
     assert format_braid(BraidWord(3, ())) == "strands=3"
 
 
+def _format_by_letter(word):
+    """The reference printed form, built token by token."""
+    toks = [f"s{abs(g)}" + ("^-1" if g < 0 else "") for g in word.letters]
+    if word.strands != 1 + word.max_generator():
+        toks.insert(0, f"strands={word.strands}")
+    return " ".join(toks)
+
+
+def test_format_matches_the_per_letter_reference():
+    rng = random.Random(29)
+    for _ in range(1000):
+        strands = rng.randint(2, 12)
+        letters = tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(0, 600)))
+        for word in (BraidWord(strands, letters), BraidWord(strands + rng.randint(1, 3), letters)):
+            assert format_braid(word) == _format_by_letter(word)
+
+
 def test_parse_print_round_trip_random():
     rng = random.Random(7)
     for _ in range(200):
@@ -207,8 +228,12 @@ def test_linking_matrix_symmetric_zero_diagonal():
 
 def _link_invariants_by_matrix(word):
     """The m x m reference: every pair's signed crossings, halved, and each
-    row's sum for properness."""
-    perm = closure_permutation(word)
+    row's sum for properness.  It finds the closure permutation itself."""
+    at_pos = list(range(word.strands))
+    for g in word.letters:
+        k = abs(g) - 1
+        at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
+    perm = {strand: pos for pos, strand in enumerate(at_pos)}
     comp_of = [-1] * word.strands
     ncomp = 0
     for s in range(word.strands):
@@ -238,9 +263,9 @@ def test_link_invariants_match_the_matrix_reference():
     rng = random.Random(23)
     proper = 0
     for trial in range(1200):
-        strands = rng.randint(2, 9)
+        strands = rng.randint(2, 12)
         letters = tuple(rng.choice([-1, 1]) * rng.randint(1, strands - 1)
-                        for _ in range(rng.randint(0, 24)))
+                        for _ in range(rng.randint(0, 80)))
         # every third word gains unknot components, as a strands= prefix pads it
         padding = rng.randint(1, 6) if trial % 3 == 0 else 0
         word = BraidWord(strands + padding, letters)
@@ -431,3 +456,29 @@ def test_arf_route_matches_anyon_backend_up_to_sixteen_strands():
             arf = _arf(word) if inv.proper else None
             assert jones_su2_2(word) == pytest.approx(
                 jones_from_arf(inv, arf), abs=1e-9), word
+
+
+# --- the package namespace ---------------------------------------------------
+
+def test_package_names_resolve_to_the_defining_objects():
+    assert len(set(mjones.__all__)) == len(mjones.__all__) == 43
+    for name in mjones.__all__:
+        obj = getattr(mjones, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"mjones.{name}"]
+        elif name == "A_AT_T_I":      # a complex constant, without __module__
+            assert obj is kauffman_oracle.A_AT_T_I
+        else:
+            assert obj.__module__.startswith("mjones.")
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+    from mjones import jones_at_i, jones_spin_abs, jones_su2_2, parse_braid  # as in README
+
+    assert (parse_braid, jones_su2_2, jones_at_i, jones_spin_abs) == (
+        mjones.parse_braid, mjones.jones_su2_2, mjones.jones_at_i, mjones.jones_spin_abs)
+
+
+def test_package_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mjones.no_such_name
+    assert not hasattr(mjones, "no_such_name")
+

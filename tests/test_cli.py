@@ -12,7 +12,8 @@ import sys
 import jsonschema
 import pytest
 
-from mjones import cli, spin_sim
+import mjones
+from mjones import cli, spin_sim, verify
 from mjones.anyon_core import MAX_PAIRS
 
 from mjones.cli import (
@@ -625,13 +626,13 @@ def test_no_flag_leaks_into_the_next_jones_call(capsys):
 
 def test_verify_after_jones_tau_uses_the_default(capsys, monkeypatch):
     seen = []
-    run_all = cli.verify_mod.run_all
+    run_all = verify.run_all
 
     def spy(matrices):
         seen.append(matrices.tau)
         return run_all(matrices)
 
-    monkeypatch.setattr(cli.verify_mod, "run_all", spy)
+    monkeypatch.setattr(verify, "run_all", spy)
     assert run(capsys, "jones", "s1", "--tau", "5", "--backend", "spin")[0] == EXIT_OK
     assert run(capsys, "verify")[0] == EXIT_OK
     assert seen == [spin_sim.DEFAULT_TAU]
@@ -690,7 +691,7 @@ def test_a_backend_value_error_is_internal_not_skipped(capsys, monkeypatch, back
     def broken(word, tau):
         raise ValueError("broken replay")
 
-    monkeypatch.setattr(cli.spin_sim, "jones_spin_abs", broken)
+    monkeypatch.setattr(spin_sim, "jones_spin_abs", broken)
     code, out, err = run(capsys, "jones", "s1", "--backend", backend)
     assert code == EXIT_INTERNAL
     assert out == "" and err.splitlines()[-1] == "internal error: ValueError: broken replay"
@@ -720,18 +721,75 @@ def test_broken_pipe_returns_the_computed_status(capsys, monkeypatch, argv, code
     assert capsys.readouterr().err == ""
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this mjones."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+
 def test_verify_into_a_closed_pipe_exits_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from mjones.cli import main; sys.exit(main())",
              "verify", "--output", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_fresh_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""
+
+
+# --- a command imports only what it runs --------------------------------------
+
+# runs each argv in turn and prints, per argv, its exit status and the
+# modules loaded by then
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from mjones.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, sorted(sys.modules)])
+print(json.dumps(seen))
+"""
+
+_NUMPY_MODULES = ("numpy", "mjones.anyon_core", "mjones.spin_sim", "mjones.pauli",
+                  "mjones.tomography", "mjones.verify")
+
+
+@pytest.mark.parametrize("runs, absent", [
+    ([(["braid-info", "s1 s2^-1 s1 s2^-1"], EXIT_OK),
+      (["braid-info", "strands=4 s1 s1 s3"], EXIT_OK),
+      *[(["jones", "s1 s2^-1 s1 s2^-1", "--backend", "kauffman", "--output", output], EXIT_OK)
+        for output in ("text", "json", "csv")],
+      (["jones", "s1 sbad", "--backend", "kauffman"], EXIT_PARSE),
+      (["jones", " ".join(["s1 s2^-1"] * 1000), "--backend", "kauffman"], EXIT_CAPACITY)],
+     _NUMPY_MODULES),
+    ([(["jones", "s1 s2^-1 s1 s2^-1", "--backend", "anyon"], EXIT_OK)],
+     ("mjones.spin_sim", "mjones.tomography", "mjones.verify")),
+])
+def test_a_fresh_process_imports_only_what_its_command_runs(runs, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([argv for argv, _ in runs])],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120, check=True)
+    seen = json.loads(proc.stdout)
+    for (argv, code), (got, modules) in zip(runs, seen, strict=True):
+        assert got == code, argv
+        assert not set(absent) & set(modules), argv
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = ("import json, sys, mjones\n"
+             "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('mjones', 'numpy')))\n"
+             "before, names = loaded(), dir(mjones)\n"
+             "mjones.parse_braid\n"
+             "print(json.dumps([before, names, loaded()]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60, check=True)
+    before, names, after = json.loads(proc.stdout)
+    assert before == ["mjones"]
+    assert set(mjones.__all__) <= set(names)
+    assert after == ["mjones", "mjones.braidlang"]

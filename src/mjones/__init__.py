@@ -34,18 +34,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset((*_EXPORTS, "cli", "verify"))
 
-__all__ = [
-    "A_AT_T_I", "BraidSyntaxError", "BraidWord", "CapacityError", "ChiMatrix",
-    "GroundBasis", "LaurentPolynomial", "LinkInvariants", "PauliTerm", "anyon_core",
-    "arf_invariant", "bracket", "braid_generators", "braid_sequence", "braidlang",
-    "chi_from_unitary", "closure_permutation", "cooling_step", "density_matrix",
-    "eval_at", "evolve", "extract_braid_matrix", "format_braid", "ground_basis",
-    "ite_apply", "jones_at_i", "jones_from_arf", "jones_majorana_abs",
-    "jones_polynomial", "jones_spin_abs", "jones_su2_2", "kauffman_oracle",
-    "link_invariants", "logical_decode", "logical_encode", "lookup_arf_data",
-    "parse_braid", "pauli", "pauli_coefficients", "prepare_logical",
-    "spin_hamiltonian", "spin_sim", "tomography",
-]
+__all__ = sorted({*_HOME, *_EXPORTS})
 __version__ = "0.1.0"
 
 

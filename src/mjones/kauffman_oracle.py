@@ -169,31 +169,6 @@ def _unpack(packed: int, width: int) -> list[int]:
             for i in range(0, count * size, size)]
 
 
-def _smooth(diag: tuple[int, ...], k: int, horizontal: bool, closing: list[int],
-            n: int) -> tuple[tuple[int, ...], int]:
-    """The diagram after one smoothing of a letter at position k and the
-    closing of the strands in ``closing``, with the number of loops closed."""
-    slots = list(diag)
-    loops = 0
-    if horizontal:
-        # e_k: cap the top ends of k and k+1, cup new ones
-        x, y = slots[k], slots[k + 1]
-        if x == k + 1:
-            loops += 1
-        else:
-            slots[x], slots[y] = y, x
-        slots[k], slots[k + 1] = k + 1, k
-    for p in closing:
-        # join the top end of p to its bottom end
-        x, y = slots[p], slots[n + p]
-        if x == n + p:
-            loops += 1
-        else:
-            slots[x], slots[y] = y, x
-        slots[p] = slots[n + p] = -1
-    return tuple(slots), loops
-
-
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
@@ -204,17 +179,18 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     d each at the end, so the transfer runs on the live (touched) strands
     alone, renumbered in order.  A diagram is a pairing of slots: slot p is
     the current top end of position p, slot live + p its bottom end, and -1
-    marks a closed position.  Each strand is closed into its trace arc right
-    after the last letter that touches it, so only strands still in play
-    are tracked.
+    marks a closed position.  Each letter steps every live diagram: the
+    identity smoothing keeps it, and e_k caps the top ends of k and k + 1
+    and cups new ones.  When the letter is the last to touch k or k + 1, one
+    closing pass then joins each such strand's top end to its bottom end,
+    its trace arc, so only strands still in play are tracked.
 
     A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
     coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
     grows by s + 2, plus 2 per strand the letter closes, so that every
-    smoothing is a left shift: the identity smoothing is A^(2s+2), the
-    cap-cup is 1, and every event that may close a loop (the cap of e_k and
-    each closing strand) is A^2 when it does not and A^2 d = -(A^4 + 1) when
-    it does.  Digits may overflow in between, since each packed integer is
+    weight is a left shift: the identity smoothing is A^(2s+2), and e_k and
+    each closing strand are A^2, or A^2 d = -(A^4 + 1) when they close a
+    loop.  Digits may overflow in between, since each packed integer is
     the exact value of its polynomial; only the final one is decoded.  A
     connected diagram's bracket is a sum of at most 2^c signed monomials
     (Thistlethwaite's spanning-tree expansion) and each further split piece
@@ -259,16 +235,7 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for diag, w in states.items():
-            if closing:
-                for horizontal in (False, True):
-                    key, loops = _smooth(diag, k, horizontal, closing, live)
-                    events = horizontal + len(closing)
-                    v = w << ((0 if horizontal else up) + width * (events - loops))
-                    for _ in range(loops):
-                        v = -((v << 2 * width) + v)
-                    nxt[key] = get(key, 0) + v
-                continue
-            # no strand closes: the identity smoothing keeps the diagram
+            # the identity smoothing keeps the diagram
             nxt[diag] = get(diag, 0) + (w << up)
             x = diag[k]
             if x == k + 1:   # e_k closes the cup at k, k+1 and cups again
@@ -280,7 +247,23 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
                 slots[k], slots[k + 1] = k + 1, k
                 key, v = tuple(slots), w << width
             nxt[key] = get(key, 0) + v
-        states = nxt
+        if not closing:
+            states = nxt
+        else:
+            states = {}
+            for diag, w in nxt.items():
+                slots = list(diag)
+                for p in closing:
+                    # join the top end of p to its bottom end
+                    x, y = slots[p], slots[live + p]
+                    if x == live + p:   # a loop closes
+                        w = -((w << 2 * width) + w)
+                    else:
+                        slots[x], slots[y] = y, x
+                        w <<= width
+                    slots[p] = slots[live + p] = -1
+                key = tuple(slots)
+                states[key] = states.get(key, 0) + w
     (packed,) = states.values()   # every strand is closed: one empty diagram
 
     if live == n:

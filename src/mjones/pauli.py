@@ -6,8 +6,9 @@ Sites are numbered 1..n with site 1 as the most significant bit of the
 basis index.  Every layer uses one type, :class:`PauliTerm`: a
 coefficient (real for Hamiltonian terms, possibly complex for products of
 Majorana strings) times a map from site to axis.  Kernels read a term as
-X/Z bitmasks (Y = iXZ contributes both bits); products, commutation checks
-and dense matrices all derive from that form.  Applying a term to a state
+X/Z bitmasks (Y = iXZ contributes both bits); products and commutation
+checks are the (x, z, r) word rules of the tableau below, and dense
+matrices are built from the same masks.  Applying a term to a state
 vector is a single fancy-indexed gather with per-index phases, O(2^n).
 The index and sign arrays are built once per word and register size and
 shared; each term keeps its coefficient vector (coefficient times the
@@ -24,15 +25,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 AXES = ("x", "y", "z")
-
-# single-site products W_a W_b = phase * W_c, keyed by (a, b) over i,x,y,z
-_SITE_PRODUCT = {
-    ("i", "i"): (1, "i"), ("i", "x"): (1, "x"), ("i", "y"): (1, "y"), ("i", "z"): (1, "z"),
-    ("x", "i"): (1, "x"), ("x", "x"): (1, "i"), ("x", "y"): (1j, "z"), ("x", "z"): (-1j, "y"),
-    ("y", "i"): (1, "y"), ("y", "x"): (-1j, "z"), ("y", "y"): (1, "i"), ("y", "z"): (1j, "x"),
-    ("z", "i"): (1, "z"), ("z", "x"): (1j, "y"), ("z", "y"): (-1j, "x"), ("z", "z"): (1, "i"),
-}
-
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -64,16 +56,14 @@ class PauliTerm:
         return PauliTerm(-self.coefficient, self.factors)
 
     def __mul__(self, other: "PauliTerm") -> "PauliTerm":
-        coefficient = self.coefficient * other.coefficient
-        factors: dict[int, str] = {}
-        for site in set(self.factors) | set(other.factors):
-            a = self.factors.get(site, "i")
-            b = other.factors.get(site, "i")
-            p, c = _SITE_PRODUCT[(a, b)]
-            coefficient *= p
-            if c != "i":
-                factors[site] = c
-        return PauliTerm(coefficient, factors)
+        n = _top_site(self, other)
+        x, z, r = word_product(_masks(self.factors, n), _masks(other.factors, n))
+        # the product's factors carry i^#Y themselves
+        y = x & z
+        factors = {n - b: "y" if y >> b & 1 else "x" if x >> b & 1 else "z"
+                   for b in range(n) if (x | z) >> b & 1}
+        phase = _PHASES[(r - y.bit_count()) & 3]
+        return PauliTerm(self.coefficient * other.coefficient * phase, factors)
 
     def label(self) -> str:
         if not self.factors:
@@ -83,12 +73,12 @@ class PauliTerm:
 
     def commutes_with(self, other: "PauliTerm") -> bool:
         """Strings commute iff they anticommute on an even number of sites."""
-        clashes = sum(
-            1
-            for site, axis in self.factors.items()
-            if site in other.factors and other.factors[site] != axis
-        )
-        return clashes % 2 == 0
+        n = _top_site(self, other)
+        return not anticommute(_masks(self.factors, n), _masks(other.factors, n))
+
+
+def _top_site(*terms: PauliTerm) -> int:
+    return max((int(s) for t in terms for s in t.factors), default=0)
 
 
 def _masks(factors: Mapping[int, str], n: int) -> tuple[int, int, int]:
@@ -98,7 +88,7 @@ def _masks(factors: Mapping[int, str], n: int) -> tuple[int, int, int]:
     phase = 0
     ycount = 0
     for site, axis in factors.items():
-        bit = 1 << (n - site)
+        bit = 1 << (n - int(site))   # sites may be numpy integers
         if axis in ("x", "y"):
             flip |= bit
         if axis in ("y", "z"):
@@ -186,15 +176,16 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
     for t in terms:
         if complex(t.coefficient).imag:
             raise ValueError(f"term {t.label()} has a complex coefficient")
-    for i, a in enumerate(terms):
-        for b in terms[i + 1:]:
-            if not a.commutes_with(b):
-                raise ValueError(f"terms {a.label()} and {b.label()} do not commute")
+    words = [_masks(t.factors, n) for t in terms]
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if anticommute(a, words[j]):
+                raise ValueError(
+                    f"terms {terms[i].label()} and {terms[j].label()} do not commute")
     # GF(2) elimination on the 2n-bit (X mask, Z mask) vectors; the reduced
     # rows keep distinct leading bits in descending order
     rows: list[int] = []
-    for t in terms:
-        flip, phase_mask, _ = _masks(t.factors, n)
+    for t, (flip, phase_mask, _) in zip(terms, words):
         v = flip << n | phase_mask
         for r in rows:
             v = min(v, v ^ r)
@@ -217,7 +208,8 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
 
 Word = tuple[int, int, int]
 
-_POWER_OF_I = {1: 0, 1j: 1, -1: 2, -1j: 3}
+_PHASES = (1, 1j, -1, -1j)
+_POWER_OF_I = {p: k for k, p in enumerate(_PHASES)}
 
 RANDOM, CERTAIN, CONTRADICTED = "random", "certain", "contradicted"
 

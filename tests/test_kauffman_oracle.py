@@ -315,6 +315,9 @@ class TestBracket:
         wide = (-11, 5, -7, -4, -3, -10, -9, 12, -15, 6, -13, -14, -8, 5, 7, -2, -10, 4,
                 -13, -11, 7, -15, -13, -3, 1, 1)
         words += [BraidWord(16, wide), BraidWord(16, wide + (2, 3, 2, 1, 3, 2))]
+        # both strands close at one letter; a strand closes at its first letter
+        words += [BraidWord(6, (1, 3, 5)), BraidWord(6, (-1, 3, -5, 2, -4)),
+                  BraidWord(5, (4, 3, 2, 1)), BraidWord(2, (1,)), BraidWord(2, (-1, -1))]
         for word in words:
             assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
 

@@ -63,14 +63,20 @@ def test_string_products():
 
 def test_string_product_matches_matrices():
     rng = np.random.default_rng(1)
-    n = 3
-    for _ in range(30):
-        f1 = {s: rng.choice(list("xyz")) for s in rng.choice([1, 2, 3], size=rng.integers(0, 4), replace=False)}
-        f2 = {s: rng.choice(list("xyz")) for s in rng.choice([1, 2, 3], size=rng.integers(0, 4), replace=False)}
-        s1 = PauliTerm(1.0, f1)
-        s2 = PauliTerm(1.0, f2)
-        lhs = kron_term(s1, n) @ kron_term(s2, n)
-        assert np.allclose(lhs, kron_term(s1 * s2, n))
+    phased = 0   # products with two or more sites whose factor product is +-i
+    for n in (3, 5):
+        for _ in range(60):
+            s1, s2 = (PauliTerm(rng.choice([1.0, 2.0, 1j, -1j]),
+                                {s: rng.choice(list("xyz")) for s in rng.choice(
+                                    np.arange(1, n + 1), size=rng.integers(0, n + 1),
+                                    replace=False)})
+                      for _ in range(2))
+            m1, m2 = kron_term(s1, n), kron_term(s2, n)
+            assert np.allclose(m1 @ m2, kron_term(s1 * s2, n))
+            assert s1.commutes_with(s2) == np.allclose(m1 @ m2, m2 @ m1)
+            phased += sum(1 for s, a in s1.factors.items()
+                          if s in s2.factors and s2.factors[s] != a) >= 2
+    assert phased >= 20
 
 
 def test_apply_pauli_matches_dense():

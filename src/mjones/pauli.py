@@ -88,6 +88,8 @@ def _masks(factors: Mapping[int, str], n: int) -> tuple[int, int, int]:
     phase = 0
     ycount = 0
     for site, axis in factors.items():
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} out of range for {n} sites")
         bit = 1 << (n - int(site))   # sites may be numpy integers
         if axis in ("x", "y"):
             flip |= bit
@@ -288,6 +290,23 @@ class StabilizerState:
                     d |= 1 << pivot
             destabilizers.append((d >> n, d & low, 0))
         return cls(words, destabilizers)
+
+    def key(self) -> tuple:
+        """The stabilizer group's reduced row-echelon rows on the x << n | z
+        bits, phases included, the rows combined with word_product.  The state
+        fixes its stabilizer group, and the group its reduced echelon form,
+        so any two tableaux of one state have the same key."""
+        n = len(self.stabilizers)
+        todo = [(x << n | z, (x, z, r)) for x, z, r in self.stabilizers]
+        rows = []
+        for bit in reversed(range(2 * n)):
+            pivot = next((row for row in todo if row[0] >> bit & 1), None)
+            if pivot is not None:
+                todo.remove(pivot)
+                todo, rows = ([(v ^ pivot[0], word_product(w, pivot[1])) if v >> bit & 1
+                               else (v, w) for v, w in part] for part in (todo, rows))
+                rows.append(pivot)
+        return tuple(w for _, w in rows)
 
     def copy(self) -> "StabilizerState":
         return StabilizerState(list(self.stabilizers), list(self.destabilizers))

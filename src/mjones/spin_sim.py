@@ -36,8 +36,12 @@ Clifford (Bravyi & Kitaev 2002), phi0 = prepare_logical(0) is a stabilizer
 state (``PHI0_GENERATORS``), and so ``jones_spin_tableau`` runs every stage
 as an exact stabilizer-tableau walk (``pauli.StabilizerState``).  It reads
 |<phi0|phi_f>|^2 = 2^-k off the k random outcomes of measuring phi0's ten
-generators on the final state, or 0 when one is contradicted.  ``verify``
-and the stage-by-stage checks run the replay at their own tau.
+generators on the final state, or 0 when one is contradicted.  The four
+letters take phi0 to only 24 distinct stabilizer states, so the walk is a
+finite automaton whose table is filled on first use: each (state, letter)
+runs its stages once, each state's k is read once, and every later letter
+is one dict lookup.  ``verify`` and the stage-by-stage checks run the
+replay at their own tau.
 """
 
 from __future__ import annotations
@@ -509,11 +513,56 @@ PHI0_GENERATORS = (
 )
 
 
+class _Walk:
+    """The walk as a finite automaton over the stabilizer states reachable
+    from phi0, filled on first use.  A state is a small integer, 0 being
+    phi0; it keeps the tableau it was first found as, under its canonical
+    ``StabilizerState.key``.  A transition (state, letter) runs the letter
+    once, on a copy of that tableau; a state's k is read once, when it is
+    found.  From phi0 the four letters reach 24 states."""
+
+    def __init__(self, generators, ground, stages):
+        self.generators, self.ground, self.stages = generators, ground, stages
+        self.tableaux, self.ks, self.ids = [], [], {}
+        self.next = {}       # (state, letter) -> state
+        self._add(StabilizerState.from_generators(generators, N_SITES))
+
+    def _add(self, tableau: StabilizerState) -> int:
+        s = self.ids.setdefault(tableau.key(), len(self.tableaux))
+        if s == len(self.tableaux):
+            self.tableaux.append(tableau)
+            self.ks.append(self._overlap_k(tableau.copy()))
+        return s
+
+    def _overlap_k(self, state: StabilizerState) -> int | None:
+        # |<phi0|state>|^2 = 2^-k, k the random outcomes of measuring phi0's
+        # generators at +1; None when one is contradicted
+        k = 0
+        for w in self.generators:
+            outcome = state.measure(w)
+            if outcome == CONTRADICTED:
+                return None
+            k += outcome == RANDOM
+        return k
+
+    def step(self, s: int, g: int) -> int:
+        """The state letter g leads state s to, computed and kept."""
+        state = self.tableaux[s].copy()
+        # every H0 term reads -1 in the ground space
+        if any(state.measure(w) != CERTAIN for w in self.ground):
+            raise ValueError("input state is not in the ground space of H0")
+        for minus_term, pairing in self.stages[g]:
+            if state.measure(minus_term) == CONTRADICTED:
+                state.conjugate(pairing)
+        self.next[s, g] = t = self._add(state)
+        return t
+
+
 @lru_cache(maxsize=1)
-def _walk_tables():
-    """(phi0's tableau, its generators, the H0 terms negated, and each
-    letter's stages as (negated term, pairing)), all as Pauli words.  The
-    tableau is shared: a walk runs on a copy."""
+def _walk_tables() -> _Walk:
+    """The walk's automaton, its words built from phi0's generators, the H0
+    terms negated, and each letter's stages as (negated term, pairing).
+    ``_walk_tables.cache_clear()`` empties its table."""
     def words(terms):
         return tuple(pauli_word(t, N_SITES) for t in terms)
 
@@ -525,9 +574,7 @@ def _walk_tables():
             _check_pairing(step.term, step.pairing)
         stages[g] = tuple(zip(words(-step.term for step in steps),
                               words(step.pairing for step in steps)))
-    generators = words(PHI0_GENERATORS)
-    return (StabilizerState.from_generators(generators, N_SITES), generators,
-            words(-t for t in _SPIN_TERMS["H0"]), stages)
+    return _Walk(words(PHI0_GENERATORS), words(-t for t in _SPIN_TERMS["H0"]), stages)
 
 
 def jones_spin_tableau(word: BraidWord) -> float:
@@ -537,26 +584,21 @@ def jones_spin_tableau(word: BraidWord) -> float:
     wholly in the +1 eigenspace, applies the pairing; both keep phi0's
     stabilizer states stabilizer states.  |<phi0|phi_f>|^2 is 2^-k, with k
     the number of phi0's generators whose +1 outcome is random on phi_f, or
-    0 when one is contradicted.
+    0 when one is contradicted.  The letters run on the automaton of
+    ``_walk_tables``: one dict lookup each, once its table is filled.
     """
     if word.strands > 3:   # on three strands the letters are s1 and s2 only
         raise CapacityError("the ten-site register supports at most three strands")
-    phi0, generators, ground, stages = _walk_tables()
-    state = phi0.copy()
+    walk = _walk_tables()
+    table = walk.next
+    s = 0
     for g in word.letters:
-        # every H0 term reads -1 in the ground space
-        if any(state.measure(w) != CERTAIN for w in ground):
-            raise ValueError("input state is not in the ground space of H0")
-        for minus_term, pairing in stages[g]:
-            if state.measure(minus_term) == CONTRADICTED:
-                state.conjugate(pairing)
-    k = 0
-    for w in generators:
-        outcome = state.measure(w)
-        if outcome == CONTRADICTED:
-            return 0.0
-        k += outcome == RANDOM
-    return 2.0 ** ((word.strands - 1 - k) / 2)
+        try:
+            s = table[s, g]
+        except KeyError:
+            s = walk.step(s, g)
+    k = walk.ks[s]
+    return 0.0 if k is None else 2.0 ** ((word.strands - 1 - k) / 2)
 
 
 def spin_method(tau: float) -> str:

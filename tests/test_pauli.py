@@ -9,6 +9,7 @@ from mjones.pauli import (
     RANDOM,
     PauliTerm,
     StabilizerState,
+    _masks,
     anticommute,
     apply_pauli,
     commuting_spectrum,
@@ -307,6 +308,76 @@ def test_copy_is_independent():
     twin = state.copy()
     assert twin.measure((1, 0, 0)) == RANDOM
     assert state.measure((0, 1, 0)) == CERTAIN
+
+
+def stabilizer_vector(state: StabilizerState, n: int, rng) -> np.ndarray:
+    """The state as a unit vector: every stabilizer's +1 projector applied to
+    a random vector."""
+    v = random_vector(rng, n)
+    for s in state.stabilizers:
+        v = v + apply_pauli(term_of(s, n), v, n)
+    return v / np.linalg.norm(v)
+
+
+def random_tableau(rng, n: int) -> StabilizerState:
+    """|0...0> after up to three random measurements or conjugations."""
+    state = StabilizerState.from_generators([(0, 1 << k, 0) for k in range(n)], n)
+    for _ in range(int(rng.integers(4))):
+        word = random_word(rng, n, hermitian=True)
+        if rng.random() < 0.3:
+            state.conjugate(word)
+        else:
+            state.measure(word)
+    return state
+
+
+def rewritten(state: StabilizerState, rng) -> StabilizerState:
+    """Another tableau of the same state: one stabilizer multiplied into
+    another, the rows reordered, and the destabilizers' phases changed."""
+    n = len(state.stabilizers)
+    stabs, destabs = list(state.stabilizers), list(state.destabilizers)
+    i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+    stabs[i] = word_product(stabs[i], stabs[j])
+    destabs[j] = word_product(destabs[j], destabs[i])  # keeps the pairing
+    order = rng.permutation(n)
+    return StabilizerState([stabs[k] for k in order],
+                           [(x, z, int(rng.integers(4))) for x, z, _ in (destabs[k] for k in order)])
+
+
+def test_key_is_the_state():
+    rng = np.random.default_rng(14)
+    n = 4
+    tableaux = [random_tableau(rng, n) for _ in range(60)]
+    for state in tableaux:
+        twin = rewritten(state, rng)
+        assert twin.stabilizers != state.stabilizers
+        for i, s in enumerate(twin.stabilizers):
+            assert [anticommute(d, s) for d in twin.destabilizers] == [j == i for j in range(n)]
+        assert twin.key() == state.key()
+        x, z, r = state.stabilizers[0]
+        flipped = StabilizerState([(x, z, (r + 2) & 3), *state.stabilizers[1:]],
+                                  list(state.destabilizers))
+        assert flipped.key() != state.key()
+    # equal keys exactly where the state vectors are equal up to a phase
+    vectors = [stabilizer_vector(state, n, rng) for state in tableaux]
+    same = set()
+    for a in range(len(tableaux)):
+        for b in range(a):
+            equal = abs(np.vdot(vectors[a], vectors[b])) > 1 - 1e-9
+            assert (tableaux[a].key() == tableaux[b].key()) == equal
+            same.add(equal)
+    assert same == {True, False}
+
+
+def test_a_site_outside_the_register_is_named():
+    term = PauliTerm(1.0, {5: "z"})
+    for call in (lambda: apply_pauli(term, np.ones(8), 3),
+                 lambda: commuting_spectrum([term], 3),
+                 lambda: pauli_word(term, 3)):
+        with pytest.raises(ValueError, match="site 5 out of range for 3 sites"):
+            call()
+    with pytest.raises(ValueError, match="site 0 out of range for 3 sites"):
+        _masks({0: "x"}, 3)
 
 
 @pytest.mark.parametrize("words, message", [

@@ -11,8 +11,8 @@ import pytest
 
 from mjones import spin_sim
 from mjones.braidlang import BraidWord, CapacityError, link_invariants
-from mjones.pauli import (PauliTerm, apply_pauli, commuting_spectrum, dense_sum,
-                          majorana_string)
+from mjones.pauli import (CERTAIN, CONTRADICTED, RANDOM, PauliTerm, StabilizerState,
+                          apply_pauli, commuting_spectrum, dense_sum, majorana_string)
 from mjones.spin_sim import (
     BRAID_NAMES,
     DEFAULT_TAU,
@@ -542,7 +542,12 @@ def test_nan_tau_raises_in_the_replay():
 
 def test_tableau_walk_checks_the_ground_space_before_each_letter(monkeypatch):
     # without its last step, s1 leaves x4x5 unrestored: the next letter
-    # starts outside the ground space of H0, as the replay also reports
+    # starts outside the ground space of H0, as the replay also reports.
+    # The table filled with the intact schedules must not answer for it.
+    spin_sim._walk_tables.cache_clear()
+    for word in seeded_words("fill-the-table", 200, max_letters=60):
+        jones_spin_tableau(word)
+    assert len(spin_sim._walk_tables().next) == 96
     monkeypatch.setitem(SCHEDULES, "s1", SCHEDULES["s1"][:-1])
     spin_sim._walk_tables.cache_clear()
     try:
@@ -553,3 +558,96 @@ def test_tableau_walk_checks_the_ground_space_before_each_letter(monkeypatch):
     finally:
         monkeypatch.undo()
         spin_sim._walk_tables.cache_clear()
+
+
+# --- the walk's table against the per-letter walk -------------------------------
+
+def reference_letter(state, g):
+    """One letter of the per-letter walk, in place: the H0 ground-space
+    check, then each stage's forced measurement or pairing."""
+    walk = spin_sim._walk_tables()
+    if any(state.measure(w) != CERTAIN for w in walk.ground):
+        raise ValueError("input state is not in the ground space of H0")
+    for minus_term, pairing in walk.stages[g]:
+        if state.measure(minus_term) == CONTRADICTED:
+            state.conjugate(pairing)
+
+
+def reference_value(state, strands):
+    """|V| from phi0's generators measured on a copy of the final state."""
+    state = state.copy()
+    k = 0
+    for w in spin_sim._walk_tables().generators:
+        outcome = state.measure(w)
+        if outcome == CONTRADICTED:
+            return 0.0
+        k += outcome == RANDOM
+    return 2.0 ** ((strands - 1 - k) / 2)
+
+
+def phi0_tableau():
+    return StabilizerState.from_generators(spin_sim._walk_tables().generators, N_SITES)
+
+
+def reference_prefix_values(word, lengths):
+    """The per-letter walk's |V| of the word's prefixes of the given lengths."""
+    state, values = phi0_tableau(), {}
+    for length in range(len(word.letters) + 1):
+        if length:
+            reference_letter(state, word.letters[length - 1])
+        if length in lengths:
+            values[length] = reference_value(state, word.strands)
+    return values
+
+
+def test_table_walk_equals_the_per_letter_walk_bitwise():
+    # 3000 words of 0-1000 letters on 2 and 3 strands: 100 prefixes each of
+    # 30 seeded 1000-letter words, so the per-letter walk reads each letter once
+    rng = random.Random("table-vs-per-letter")
+    cases = []
+    for _ in range(30):
+        strands = rng.choice((2, 3))
+        letters = tuple(rng.choice((-1, 1)) * rng.randint(1, strands - 1) for _ in range(1000))
+        lengths = [0, 1000, *rng.sample(range(1, 1000), 98)]
+        values = reference_prefix_values(BraidWord(strands, letters), set(lengths))
+        cases += [(BraidWord(strands, letters[:n]), values[n].hex()) for n in lengths]
+    assert {word.strands for word, _ in cases} == {2, 3}
+    for order in ("as drawn", "shuffled"):
+        if order == "shuffled":
+            random.Random(order).shuffle(cases)
+        spin_sim._walk_tables.cache_clear()     # a fresh table, filled in this order
+        assert [jones_spin_tableau(word).hex() for word, _ in cases] == [
+            want for _, want in cases]
+
+
+def test_the_orbit_of_phi0_is_24_states_and_96_transitions():
+    # breadth first from phi0 over s1, s1^-1, s2, s2^-1 with the per-letter walk
+    states, edges = [phi0_tableau()], {}
+    keys = [states[0].key()]
+    for state, key in zip(states, keys):     # both grow as states are found
+        for g in spin_sim.LETTER_NAMES:
+            after = state.copy()
+            reference_letter(after, g)
+            edges[key, g] = after.key()
+            if after.key() not in keys:
+                states.append(after)
+                keys.append(after.key())
+    assert (len(keys), len(edges)) == (24, 96)
+    # the table, filled by the same search, holds the same states and edges
+    spin_sim._walk_tables.cache_clear()
+    walk = spin_sim._walk_tables()
+    for s, _ in enumerate(walk.tableaux):
+        for g in spin_sim.LETTER_NAMES:
+            walk.step(s, g)
+    table_keys = [tableau.key() for tableau in walk.tableaux]
+    assert table_keys == keys
+    assert {(table_keys[s], g): table_keys[t] for (s, g), t in walk.next.items()} == edges
+
+
+def test_a_long_word_walks_to_its_closure_type_value():
+    # nothing bounds the letters on the walk: 10^5 letters are 10^5 lookups
+    rng = random.Random("long-walk")
+    word = BraidWord(3, tuple(rng.choice((-1, 1, -2, 2)) for _ in range(100_000)))
+    inv = link_invariants(word)
+    want = 2.0 ** ((inv.components - 1) / 2) if inv.proper else 0.0
+    assert jones_spin_tableau(word) == want

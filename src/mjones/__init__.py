@@ -20,8 +20,8 @@ from importlib import import_module
 # the submodule that defines each public name
 _EXPORTS = {
     "braidlang": ("BraidSyntaxError", "BraidWord", "CapacityError", "LinkInvariants",
-                  "arf_invariant", "closure_permutation", "format_braid", "jones_from_arf",
-                  "link_invariants", "lookup_arf_data", "parse_braid"),
+                  "arf_invariant", "format_braid", "jones_from_arf", "link_invariants",
+                  "lookup_arf_data", "parse_braid"),
     "anyon_core": ("braid_generators", "evolve", "jones_majorana_abs", "jones_su2_2"),
     "kauffman_oracle": ("A_AT_T_I", "LaurentPolynomial", "bracket", "eval_at", "jones_at_i",
                         "jones_polynomial"),

@@ -160,7 +160,9 @@ def format_braid(word: BraidWord) -> str:
 
 def _walk(word: BraidWord) -> tuple[tuple[int, ...], dict[int, int]]:
     """The closure permutation and the signed crossings of each ordered
-    strand pair, from one pass over the word.  A letter crossing strand
+    strand pair, from one pass over the word.  The permutation's entry ``i``
+    is the final position of the strand that starts at position ``i``.  A
+    letter crossing strand
     ``a`` (on the left) with strand ``b`` adds its sign under the key
     ``a * strands + b``; strands are named by their starting positions."""
     n = word.strands
@@ -176,15 +178,6 @@ def _walk(word: BraidWord) -> tuple[tuple[int, ...], dict[int, int]]:
     for pos, strand in enumerate(at_pos):
         perm[strand] = pos
     return tuple(perm), crossed
-
-
-def closure_permutation(word: BraidWord) -> tuple[int, ...]:
-    """Permutation induced on strands by the word (0-based; signs ignored).
-
-    Entry ``i`` is the final position of the strand that starts at position
-    ``i``; its cycles are the closure's components.
-    """
-    return _walk(word)[0]
 
 
 @dataclass(frozen=True)

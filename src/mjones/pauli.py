@@ -184,16 +184,9 @@ def commuting_spectrum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
             if anticommute(a, words[j]):
                 raise ValueError(
                     f"terms {terms[i].label()} and {terms[j].label()} do not commute")
-    # GF(2) elimination on the 2n-bit (X mask, Z mask) vectors; the reduced
-    # rows keep distinct leading bits in descending order
-    rows: list[int] = []
-    for t, (flip, phase_mask, _) in zip(terms, words):
-        v = flip << n | phase_mask
-        for r in rows:
-            v = min(v, v ^ r)
-        if not v:
-            raise ValueError(f"term {t.label()} is a product of the other terms")
-        rows = sorted(rows + [v], reverse=True)
+    independent = len(_echelon(words, n))
+    if independent < len(terms):
+        raise ValueError(f"term {terms[independent].label()} is a product of the other terms")
     m = len(terms)
     signs = 1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
     values = signs @ np.array([complex(t.coefficient).real for t in terms])
@@ -238,6 +231,29 @@ def anticommute(a: Word, b: Word) -> bool:
     return bool(((a[0] & b[1]) ^ (a[1] & b[0])).bit_count() & 1)
 
 
+def _echelon(words, n: int) -> list[tuple[int, Word, int]]:
+    """Reduced row-echelon rows of the words' x << n | z bits, in descending
+    pivot order, as (pivot bit, word, combo): the row's word is the
+    word_product of the words whose indices are the bits of combo.  The
+    elimination stops at the first word that is a product of earlier ones,
+    so with fewer rows than words, len(rows) is that word's index."""
+    rows: list[tuple[int, Word, int]] = []
+    for j, word in enumerate(words):
+        combo = 1 << j
+        for pivot, w, c in rows:
+            if (word[0] << n | word[1]) >> pivot & 1:
+                word, combo = word_product(word, w), combo ^ c
+        bits = word[0] << n | word[1]
+        if not bits:
+            break
+        top = bits.bit_length() - 1
+        rows = [(p, word_product(w, word), c ^ combo) if (w[0] << n | w[1]) >> top & 1
+                else (p, w, c) for p, w, c in rows]
+        rows.append((top, word, combo))
+        rows.sort(reverse=True)     # pivots are distinct
+    return rows
+
+
 class StabilizerState:
     """An n-qubit stabilizer state as an Aaronson-Gottesman tableau (PRA 70,
     052328, 2004): n commuting Hermitian stabilizer words with the state as
@@ -263,32 +279,18 @@ class StabilizerState:
                 raise ValueError(f"generator {i} is not Hermitian")
             if any(anticommute(w, v) for v in words[i + 1:]):
                 raise ValueError(f"generator {i} anticommutes with a later one")
-        # Row j of the system is the linear form d -> <d, S_j> on a word's
-        # x << n | z bits, that is S_j with its X and Z parts swapped.
-        # It is reduced to echelon form as it is read.
-        rows: list[tuple[int, int, int]] = []   # (bits, rows combined, pivot)
-        for j, (x, z, _) in enumerate(words):
-            bits, combo = z << n | x, 1 << j
-            for rbits, rcombo, pivot in rows:
-                if bits >> pivot & 1:
-                    bits ^= rbits
-                    combo ^= rcombo
-            if not bits:
-                raise ValueError(f"generator {j} is a product of the others")
-            pivot = bits.bit_length() - 1
-            rows = [(rbits ^ bits, rcombo ^ combo, rp) if rbits >> pivot & 1
-                    else (rbits, rcombo, rp) for rbits, rcombo, rp in rows]
-            rows.append((bits, combo, pivot))
-        # the unit vector at row k's pivot meets row k alone, so D_i, the sum
-        # of the pivots of the rows that combine S_i, meets S_i alone
+        rows = _echelon(words, n)
+        if len(rows) < n:
+            raise ValueError(f"generator {len(rows)} is a product of the others")
+        # d meets S (anticommutes with it) iff d with its X and Z parts
+        # swapped has odd overlap with S's bits.  So the swapped unit vector
+        # at row k's pivot meets row k alone, and D_i, the sum of the swapped
+        # pivots of the rows that combine S_i, meets S_i alone
         low = (1 << n) - 1
         destabilizers = []
         for i in range(n):
-            d = 0
-            for _, combo, pivot in rows:
-                if combo >> i & 1:
-                    d |= 1 << pivot
-            destabilizers.append((d >> n, d & low, 0))
+            d = sum(1 << pivot for pivot, _, combo in rows if combo >> i & 1)
+            destabilizers.append((d & low, d >> n, 0))
         return cls(words, destabilizers)
 
     def key(self) -> tuple:
@@ -296,17 +298,7 @@ class StabilizerState:
         bits, phases included, the rows combined with word_product.  The state
         fixes its stabilizer group, and the group its reduced echelon form,
         so any two tableaux of one state have the same key."""
-        n = len(self.stabilizers)
-        todo = [(x << n | z, (x, z, r)) for x, z, r in self.stabilizers]
-        rows = []
-        for bit in reversed(range(2 * n)):
-            pivot = next((row for row in todo if row[0] >> bit & 1), None)
-            if pivot is not None:
-                todo.remove(pivot)
-                todo, rows = ([(v ^ pivot[0], word_product(w, pivot[1])) if v >> bit & 1
-                               else (v, w) for v, w in part] for part in (todo, rows))
-                rows.append(pivot)
-        return tuple(w for _, w in rows)
+        return tuple(word for _, word, _ in _echelon(self.stabilizers, len(self.stabilizers)))
 
     def copy(self) -> "StabilizerState":
         return StabilizerState(list(self.stabilizers), list(self.destabilizers))

@@ -8,10 +8,12 @@ connector sites 3 and 7.  The parent Hamiltonian
 has an eight-fold degenerate ground space (energy -7) spanned by product
 states |x x zbar (x|xbar)^3 zbar (x|xbar)^3> that encode three logical
 qubits, one per chain.  Exchanging chain endpoints is driven by a cycle of
-Hamiltonians that differ by one or two commuting terms; each stage is
-realised by imaginary-time evolution exp(-tau * term) of the newly added
-terms followed by a non-dissipative cooling step that folds the suppressed
-excited amplitude back onto the ground component.
+Hamiltonians, one schedule step each: a step brings in one term and drops
+those that anticommute with it, so each stage Hamiltonian is H0 run through
+the first steps of a schedule (``spin_hamiltonian``).  A step is realised by
+imaginary-time evolution exp(-tau * term) of its term followed by a
+non-dissipative cooling step that folds the suppressed excited amplitude
+back onto the ground component.
 
 Logical encoding: chain patterns map by Hadamard-type rotations
 
@@ -68,8 +70,8 @@ GROUND_ENERGY = -7.0
 NORM_TOL = 1e-12
 GROUND_TOL = 1e-10
 
-BRAID_NAMES = ("s1", "s1^-1", "s2", "s2^-1")
 LETTER_NAMES = {1: "s1", -1: "s1^-1", 2: "s2", -2: "s2^-1"}
+BRAID_NAMES = tuple(LETTER_NAMES.values())
 
 
 def _norm(state: np.ndarray) -> float:
@@ -133,26 +135,12 @@ def _t(coeff: float, **factors) -> PauliTerm:
     return PauliTerm(coeff, fmap)
 
 
-_SPIN_TERMS: dict[str, list[PauliTerm]] = {
-    "H0": [_t(-1, x=(1, 2)), _t(-1, x=(4, 5)), _t(-1, x=(5, 6)),
-           _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=3), _t(1, z=7)],
-    "H1": [_t(-1, x=(1, 2)), _t(-1, x=(2, 3)), _t(-1, x=(4, 5)), _t(-1, x=(5, 6)),
-           _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=7)],
-    "H2": [_t(-1, x=(1, 2)), _t(-1, x=(2, 3)), _t(1, x=3, y=4), _t(-1, x=(5, 6)),
-           _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=7)],
-    "H3": [_t(-1, x=(1, 2)), _t(-1, x=(2, 3)), _t(-1, x=(5, 6)),
-           _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=4), _t(1, z=7)],
-    "H'1": [_t(-1, x=(1, 2)), _t(-1, x=(5, 6)), _t(-1, x=(8, 9)), _t(-1, x=(9, 10)),
-            _t(1, z=3), _t(1, z=4), _t(1, z=7)],
-    "H'2": [_t(-1, x=(1, 2)), _t(-1, x=(5, 6)), _t(-1, y=5, z=6, x=7),
-            _t(-1, x=(9, 10)), _t(1, z=3), _t(1, z=4), _t(1, z=8)],
-    "H'3": [_t(-1, x=(1, 2)), _t(-1, x=(5, 6)), _t(-1, y=5, z=6, x=7),
-            _t(1, x=7, y=8), _t(-1, x=(9, 10)), _t(1, z=3), _t(1, z=4)],
-    "H'4": [_t(-1, x=(1, 2)), _t(-1, x=(5, 6)), _t(-1, y=5, z=6, x=7),
-            _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=3), _t(1, z=4)],
-    "H'5": [_t(-1, x=(1, 2)), _t(-1, x=(5, 6)), _t(-1, x=(8, 9)), _t(-1, x=(9, 10)),
-            _t(1, z=3), _t(1, z=4), _t(1, z=7)],
-}
+# H0, and the stages the paper labels as (schedule, steps run from H0)
+_H0_TERMS = (_t(-1, x=(1, 2)), _t(-1, x=(4, 5)), _t(-1, x=(5, 6)),
+             _t(-1, x=(8, 9)), _t(-1, x=(9, 10)), _t(1, z=3), _t(1, z=7))
+_STAGES = {"H0": ("s1", 0), "H1": ("s1", 1), "H2": ("s1", 2), "H3": ("s1", 3),
+           "H'1": ("s2", 1), "H'2": ("s2", 3), "H'3": ("s2", 4), "H'4": ("s2", 5),
+           "H'5": ("s2", 6)}
 
 # fermionic stage Hamiltonians: i * gamma * gamma pair lists
 _FERMI_PAIRS: dict[str, list[tuple[tuple[int, str], tuple[int, str]]]] = {
@@ -185,18 +173,25 @@ _FERMI_PAIRS: dict[str, list[tuple[tuple[int, str], tuple[int, str]]]] = {
              ((7, "a"), (7, "b"))],
 }
 
-# fermionic label -> spin partner with identical spectrum
-JW_PARTNERS = {
-    "HM0": "H0", "HM1": "H1", "HM2": "H2", "HM3": "H3",
-    "H'M1": "H'1", "H'M2": "H'2", "H'M3": "H'3", "H'M4": "H'4", "H'M5": "H'5",
-}
+# fermionic label -> spin partner with identical spectrum: the label without M
+JW_PARTNERS = {label: label.replace("M", "") for label in _FERMI_PAIRS}
 
 
 def spin_hamiltonian(label: str) -> tuple[PauliTerm, ...]:
-    """The commuting Pauli terms of a spin stage Hamiltonian."""
-    if label not in _SPIN_TERMS:
+    """The commuting Pauli terms of a labelled spin stage Hamiltonian."""
+    if label not in _STAGES:
         raise KeyError(f"unknown spin Hamiltonian label {label!r}")
-    return tuple(_SPIN_TERMS[label])
+    return _stage_terms(*_STAGES[label])
+
+
+@lru_cache(maxsize=None)
+def _stage_terms(name: str, steps: int) -> tuple[PauliTerm, ...]:
+    """H0 run through the first ``steps`` steps of schedule ``name``: each
+    step drops the terms that anticommute with its term, then appends it."""
+    terms = _H0_TERMS
+    for step in SCHEDULES[name][:steps]:
+        terms = (*(t for t in terms if t.commutes_with(step.term)), step.term)
+    return terms
 
 
 def fermionic_strings(label: str) -> list[PauliTerm]:
@@ -504,13 +499,10 @@ def jones_spin_replay(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
 # differs from its tau -> inf limit by less than one rounding of the replay
 WALK_TAU = 53 * math.log(2) / 2
 
-# the words that stabilize phi0 = prepare_logical(0): chain 1 by x1x2 and
-# z1z2, chains 2 and 3 by their two xx terms and -zzz, the connectors by -z
-PHI0_GENERATORS = (
-    _t(1, x=(1, 2)), _t(1, z=(1, 2)), _t(-1, z=3),
-    _t(1, x=(4, 5)), _t(1, x=(5, 6)), _t(-1, z=(4, 5, 6)), _t(-1, z=7),
-    _t(1, x=(8, 9)), _t(1, x=(9, 10)), _t(-1, z=(8, 9, 10)),
-)
+# the words that stabilize phi0 = prepare_logical(0): the negated H0 terms,
+# which every ground state reads at +1, and the three chain parities
+PHI0_GENERATORS = (*(-t for t in _H0_TERMS),
+                   _t(1, z=(1, 2)), _t(-1, z=(4, 5, 6)), _t(-1, z=(8, 9, 10)))
 
 
 class _Walk:
@@ -574,7 +566,7 @@ def _walk_tables() -> _Walk:
             _check_pairing(step.term, step.pairing)
         stages[g] = tuple(zip(words(-step.term for step in steps),
                               words(step.pairing for step in steps)))
-    return _Walk(words(PHI0_GENERATORS), words(-t for t in _SPIN_TERMS["H0"]), stages)
+    return _Walk(words(PHI0_GENERATORS), words(-t for t in _H0_TERMS), stages)
 
 
 def jones_spin_tableau(word: BraidWord) -> float:

@@ -7,9 +7,10 @@ are the signed V(i) of the five sample links (Hopf, trefoil, Solomon,
 figure-eight, Borromean rings), from which |V|, the return amplitude and
 the replay probability follow; the stage tables of the exchange schedules;
 and the closed-form ground-space / logical matrices of the four braid
-generators, compared up to a global phase.  The Jordan-Wigner check
-compares spectra exactly: every stage Hamiltonian is a sum of commuting,
-GF(2)-independent Pauli terms, whose spectrum has a closed form
+generators, compared up to a global phase.  The Jordan-Wigner check holds
+the paper's fermionic stage Hamiltonians against the spin stages that the
+schedules derive from H0.  It compares spectra exactly: each stage is a sum
+of commuting, GF(2)-independent Pauli terms with a closed-form spectrum
 (``pauli.commuting_spectrum``), so nothing is diagonalised.  Any two such
 sums of equally many +-1 terms share that spectrum, so the check also
 requires the partners to be the same Pauli words, signs aside.
@@ -305,7 +306,7 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
             break
 
     rng2 = np.random.default_rng(20108)
-    term = spin_sim.spin_hamiltonian("H1")[1]   # -x2x3
+    term = spin_sim.SCHEDULES["s1"][0].term   # -x2x3
     for _ in range(5):
         raw = rng2.normal(size=spin_sim.DIM) + 1j * rng2.normal(size=spin_sim.DIM)
         state = raw / np.linalg.norm(raw)

@@ -19,7 +19,6 @@ from mjones.braidlang import (
     LinkInvariants,
     SeifertForm,
     arf_invariant,
-    closure_permutation,
     format_braid,
     gauss_sum,
     jones_from_arf,
@@ -155,23 +154,6 @@ def test_braidword_validation():
         BraidWord(0, ())
     with pytest.raises(ValueError):
         BraidWord(3, (0,))
-
-
-def test_closure_permutation_examples():
-    assert closure_permutation(HOPF) == (0, 1)
-    assert closure_permutation(TREFOIL) == (1, 0)
-    # six transpositions composing to the identity
-    assert closure_permutation(BORROMEAN) == (0, 1, 2)
-
-
-def test_closure_permutation_ignores_signs():
-    rng = random.Random(11)
-    for _ in range(50):
-        strands = rng.randint(2, 5)
-        letters = [rng.randint(1, strands - 1) for _ in range(rng.randint(1, 8))]
-        flipped = [g * rng.choice([-1, 1]) for g in letters]
-        assert closure_permutation(BraidWord(strands, tuple(letters))) == \
-            closure_permutation(BraidWord(strands, tuple(flipped)))
 
 
 def test_link_invariants_hopf():
@@ -461,7 +443,7 @@ def test_arf_route_matches_anyon_backend_up_to_sixteen_strands():
 # --- the package namespace ---------------------------------------------------
 
 def test_package_names_resolve_to_the_defining_objects():
-    assert len(set(mjones.__all__)) == len(mjones.__all__) == 43
+    assert len(set(mjones.__all__)) == len(mjones.__all__) == 42
     for name in mjones.__all__:
         obj = getattr(mjones, name)
         if isinstance(obj, types.ModuleType):

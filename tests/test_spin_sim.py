@@ -105,8 +105,24 @@ class TestHamiltonians:
         assert PauliTerm(-1.0, {5: "y", 6: "z", 7: "x"}) in terms
 
     def test_terms_commute_within_every_label(self):
-        for label in ("H0", "H1", "H2", "H3", "H'1", "H'2", "H'3", "H'4", "H'5"):
+        for label in spin_sim._STAGES:
             commuting_spectrum(spin_hamiltonian(label), N_SITES)   # raises otherwise
+
+    def test_every_replayed_stage_is_a_ground_state_of_its_derived_hamiltonian(self):
+        # every schedule, every ground-basis input, every step, s2's unnamed
+        # step 2 included: the stage state reads -1 on each of the stage's terms
+        worst, count = 0.0, 0
+        for name in SCHEDULES:
+            for v in ground_basis().vectors:
+                states = braid_sequence_states(name, v.copy(), DEFAULT_TAU)
+                for k, state in enumerate(states, start=1):
+                    terms = spin_sim._stage_terms(name, k)
+                    energy = sum(np.vdot(state, apply_pauli(t, state, N_SITES)).real
+                                 for t in terms)
+                    worst = max(worst, abs(energy + len(terms)))
+                    count += 1
+        assert count == 8 * sum(len(steps) for steps in SCHEDULES.values())
+        assert worst <= 1e-10
 
     def test_unknown_labels_rejected(self):
         with pytest.raises(KeyError):

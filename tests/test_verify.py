@@ -57,3 +57,20 @@ def test_jw_partners_must_share_pauli_words(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("Pauli words of H'M3 differ from H'3's")
     assert "max spectrum deviation 0.00e+00" in result.detail
+
+
+def test_jw_spectra_checks_the_schedules(monkeypatch):
+    # y7x8 in place of x7y8 still anticommutes with its z8 pairing, so only
+    # the stage Hamiltonians derived from the schedule show the fault
+    steps = list(spin_sim.SCHEDULES["s2"])
+    assert steps[3].term == PauliTerm(1, {7: "x", 8: "y"})
+    steps[3] = spin_sim.ScheduleStep(PauliTerm(1, {7: "y", 8: "x"}), steps[3].pairing)
+    monkeypatch.setitem(spin_sim.SCHEDULES, "s2", tuple(steps))
+    spin_sim._stage_terms.cache_clear()
+    try:
+        result = verify.check_jw_spectra(matrices())
+    finally:
+        monkeypatch.undo()
+        spin_sim._stage_terms.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith("Pauli words of H'M3 differ from H'3's")

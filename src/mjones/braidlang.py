@@ -298,13 +298,15 @@ def gauss_sum(form: SeifertForm) -> int:
     summing over x_a fixes x_b, leaving a factor 2 and the term
     (q_a + L_a)(q_b + L_b), L_a and L_b the sums over their other
     neighbours.  A loop without neighbours gives 2 if its q is 0, else 0.
+    The factors of 2 are counted and the sign kept apart, so G is formed
+    once, at the end.
     """
     rows, diag = list(form.rows), list(form.diagonal)
-    g = 1
+    twos, negative = 0, False
     for a, row_a in enumerate(rows):
         if row_a is None:       # eliminated as a partner
             continue
-        g *= 2
+        twos += 1
         if not row_a:
             if diag[a]:
                 return 0
@@ -313,7 +315,7 @@ def gauss_sum(form: SeifertForm) -> int:
         b = bit_b.bit_length() - 1
         only_a, only_b = row_a ^ bit_b, rows[b] ^ bit_a
         da, db = diag[a], diag[b]
-        g = -g if da and db else g
+        negative ^= da and db
         rows[b] = None
         todo = only_a | only_b
         while todo:
@@ -323,7 +325,7 @@ def gauss_sum(form: SeifertForm) -> int:
             in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
             rows[c] ^= (only_b ^ bit_a if in_a else 0) ^ (only_a ^ bit_b if in_b else 0)
             diag[c] ^= (in_a and db) ^ (in_b and da) ^ (in_a and in_b)
-    return g
+    return -(1 << twos) if negative else 1 << twos
 
 
 def arf_invariant(inv: LinkInvariants, form: SeifertForm) -> int:

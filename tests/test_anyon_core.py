@@ -3,22 +3,28 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from mjones import anyon_core
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
+    _even,
     _exchange,
+    _generator_letter,
     _sector_exchange,
+    _table,
     braid_generators,
     evolve,
     jones_majorana_abs,
     jones_su2_2,
     link_to_anyon_word,
 )
-from mjones.braidlang import BraidWord
+from mjones.braidlang import BraidWord, link_invariants
 from mjones.kauffman_oracle import CapacityError, jones_at_i
 
 HOPF = BraidWord(2, (1, 1))
@@ -106,8 +112,14 @@ def test_evolve_bytes_are_pinned():
 
 
 def test_evolve_rejects_bad_index():
-    with pytest.raises(ValueError):
+    # the bad letter is refused before it reaches the table
+    _table.cache_clear()
+    evolve([(1, 2), (4, 3)], 2)
+    table = _table(2)
+    filled = (len(table.states), dict(table.next))
+    with pytest.raises(ValueError, match=r"^exchange \(3, 5\) out of range for 2 pairs$"):
         evolve([(3, 5)], 2)
+    assert (len(table.states), table.next) == filled
     with pytest.raises(ValueError):
         evolve([(0, 1)], 3)
     with pytest.raises(ValueError):
@@ -230,3 +242,168 @@ def test_torus_closures_beyond_the_sample_set():
     for m, expected in values.items():
         word = BraidWord(2, (1,) * m)
         assert jones_su2_2(word) == pytest.approx(expected, abs=1e-9)
+
+
+def test_a_long_word_evolves_to_its_closure_type_value():
+    # nothing bounds the letters at <= LIST_PAIRS pairs: 10^5 letters are
+    # 10^5 table lookups for each of the anyon backend's two evolutions
+    rng = random.Random("long-walk")
+    word = BraidWord(3, tuple(rng.choice((-1, 1, -2, 2)) for _ in range(100_000)))
+    inv = link_invariants(word)
+    want = math.sqrt(2) ** (inv.components - 1) if inv.proper else 0.0
+    value = jones_su2_2(word)
+    assert abs(value) == pytest.approx(want, abs=1e-12)
+    assert value.imag == 0
+    assert jones_majorana_abs(word) == pytest.approx(want, abs=1e-12)
+
+
+# --- the table of reachable states against the per-letter list step ------------
+
+def reference_letter(state, ab, pairs):
+    """One letter of the per-letter list step, every letter stepped: the
+    loop evolve ran on at most LIST_PAIRS pairs before its table."""
+    sqrt_half = complex(math.sqrt(0.5))
+    return [(x + c * state[s]) * sqrt_half
+            for x, (c, s) in zip(state, _sector_exchange(*ab, pairs))]
+
+
+def reference_vacuum(pairs):
+    return [1 + 0j] + [0j] * (len(_even(pairs)) - 1)
+
+
+def full_bytes(state, pairs):
+    """The bytes evolve returns for an even-sector list state."""
+    full = np.zeros(1 << pairs, dtype=complex)
+    full[_even(pairs)] = state
+    return full.tobytes()
+
+
+def reference_prefix_bytes(letters, pairs, lengths):
+    """The per-letter step's output bytes for the prefixes of given lengths."""
+    state, out = reference_vacuum(pairs), {}
+    for length in range(len(letters) + 1):
+        if length:
+            state = reference_letter(state, letters[length - 1], pairs)
+        if length in lengths:
+            out[length] = full_bytes(state, pairs)
+    return out
+
+
+def link_letters(pairs):
+    return [_generator_letter(g) for g in range(1 - pairs, pairs) if g]
+
+
+def all_exchanges(pairs):
+    return [(a, b) for a in range(1, 2 * pairs + 1) for b in range(1, 2 * pairs + 1) if a != b]
+
+
+def test_table_evolve_equals_the_per_letter_step_bitwise():
+    # 1280 words of 0-1000 letters at 1-4 pairs: 40 prefixes each of 32
+    # seeded 1000-letter words, link letters and arbitrary exchanges,
+    # non-adjacent and reversed ones included
+    rng = random.Random("table-vs-list")
+    cases = []
+    for pairs in range(1, 5):
+        for alphabet in (link_letters(pairs), all_exchanges(pairs)):
+            for _ in range(4):
+                letters = [rng.choice(alphabet) for _ in range(1000)] if alphabet else []
+                lengths = sorted({0, len(letters), *(rng.randint(0, len(letters)) for _ in range(38))})
+                want = reference_prefix_bytes(letters, pairs, set(lengths))
+                cases += [(letters[:n], pairs, want[n]) for n in lengths]
+    assert {pairs for _, pairs, _ in cases} == {1, 2, 3, 4}
+    for order in ("as drawn", "shuffled"):
+        if order == "shuffled":
+            random.Random(order).shuffle(cases)
+        _table.cache_clear()     # fresh tables, filled in this order
+        assert [evolve(letters, pairs).tobytes() for letters, pairs, _ in cases] == [
+            want for _, _, want in cases]
+
+
+def reference_orbit(pairs, letters):
+    """Breadth first from the vacuum with the per-letter step: the distinct
+    states' bytes in the order found, and the edges between them."""
+    states = [reference_vacuum(pairs)]
+    keys = [full_bytes(states[0], pairs)]
+    edges = {}
+    for state, key in zip(states, keys):     # both grow as states are found
+        for ab in letters:
+            after = reference_letter(state, ab, pairs)
+            edges[key, ab] = after_key = full_bytes(after, pairs)
+            if after_key not in keys:
+                states.append(after)
+                keys.append(after_key)
+    return keys, edges
+
+
+@pytest.mark.parametrize("alphabet, pairs, states, transitions", [
+    ("link", 1, 1, 0), ("link", 2, 11, 22), ("link", 3, 53, 212), ("link", 4, 391, 2346),
+    ("all", 1, 11, 22), ("all", 2, 55, 660), ("all", 3, 495, 14850),
+])
+def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions):
+    # the memory bound of the table: all 56 exchanges at 4 pairs reach 6747
+    # states and 377,832 transitions, too slow to explore here
+    letters = link_letters(pairs) if alphabet == "link" else all_exchanges(pairs)
+    keys, edges = reference_orbit(pairs, letters)
+    assert (len(keys), len(edges)) == (states, transitions)
+    # the table, filled by the same search, holds the same states and edges
+    _table.cache_clear()
+    table = _table(pairs)
+    for s, _ in enumerate(table.states):
+        for ab in letters:
+            table.step(s, ab)
+    table_keys = [full_bytes(state, pairs) for state in table.states]
+    assert table_keys == keys
+    assert {(table_keys[s], ab): table_keys[t] for (s, ab), t in table.next.items()} == edges
+
+
+def test_a_signed_zero_makes_a_distinct_state():
+    # == would merge these two lists, whose bytes differ, and a later letter
+    # can tell them apart: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0
+    table = anyon_core._Table(2)
+    plus, minus = table._add([0j, 1 + 0j]), table._add([complex(-0.0, 0.0), 1 + 0j])
+    assert sorted({0, plus, minus}) == [0, 1, 2]
+
+
+def test_a_filled_table_makes_one_lookup_per_letter(monkeypatch):
+    # once every transition of the words is known, the miss path never runs
+    rng = random.Random("filled")
+    words = [([rng.choice(all_exchanges(pairs)) for _ in range(rng.randint(0, 300))], pairs)
+             for pairs in (1, 2, 3, 4) for _ in range(20)]
+    _table.cache_clear()
+    first = [evolve(letters, pairs).tobytes() for letters, pairs in words]
+
+    def miss(self, s, ab):
+        raise AssertionError(f"table miss at state {s}, letter {ab}")
+
+    monkeypatch.setattr(anyon_core._Table, "step", miss)
+    assert [evolve(letters, pairs).tobytes() for letters, pairs in words] == first
+
+
+def test_threads_sharing_a_table_keep_one_state_per_id():
+    # misses from several threads at once must not give two states one id;
+    # at 4 pairs under all 56 exchanges nearly every word misses
+    rng = random.Random("threads")
+    exchanges = all_exchanges(4)
+
+    def run(words, got, first):
+        for i in range(first, len(words), 4):
+            got[i] = evolve(words[i], 4).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(15):
+            words = [[rng.choice(exchanges) for _ in range(300)] for _ in range(8)]
+            got = [None] * len(words)
+            _table.cache_clear()
+            threads = [threading.Thread(target=run, args=(words, got, first)) for first in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            table = _table(4)
+            assert sorted(table.ids.values()) == list(range(len(table.states)))
+            assert got == [reference_prefix_bytes(letters, 4, {300})[300] for letters in words]
+    finally:
+        sys.setswitchinterval(interval)

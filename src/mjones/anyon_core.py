@@ -30,20 +30,20 @@ exchange conserves fermion parity, so U|0...0> lies in the even-parity
 sector and only its 2^(n-1) amplitudes are stepped.  Exchanges are
 Clifford (Bravyi & Kitaev 2002), so the vacuum's orbit is finite, and so is
 the set of doubles the steps reach from it.  At most LIST_PAIRS pairs a
-letter is therefore one lookup in a table of those states, filled on first
-use; above that a letter costs O(2^(n-1)), and above MAX_PAIRS the backend
-raises CapacityError.
+letter is therefore one lookup in an ``automaton.Automaton`` of those
+states, filled on first use; above that a letter costs O(2^(n-1)), and
+above MAX_PAIRS the backend raises CapacityError.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .automaton import Automaton
 from .braidlang import BraidWord, CapacityError
 from .pauli import PauliTerm, majorana_string, string_action
 
@@ -56,9 +56,8 @@ MAX_PAIRS = 16
 _SQRT_HALF = math.sqrt(0.5)
 
 # registers of at most this many pairs (8 even-parity amplitudes) step as a
-# list of complex, each distinct (state, letter) once, on the table of
-# _table: there a letter is a dict lookup.  At 5 pairs and up numpy steps
-# every letter
+# list of complex on the automaton of _table, where a letter is a dict
+# lookup.  At 5 pairs and up numpy steps every letter
 LIST_PAIRS = 4
 
 
@@ -117,53 +116,30 @@ def _sector_exchange(a: int, b: int, pairs: int) -> tuple:
     return src, coeff
 
 
-class _Table:
-    """evolve on at most LIST_PAIRS pairs as a finite automaton over the
-    even-sector states reachable from the vacuum, filled on first use.
+def _amplitude_bytes(state: list[complex]) -> bytes:
+    """The exact bytes of the doubles of an amplitude list: == would merge
+    0.0 and -0.0, which later letters can tell apart."""
+    return struct.pack(f"{2 * len(state)}d", *(p for z in state for p in (z.real, z.imag)))
 
-    A state is a small integer, 0 being the vacuum; it keeps the amplitude
-    list it was first found as, under the exact bytes of its doubles: ==
-    would merge 0.0 and -0.0, which later letters can tell apart.  A
-    transition (state, letter) runs the letter's list step once, on that
-    list; after that the letter is one dict lookup.  The step is a pure
-    function of those bytes, so every output is the one of stepping each
-    letter.  The table needs no cap: link letters reach 1 / 11 / 53 / 391
-    states at 1-4 pairs, and the largest table, 4 pairs under all 56
-    ordered exchanges, holds 6747 states and 377,832 transitions.
-    """
 
-    def __init__(self, pairs: int):
-        self.pairs = pairs
-        self.states, self.ids = [], {}
-        self.next = {}      # (state, letter) -> state
-        self._lock = threading.Lock()   # threads may share a table: one miss at a time
-        self._add([1 + 0j] + [0j] * (len(_even(pairs)) - 1))
-
-    def _add(self, state: list[complex]) -> int:
-        key = struct.pack(f"{2 * len(state)}d", *(p for z in state for p in (z.real, z.imag)))
-        s = self.ids.setdefault(key, len(self.states))
-        if s == len(self.states):
-            self.states.append(state)
-        return s
-
-    def step(self, s: int, ab: tuple[int, int]) -> int:
-        """The state letter ab leads state s to, computed and kept."""
-        kernel = _sector_exchange(*ab, self.pairs)
-        state = self.states[s]
-        # complex, as numpy casts it: where complex * float is mixed-mode
-        # arithmetic, a float would change signed zeros
-        sqrt_half = complex(_SQRT_HALF)
-        after = [(x + c * state[k]) * sqrt_half for x, (c, k) in zip(state, kernel)]
-        with self._lock:
-            self.next[s, ab] = t = self._add(after)
-        return t
+def _list_step(pairs: int, state: list[complex], ab: tuple[int, int]) -> list[complex]:
+    """The amplitude list after letter ab, rounded as the numpy step rounds it."""
+    kernel = _sector_exchange(*ab, pairs)
+    # complex, as numpy casts it: where complex * float is mixed-mode
+    # arithmetic, a float would change signed zeros
+    sqrt_half = complex(_SQRT_HALF)
+    return [(x + c * state[k]) * sqrt_half for x, (c, k) in zip(state, kernel)]
 
 
 @lru_cache(maxsize=None)
-def _table(pairs: int) -> _Table:
-    """The automaton of evolve at this pair count; ``_table.cache_clear()``
-    empties every table."""
-    return _Table(pairs)
+def _table(pairs: int) -> Automaton:
+    """evolve at this pair count as an ``automaton.Automaton`` over the
+    even-sector amplitude lists reachable from the vacuum;
+    ``_table.cache_clear()`` empties every table.  It needs no cap: link
+    letters reach 1 / 11 / 53 / 391 states at 1-4 pairs, and all 56 ordered
+    exchanges at 4 pairs 6747 states and 377,832 transitions."""
+    vacuum = [1 + 0j] + [0j] * (len(_even(pairs)) - 1)
+    return Automaton(vacuum, _amplitude_bytes, partial(_list_step, pairs))
 
 
 def evolve(letters, pairs: int) -> np.ndarray:
@@ -171,20 +147,13 @@ def evolve(letters, pairs: int) -> np.ndarray:
 
     Every exchange conserves fermion parity, so only the 2^(pairs-1)
     even-parity amplitudes are stepped; the odd ones stay exactly 0j.  At
-    most LIST_PAIRS pairs the letters run on the table of ``_table``."""
+    most LIST_PAIRS pairs the letters run on the automaton of ``_table``."""
     if pairs > MAX_PAIRS:
         raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
     even = _even(pairs)
     if pairs <= LIST_PAIRS:
         table = _table(pairs)
-        nxt = table.next
-        s = 0
-        for ab in letters:
-            try:
-                s = nxt[s, ab]
-            except KeyError:
-                s = table.step(s, ab)
-        state = table.states[s]
+        state = table.states[table.run(letters)]
     else:
         letters = list(letters)
         kernels = {ab: _sector_exchange(*ab, pairs) for ab in dict.fromkeys(letters)}

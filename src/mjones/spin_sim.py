@@ -39,22 +39,23 @@ state (``PHI0_GENERATORS``), and so ``jones_spin_tableau`` runs every stage
 as an exact stabilizer-tableau walk (``pauli.StabilizerState``).  It reads
 |<phi0|phi_f>|^2 = 2^-k off the k random outcomes of measuring phi0's ten
 generators on the final state, or 0 when one is contradicted.  The four
-letters take phi0 to only 24 distinct stabilizer states, so the walk is a
-finite automaton whose table is filled on first use: each (state, letter)
-runs its stages once, each state's k is read once, and every later letter
-is one dict lookup.  ``verify`` and the stage-by-stage checks run the
-replay at their own tau.
+letters take phi0 to only 24 distinct stabilizer states, so the walk runs
+on the shared finite automaton (``automaton.Automaton``), filled on first
+use: each (state, letter) runs its stages once, each state's k is read
+once, and every later letter is one dict lookup.  ``verify`` and the
+stage-by-stage checks run the replay at their own tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 
 import numpy as np
 
+from .automaton import Automaton
 from .braidlang import DEFAULT_TAU, BraidWord, CapacityError, DegenerateEvolutionError
 # every operator here is a pauli.PauliTerm: Hamiltonian terms and pairings
 # with real coefficients, Majorana products with complex ones.  dense_sum has
@@ -505,56 +506,38 @@ PHI0_GENERATORS = (*(-t for t in _H0_TERMS),
                    _t(1, z=(1, 2)), _t(-1, z=(4, 5, 6)), _t(-1, z=(8, 9, 10)))
 
 
-class _Walk:
-    """The walk as a finite automaton over the stabilizer states reachable
-    from phi0, filled on first use.  A state is a small integer, 0 being
-    phi0; it keeps the tableau it was first found as, under its canonical
-    ``StabilizerState.key``.  A transition (state, letter) runs the letter
-    once, on a copy of that tableau; a state's k is read once, when it is
-    found.  From phi0 the four letters reach 24 states."""
+def _walk_letter(ground, stages, tableau: StabilizerState, g: int) -> StabilizerState:
+    """The tableau after letter g, on a copy: the H0 ground-space check,
+    then each stage's forced measurement or pairing."""
+    state = tableau.copy()
+    # every H0 term reads -1 in the ground space
+    if any(state.measure(w) != CERTAIN for w in ground):
+        raise ValueError("input state is not in the ground space of H0")
+    for minus_term, pairing in stages[g]:
+        if state.measure(minus_term) == CONTRADICTED:
+            state.conjugate(pairing)
+    return state
 
-    def __init__(self, generators, ground, stages):
-        self.generators, self.ground, self.stages = generators, ground, stages
-        self.tableaux, self.ks, self.ids = [], [], {}
-        self.next = {}       # (state, letter) -> state
-        self._add(StabilizerState.from_generators(generators, N_SITES))
 
-    def _add(self, tableau: StabilizerState) -> int:
-        s = self.ids.setdefault(tableau.key(), len(self.tableaux))
-        if s == len(self.tableaux):
-            self.tableaux.append(tableau)
-            self.ks.append(self._overlap_k(tableau.copy()))
-        return s
-
-    def _overlap_k(self, state: StabilizerState) -> int | None:
-        # |<phi0|state>|^2 = 2^-k, k the random outcomes of measuring phi0's
-        # generators at +1; None when one is contradicted
-        k = 0
-        for w in self.generators:
-            outcome = state.measure(w)
-            if outcome == CONTRADICTED:
-                return None
-            k += outcome == RANDOM
-        return k
-
-    def step(self, s: int, g: int) -> int:
-        """The state letter g leads state s to, computed and kept."""
-        state = self.tableaux[s].copy()
-        # every H0 term reads -1 in the ground space
-        if any(state.measure(w) != CERTAIN for w in self.ground):
-            raise ValueError("input state is not in the ground space of H0")
-        for minus_term, pairing in self.stages[g]:
-            if state.measure(minus_term) == CONTRADICTED:
-                state.conjugate(pairing)
-        self.next[s, g] = t = self._add(state)
-        return t
+def _overlap_k(generators, tableau: StabilizerState) -> int | None:
+    """k with |<phi0|tableau>|^2 = 2^-k: the random outcomes of measuring
+    phi0's generators at +1, on a copy; None when one is contradicted."""
+    state, k = tableau.copy(), 0
+    for w in generators:
+        outcome = state.measure(w)
+        if outcome == CONTRADICTED:
+            return None
+        k += outcome == RANDOM
+    return k
 
 
 @lru_cache(maxsize=1)
-def _walk_tables() -> _Walk:
-    """The walk's automaton, its words built from phi0's generators, the H0
-    terms negated, and each letter's stages as (negated term, pairing).
-    ``_walk_tables.cache_clear()`` empties its table."""
+def _walk_tables() -> Automaton:
+    """The walk as an ``automaton.Automaton`` over the 24 stabilizer states
+    the letters reach from phi0, keyed by ``StabilizerState.key``, each with
+    its k (``_overlap_k``); ``_walk_tables.cache_clear()`` empties it.  Its
+    words: phi0's generators, the H0 terms negated, and each letter's
+    stages as (negated term, pairing)."""
     def words(terms):
         return tuple(pauli_word(t, N_SITES) for t in terms)
 
@@ -566,7 +549,10 @@ def _walk_tables() -> _Walk:
             _check_pairing(step.term, step.pairing)
         stages[g] = tuple(zip(words(-step.term for step in steps),
                               words(step.pairing for step in steps)))
-    return _Walk(words(PHI0_GENERATORS), words(-t for t in _H0_TERMS), stages)
+    generators = words(PHI0_GENERATORS)
+    return Automaton(StabilizerState.from_generators(generators, N_SITES), StabilizerState.key,
+                     partial(_walk_letter, words(-t for t in _H0_TERMS), stages),
+                     partial(_overlap_k, generators))
 
 
 def jones_spin_tableau(word: BraidWord) -> float:
@@ -582,14 +568,7 @@ def jones_spin_tableau(word: BraidWord) -> float:
     if word.strands > 3:   # on three strands the letters are s1 and s2 only
         raise CapacityError("the ten-site register supports at most three strands")
     walk = _walk_tables()
-    table = walk.next
-    s = 0
-    for g in word.letters:
-        try:
-            s = table[s, g]
-        except KeyError:
-            s = walk.step(s, g)
-    k = walk.ks[s]
+    k = walk.values[walk.run(word.letters)]
     return 0.0 if k is None else 2.0 ** ((word.strands - 1 - k) / 2)
 
 

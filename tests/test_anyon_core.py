@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from mjones import anyon_core
+from mjones import anyon_core, spin_sim
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
@@ -24,6 +24,7 @@ from mjones.anyon_core import (
     jones_su2_2,
     link_to_anyon_word,
 )
+from mjones.automaton import Automaton
 from mjones.braidlang import BraidWord, link_invariants
 from mjones.kauffman_oracle import CapacityError, jones_at_i
 
@@ -358,52 +359,85 @@ def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions)
 
 def test_a_signed_zero_makes_a_distinct_state():
     # == would merge these two lists, whose bytes differ, and a later letter
-    # can tell them apart: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0
-    table = anyon_core._Table(2)
-    plus, minus = table._add([0j, 1 + 0j]), table._add([complex(-0.0, 0.0), 1 + 0j])
+    # can tell them apart: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0.
+    # Each letter here leads to its own list, kept under the anyon key
+    lists = {"plus": [0j, 1 + 0j], "minus": [complex(-0.0, 0.0), 1 + 0j]}
+    table = Automaton(reference_vacuum(2), anyon_core._amplitude_bytes,
+                      lambda state, name: lists[name])
+    plus, minus = table.run(["plus"]), table.run(["minus"])
     assert sorted({0, plus, minus}) == [0, 1, 2]
 
 
+def spin_words(rng, count, max_letters):
+    """Seeded 3-strand words of 0 to max_letters letters."""
+    return [BraidWord(3, tuple(rng.choice((-2, -1, 1, 2))
+                               for _ in range(rng.randint(0, max_letters))))
+            for _ in range(count)]
+
+
 def test_a_filled_table_makes_one_lookup_per_letter(monkeypatch):
-    # once every transition of the words is known, the miss path never runs
+    # once every transition of the words is known, the miss path never runs,
+    # on the anyon tables and on the spin walk's
     rng = random.Random("filled")
     words = [([rng.choice(all_exchanges(pairs)) for _ in range(rng.randint(0, 300))], pairs)
              for pairs in (1, 2, 3, 4) for _ in range(20)]
+    walks = spin_words(rng, 40, 300)
     _table.cache_clear()
+    spin_sim._walk_tables.cache_clear()
     first = [evolve(letters, pairs).tobytes() for letters, pairs in words]
+    first_walks = [spin_sim.jones_spin_tableau(word).hex() for word in walks]
 
-    def miss(self, s, ab):
-        raise AssertionError(f"table miss at state {s}, letter {ab}")
+    def miss(self, s, letter):
+        raise AssertionError(f"table miss at state {s}, letter {letter}")
 
-    monkeypatch.setattr(anyon_core._Table, "step", miss)
+    monkeypatch.setattr(Automaton, "step", miss)
     assert [evolve(letters, pairs).tobytes() for letters, pairs in words] == first
+    assert [spin_sim.jones_spin_tableau(word).hex() for word in walks] == first_walks
 
 
-def test_threads_sharing_a_table_keep_one_state_per_id():
-    # misses from several threads at once must not give two states one id;
+def anyon_round(rng):
     # at 4 pairs under all 56 exchanges nearly every word misses
-    rng = random.Random("threads")
     exchanges = all_exchanges(4)
+    words = [[rng.choice(exchanges) for _ in range(300)] for _ in range(8)]
+    return (_table.cache_clear, lambda: _table(4), lambda letters: evolve(letters, 4).tobytes(),
+            words, [reference_prefix_bytes(letters, 4, {300})[300] for letters in words])
 
-    def run(words, got, first):
+
+def spin_round(rng):
+    # |V(i)| is sqrt(2)^(m-1) on a proper link of m components and 0 otherwise
+    words = spin_words(rng, 400, 12)
+    invariants = map(link_invariants, words)
+    want = [2.0 ** ((inv.components - 1) / 2) if inv.proper else 0.0 for inv in invariants]
+    return (spin_sim._walk_tables.cache_clear, spin_sim._walk_tables,
+            spin_sim.jones_spin_tableau, words, want)
+
+
+@pytest.mark.parametrize("make_round", [anyon_round, spin_round], ids=["anyon", "spin"])
+def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
+    # misses from several threads at once must not give two states one id
+    rng = random.Random("threads")
+
+    def run(walk, words, got, first):
         for i in range(first, len(words), 4):
-            got[i] = evolve(words[i], 4).tobytes()
+            got[i] = walk(words[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(15):
-            words = [[rng.choice(exchanges) for _ in range(300)] for _ in range(8)]
+            clear, automaton, walk, words, want = make_round(rng)
             got = [None] * len(words)
-            _table.cache_clear()
-            threads = [threading.Thread(target=run, args=(words, got, first)) for first in range(4)]
+            clear()
+            threads = [threading.Thread(target=run, args=(walk, words, got, first))
+                       for first in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-            table = _table(4)
+            table = automaton()
             assert sorted(table.ids.values()) == list(range(len(table.states)))
-            assert got == [reference_prefix_bytes(letters, 4, {300})[300] for letters in words]
+            assert len(table.values) == len(table.states)
+            assert got == want
     finally:
         sys.setswitchinterval(interval)

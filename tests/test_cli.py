@@ -782,8 +782,9 @@ def test_a_fresh_process_imports_only_what_its_command_runs(runs, absent):
 
 
 def test_importing_the_package_loads_no_submodule():
+    loaded = "sorted(m for m in sys.modules if m.startswith(('mjones', 'numpy')))"
     probe = ("import json, sys, mjones\n"
-             "loaded = lambda: sorted(m for m in sys.modules if m.startswith(('mjones', 'numpy')))\n"
+             f"loaded = lambda: {loaded}\n"
              "before, names = loaded(), dir(mjones)\n"
              "mjones.parse_braid\n"
              "print(json.dumps([before, names, loaded()]))")
@@ -793,3 +794,8 @@ def test_importing_the_package_loads_no_submodule():
     assert before == ["mjones"]
     assert set(mjones.__all__) <= set(names)
     assert after == ["mjones", "mjones.braidlang"]
+    # the automaton both walks run on needs neither numpy nor mjones.pauli
+    probe = f"import json, sys, mjones.automaton\nprint(json.dumps({loaded}))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60, check=True)
+    assert json.loads(proc.stdout) == ["mjones", "mjones.automaton"]

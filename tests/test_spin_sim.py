@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from mjones import spin_sim
 from mjones.braidlang import BraidWord, CapacityError, link_invariants
 from mjones.pauli import (CERTAIN, CONTRADICTED, RANDOM, PauliTerm, StabilizerState,
-                          apply_pauli, commuting_spectrum, dense_sum, majorana_string)
+                          apply_pauli, commuting_spectrum, dense_sum, majorana_string,
+                          pauli_word)
 from mjones.spin_sim import (
     BRAID_NAMES,
     DEFAULT_TAU,
@@ -578,13 +580,26 @@ def test_tableau_walk_checks_the_ground_space_before_each_letter(monkeypatch):
 
 # --- the walk's table against the per-letter walk -------------------------------
 
+@lru_cache(maxsize=1)
+def walk_words():
+    """The words the walk reads: phi0's generators, the H0 terms negated,
+    and each letter's stages as (negated term, pairing)."""
+    def words(terms):
+        return tuple(pauli_word(t, N_SITES) for t in terms)
+
+    stages = {g: tuple(zip(words(-step.term for step in SCHEDULES[name]),
+                           words(step.pairing for step in SCHEDULES[name])))
+              for g, name in spin_sim.LETTER_NAMES.items()}
+    return words(spin_sim.PHI0_GENERATORS), words(-t for t in spin_sim._H0_TERMS), stages
+
+
 def reference_letter(state, g):
     """One letter of the per-letter walk, in place: the H0 ground-space
     check, then each stage's forced measurement or pairing."""
-    walk = spin_sim._walk_tables()
-    if any(state.measure(w) != CERTAIN for w in walk.ground):
+    _, ground, stages = walk_words()
+    if any(state.measure(w) != CERTAIN for w in ground):
         raise ValueError("input state is not in the ground space of H0")
-    for minus_term, pairing in walk.stages[g]:
+    for minus_term, pairing in stages[g]:
         if state.measure(minus_term) == CONTRADICTED:
             state.conjugate(pairing)
 
@@ -593,7 +608,7 @@ def reference_value(state, strands):
     """|V| from phi0's generators measured on a copy of the final state."""
     state = state.copy()
     k = 0
-    for w in spin_sim._walk_tables().generators:
+    for w in walk_words()[0]:
         outcome = state.measure(w)
         if outcome == CONTRADICTED:
             return 0.0
@@ -602,7 +617,7 @@ def reference_value(state, strands):
 
 
 def phi0_tableau():
-    return StabilizerState.from_generators(spin_sim._walk_tables().generators, N_SITES)
+    return StabilizerState.from_generators(walk_words()[0], N_SITES)
 
 
 def reference_prefix_values(word, lengths):
@@ -652,10 +667,10 @@ def test_the_orbit_of_phi0_is_24_states_and_96_transitions():
     # the table, filled by the same search, holds the same states and edges
     spin_sim._walk_tables.cache_clear()
     walk = spin_sim._walk_tables()
-    for s, _ in enumerate(walk.tableaux):
+    for s, _ in enumerate(walk.states):
         for g in spin_sim.LETTER_NAMES:
             walk.step(s, g)
-    table_keys = [tableau.key() for tableau in walk.tableaux]
+    table_keys = [tableau.key() for tableau in walk.states]
     assert table_keys == keys
     assert {(table_keys[s], g): table_keys[t] for (s, g), t in walk.next.items()} == edges
 

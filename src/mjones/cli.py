@@ -31,7 +31,8 @@ as its traceback followed by ``internal error: <type>: <message>``, status
 
 JSON reports keep all comparison data under a ``payload`` key that is
 byte-stable across runs; wall-clock numbers live in a separate ``timing``
-key.
+key.  A report is one line with sorted keys; ``python -m json.tool``
+pretty-prints it.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def cmd_jones(args) -> int:
         raise FlagError("tolerance must be finite and positive")
     payload, timing = run_jones(parse_braid(args.word), args.backend, args.tau, args.tolerance)
     if args.output == "json":
-        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
+        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True))
     else:
         _emit(_report_csv(payload) if args.output == "csv" else _report_text(payload))
     return EXIT_OK if payload["agreement"]["agree"] else EXIT_DISAGREE
@@ -288,7 +289,7 @@ def cmd_verify(args) -> int:
             "artifacts": verify.report_artifacts(matrices),
         }
         timing = {r.name: r.elapsed for r in results}
-        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True, indent=2))
+        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True))
     else:
         width = max(len(r.name) for r in results)
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.describe(with_time=True)}"
@@ -329,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first ``main`` call and reused: argparse set-up costs about
-# ten times as much as one ``parse_args``
+# built on the first ``main`` call and reused: building it costs about 25
+# times one parse.  ``main`` reads a command's arguments with that command's
+# parser alone, in one pass; the top-level parser runs only for no command,
+# an unknown one or arguments left over, so that its usage line, message and
+# exit status stand.
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -338,7 +342,14 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    commands = next(action.choices for action in _parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (BraidSyntaxError, FlagError) as exc:

@@ -499,6 +499,27 @@ def test_verify_json_payload_is_byte_stable(capsys):
     assert "time limit 100 ms" in payloads[0] and "time limit 5 s" in payloads[0]
 
 
+@pytest.mark.parametrize("argv", [*[["jones", word, "--output", "json"] for word in PAYLOAD_SHA256],
+                                  ["verify", "--output", "json"]],
+                         ids=lambda argv: argv[1] if argv[0] == "jones" else "verify")
+def test_json_report_is_one_line_with_sorted_keys(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_json_report_from_the_module_entry_point(capsys):
+    # ``python -m mjones.cli`` runs ``main()``, which reads sys.argv
+    argv = ["jones", "s1 s1 s1", "--output", "json"]
+    proc = subprocess.run([sys.executable, "-m", "mjones.cli", *argv], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=120)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert proc.stdout.count("\n") == 1
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(proc.stdout)["payload"] == json.loads(out)["payload"]
+
+
 def test_verify_text_shows_the_measured_time_against_the_limit(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK
@@ -672,6 +693,108 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     capsys.readouterr()
     assert len(built) == 1
     assert build_parser() is not build_parser()
+
+
+def test_a_valid_argv_never_reaches_the_top_level_parser(capsys, monkeypatch):
+    calls = []
+
+    def spied():
+        parser = build_parser()
+        parse_args = parser.parse_args
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_args(*args, **kwargs)
+
+        parser.parse_args = counting
+        return parser
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", spied)
+    for argv in (["jones", "s1", "--backend", "anyon"], ["jones", "s1 s1", "--output", "json"],
+                 ["braid-info", "s1 s1"], ["verify", "--output", "json"]):
+        assert main(argv) == EXIT_OK
+    assert calls == []
+    # a leftover argument is refused by the top-level parser, read once
+    with pytest.raises(SystemExit) as exc:
+        main(["jones", "s1", "extra"])
+    assert exc.value.code == EXIT_PARSE
+    assert calls == [(["jones", "s1", "extra"],)]
+    assert capsys.readouterr().err.endswith("mjones: error: unrecognized arguments: extra\n")
+
+
+# --- argv is read as the full parser reads it ---------------------------------
+
+# every subcommand with every flag, abbreviations, "--", negative-number
+# words, help, and each way the parser refuses an argv
+PARITY_ARGV = [
+    ["jones", "s1 s2^-1", "--backend", "anyon", "--tau", "5", "--tolerance", "1e-6",
+     "--output", "json"],
+    *[["jones", "s1", "--backend", backend] for backend in ("anyon", "spin", "kauffman", "all")],
+    *[["jones", "s1", "--output", output] for output in ("text", "json", "csv")],
+    ["jones", "--output", "csv", "--tau=inf", "--tolerance=1e-3", "s1 s1"],
+    ["braid-info", "strands=4 s1 s1 s3"],
+    ["verify"],
+    ["verify", "--tau", "1.0", "--output", "json"],
+    ["jones", "s1", "--back", "anyon"],
+    ["jones", "s1", "--tol", "1e-3", "--out", "csv"],
+    ["verify", "--ta", "5", "--o", "json"],
+    ["jones", "s1", "--t", "5"],
+    ["jones", "--", "-1"],
+    ["jones", "--backend", "kauffman", "--", "s1 s1"],
+    ["jones", "s1", "--", "extra"],
+    ["--", "jones", "s1"],
+    ["jones", "-1"],
+    ["jones", "-1 -2"],
+    ["braid-info", "-2"],
+    ["jones", "s1", "--tau", "-1"],
+    ["-h"],
+    ["--help"],
+    ["jones", "-h"],
+    ["jones", "s1", "--help"],
+    ["braid-info", "-h"],
+    ["verify", "-h"],
+    [],
+    ["frobnicate", "s1"],
+    ["Jones", "s1"],
+    ["-x", "jones", "s1"],
+    ["jones"],
+    ["jones", "s1", "extra"],
+    ["braid-info", "s1", "extra"],
+    ["verify", "extra"],
+    ["jones", "s1", "--bogus"],
+    ["jones", "s1", "--backend", "bogus"],
+    ["jones", "s1", "--tau", "x"],
+    ["jones", "s1", "--tau"],
+    ["verify", "--tau", "abc"],
+    ["verify", "--output", "csv"],
+]
+
+
+def _outcome(capsys, parse):
+    """``parse()``'s namespace, or the exit code and output of its refusal."""
+    try:
+        return parse()
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_main_reads_argv_as_the_full_parser_does(capsys, monkeypatch, argv):
+    seen = []
+    for name in ("cmd_jones", "cmd_braid_info", "cmd_verify"):
+        # a distinct stand-in per command, so the namespaces' fn tells them apart
+        monkeypatch.setattr(cli, name, lambda args, name=name: seen.append((name, args)))
+    monkeypatch.setattr(cli, "_parser", None)
+
+    def via_main():
+        assert main(argv) is None
+        (name, args), = seen
+        assert args.fn is getattr(cli, name)
+        assert capsys.readouterr() == ("", "")
+        return args
+
+    assert _outcome(capsys, via_main) == _outcome(capsys, lambda: build_parser().parse_args(argv))
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

@@ -29,23 +29,23 @@ letter touches: each closes to a split unknot and scales V by d.  Every
 exchange conserves fermion parity, so U|0...0> lies in the even-parity
 sector and only its 2^(n-1) amplitudes are stepped.  Exchanges are
 Clifford (Bravyi & Kitaev 2002), so the vacuum's orbit is finite, and so is
-the set of doubles the steps reach from it.  At most LIST_PAIRS pairs a
+the set of doubles the steps reach from it.  At most TABLE_PAIRS pairs a
 letter is therefore one lookup in an ``automaton.Automaton`` of those
 states, filled on first use; above that a letter costs O(2^(n-1)), and
-above MAX_PAIRS the backend raises CapacityError.
+above MAX_PAIRS the backend raises CapacityError.  Either way one numpy
+step, ``_step``, computes every amplitude.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .automaton import Automaton
 from .braidlang import BraidWord, CapacityError
-from .pauli import PauliTerm, majorana_string, string_action
+from .pauli import PauliTerm, _parity, dense_sum, majorana_string, string_action
 
 QUANTUM_DIMENSION = math.sqrt(2.0)
 
@@ -55,10 +55,10 @@ MAX_PAIRS = 16
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# registers of at most this many pairs (8 even-parity amplitudes) step as a
-# list of complex on the automaton of _table, where a letter is a dict
-# lookup.  At 5 pairs and up numpy steps every letter
-LIST_PAIRS = 4
+# registers of at most this many pairs (8 even-parity amplitudes) run on the
+# automaton of _table, where a letter is a dict lookup.  At 5 pairs and up
+# every letter is a _step
+TABLE_PAIRS = 4
 
 
 def _anyon(strand: int) -> int:
@@ -79,67 +79,59 @@ def _exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
 
 def braid_generators(pairs: int) -> tuple[np.ndarray, ...]:
     """Dense matrices of the 2*pairs - 1 adjacent exchanges (m, m+1)."""
-    rows = np.arange(1 << pairs)
-    gens = []
-    for m in range(1, 2 * pairs):
-        src, coeff = _exchange(m, m + 1, pairs)
-        g = np.eye(1 << pairs, dtype=complex)
-        g[rows, src] += coeff
-        gens.append(g * _SQRT_HALF)
-    return tuple(gens)
+    eye = np.eye(1 << pairs, dtype=complex)
+    return tuple((eye + dense_sum([_mode(m, pairs) * _mode(m + 1, pairs)], pairs)) * _SQRT_HALF
+                 for m in range(1, 2 * pairs))
 
 
 @lru_cache(maxsize=None)
 def _even(pairs: int) -> np.ndarray:
     """The even-parity basis states in increasing order.  States i and i ^ 1
     differ in parity, so state i sits at position i >> 1."""
-    odd = np.zeros(1, dtype=np.intp)   # parity of each position k
-    for _ in range(pairs - 1):
-        odd = np.concatenate((odd, 1 - odd))
-    even = 2 * np.arange(len(odd)) | odd
+    even = np.flatnonzero(_parity(np.arange(1 << pairs)) == 0)
     even.setflags(write=False)
     return even
 
 
 @lru_cache(maxsize=None)
-def _sector_exchange(a: int, b: int, pairs: int) -> tuple:
+def _sector_exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     """_exchange on the even-parity sector, by position: read-only (source,
-    coefficient) arrays, or at most LIST_PAIRS pairs (coefficient, source)
-    for each position."""
+    coefficient) arrays."""
     src, coeff = _exchange(a, b, pairs)
     even = _even(pairs)
     src, coeff = src[even] >> 1, coeff[even]
-    if pairs <= LIST_PAIRS:
-        return tuple(zip(coeff.tolist(), src.tolist()))
     src.setflags(write=False)
     coeff.setflags(write=False)
     return src, coeff
 
 
-def _amplitude_bytes(state: list[complex]) -> bytes:
-    """The exact bytes of the doubles of an amplitude list: == would merge
-    0.0 and -0.0, which later letters can tell apart."""
-    return struct.pack(f"{2 * len(state)}d", *(p for z in state for p in (z.real, z.imag)))
+def _step(state: np.ndarray, kernel: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The even-sector amplitudes after one exchange (1 + gamma_a gamma_b)/sqrt 2:
+    (state + coeff * state[src]) * sqrt(1/2), computed in one new array
+    (x + y and y + x round to the same double)."""
+    src, coeff = kernel
+    out = coeff * state[src]
+    out += state
+    out *= _SQRT_HALF
+    return out
 
 
-def _list_step(pairs: int, state: list[complex], ab: tuple[int, int]) -> list[complex]:
-    """The amplitude list after letter ab, rounded as the numpy step rounds it."""
-    kernel = _sector_exchange(*ab, pairs)
-    # complex, as numpy casts it: where complex * float is mixed-mode
-    # arithmetic, a float would change signed zeros
-    sqrt_half = complex(_SQRT_HALF)
-    return [(x + c * state[k]) * sqrt_half for x, (c, k) in zip(state, kernel)]
+def _vacuum(pairs: int) -> np.ndarray:
+    state = np.zeros(len(_even(pairs)), dtype=complex)
+    state[0] = 1.0
+    return state
 
 
 @lru_cache(maxsize=None)
 def _table(pairs: int) -> Automaton:
     """evolve at this pair count as an ``automaton.Automaton`` over the
-    even-sector amplitude lists reachable from the vacuum;
+    even-sector amplitude arrays reachable from the vacuum, keyed by their
+    bytes: == would merge 0.0 and -0.0, which later letters can tell apart.
     ``_table.cache_clear()`` empties every table.  It needs no cap: link
     letters reach 1 / 11 / 53 / 391 states at 1-4 pairs, and all 56 ordered
     exchanges at 4 pairs 6747 states and 377,832 transitions."""
-    vacuum = [1 + 0j] + [0j] * (len(_even(pairs)) - 1)
-    return Automaton(vacuum, _amplitude_bytes, partial(_list_step, pairs))
+    return Automaton(_vacuum(pairs), np.ndarray.tobytes,
+                     lambda state, ab: _step(state, _sector_exchange(*ab, pairs)))
 
 
 def evolve(letters, pairs: int) -> np.ndarray:
@@ -147,23 +139,20 @@ def evolve(letters, pairs: int) -> np.ndarray:
 
     Every exchange conserves fermion parity, so only the 2^(pairs-1)
     even-parity amplitudes are stepped; the odd ones stay exactly 0j.  At
-    most LIST_PAIRS pairs the letters run on the automaton of ``_table``."""
+    most TABLE_PAIRS pairs the letters run on the automaton of ``_table``."""
     if pairs > MAX_PAIRS:
         raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
-    even = _even(pairs)
-    if pairs <= LIST_PAIRS:
+    if pairs <= TABLE_PAIRS:
         table = _table(pairs)
         state = table.states[table.run(letters)]
     else:
         letters = list(letters)
         kernels = {ab: _sector_exchange(*ab, pairs) for ab in dict.fromkeys(letters)}
-        state = np.zeros(len(even), dtype=complex)
-        state[0] = 1.0
+        state = _vacuum(pairs)
         for ab in letters:
-            src, coeff = kernels[ab]
-            state = (state + coeff * state[src]) * _SQRT_HALF
+            state = _step(state, kernels[ab])
     full = np.zeros(1 << pairs, dtype=complex)
-    full[even] = state
+    full[_even(pairs)] = state
     return full
 
 

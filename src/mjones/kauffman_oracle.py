@@ -288,9 +288,8 @@ def jones_polynomial(word: BraidWord) -> LaurentPolynomial:
     """Jones polynomial of the closure, as a Laurent polynomial in A with
     t = A^-4: the bracket times the writhe normalisation (-A)^(-3w)."""
     w = word.writhe
-    br = bracket(word)
-    sign = 1 if w % 2 == 0 else -1
-    return (br * LaurentPolynomial.monomial(sign)).shift(-3 * w)
+    sign = -1 if w % 2 else 1
+    return LaurentPolynomial({e - 3 * w: sign * c for e, c in bracket(word).coeffs.items()})
 
 
 def jones_at_i(word: BraidWord) -> complex:

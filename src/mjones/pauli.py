@@ -155,7 +155,7 @@ def apply_pauli(term: PauliTerm, state: np.ndarray, n: int) -> np.ndarray:
 
 
 def dense_sum(terms: Iterable[PauliTerm], n: int) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a sum of terms (tests and benchmarks only)."""
+    """Dense 2^n x 2^n matrix of a sum of terms, built from their string_action."""
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     rows = np.arange(1 << n)
     for t in terms:

@@ -16,12 +16,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-_P1 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .pauli import PauliTerm, dense_sum
 
 UNITARITY_TOL = 1e-8
 MAX_QUBITS = 3
@@ -32,13 +27,10 @@ def pauli_labels(k: int) -> tuple[str, ...]:
 
 
 def pauli_basis(k: int) -> list[np.ndarray]:
-    out = []
-    for label in pauli_labels(k):
-        m = np.array([[1.0 + 0j]])
-        for ch in label:
-            m = np.kron(m, _P1[ch])
-        out.append(m)
-    return out
+    """Dense matrices of ``pauli_labels(k)``, qubit 1 the most significant."""
+    terms = (PauliTerm(1.0, {s: p.lower() for s, p in enumerate(label, 1) if p != "I"})
+             for label in pauli_labels(k))
+    return [dense_sum([t], k) for t in terms]
 
 
 def _qubit_count(u: np.ndarray) -> int:

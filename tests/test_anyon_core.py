@@ -5,11 +5,12 @@ import math
 import random
 import sys
 import threading
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from mjones import anyon_core, spin_sim
+from mjones import spin_sim
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
@@ -47,9 +48,13 @@ def test_exchange_is_the_majorana_product_form():
     x = np.array([[0, 1], [1, 0]])
     y = np.array([[0, -1j], [1j, 0]])
     z = np.diag([1, -1])
-    gammas = [np.kron(x, np.eye(2)), np.kron(y, np.eye(2)), np.kron(z, x), np.kron(z, y)]
-    for m, g in enumerate(braid_generators(2)):
-        assert np.allclose(g, (np.eye(4) + gammas[m] @ gammas[m + 1]) / math.sqrt(2))
+    for pairs in (1, 2, 3, 4):
+        gammas = [reduce(np.kron, [z] * (j - 1) + [p] + [np.eye(2)] * (pairs - j))
+                  for j in range(1, pairs + 1) for p in (x, y)]
+        gens = braid_generators(pairs)
+        assert len(gens) == 2 * pairs - 1
+        for m, g in enumerate(gens):
+            assert np.allclose(g, (np.eye(1 << pairs) + gammas[m] @ gammas[m + 1]) / math.sqrt(2))
 
 
 def test_exchange_arrays_are_read_only():
@@ -246,7 +251,7 @@ def test_torus_closures_beyond_the_sample_set():
 
 
 def test_a_long_word_evolves_to_its_closure_type_value():
-    # nothing bounds the letters at <= LIST_PAIRS pairs: 10^5 letters are
+    # nothing bounds the letters at <= TABLE_PAIRS pairs: 10^5 letters are
     # 10^5 table lookups for each of the anyon backend's two evolutions
     rng = random.Random("long-walk")
     word = BraidWord(3, tuple(rng.choice((-1, 1, -2, 2)) for _ in range(100_000)))
@@ -258,14 +263,16 @@ def test_a_long_word_evolves_to_its_closure_type_value():
     assert jones_majorana_abs(word) == pytest.approx(want, abs=1e-12)
 
 
-# --- the table of reachable states against the per-letter list step ------------
+# --- evolve against a per-letter step in plain Python complex arithmetic --------
 
 def reference_letter(state, ab, pairs):
-    """One letter of the per-letter list step, every letter stepped: the
-    loop evolve ran on at most LIST_PAIRS pairs before its table."""
+    """One letter stepped on a list of complex in plain Python arithmetic,
+    the reference for the table and for the numpy step alike.  The scale is
+    complex, as numpy casts it: complex * float is mixed-mode arithmetic,
+    and a float would change signed zeros."""
     sqrt_half = complex(math.sqrt(0.5))
-    return [(x + c * state[s]) * sqrt_half
-            for x, (c, s) in zip(state, _sector_exchange(*ab, pairs))]
+    src, coeff = _sector_exchange(*ab, pairs)
+    return [(x + c * state[s]) * sqrt_half for x, c, s in zip(state, coeff.tolist(), src.tolist())]
 
 
 def reference_vacuum(pairs):
@@ -273,7 +280,7 @@ def reference_vacuum(pairs):
 
 
 def full_bytes(state, pairs):
-    """The bytes evolve returns for an even-sector list state."""
+    """The bytes evolve returns for an even-sector state."""
     full = np.zeros(1 << pairs, dtype=complex)
     full[_even(pairs)] = state
     return full.tobytes()
@@ -299,19 +306,20 @@ def all_exchanges(pairs):
 
 
 def test_table_evolve_equals_the_per_letter_step_bitwise():
-    # 1280 words of 0-1000 letters at 1-4 pairs: 40 prefixes each of 32
-    # seeded 1000-letter words, link letters and arbitrary exchanges,
-    # non-adjacent and reversed ones included
+    # about 1900 words of 0-1000 letters at 1-6 pairs: up to 40 prefixes each
+    # of 48 seeded 1000-letter words, link letters and arbitrary exchanges,
+    # non-adjacent and reversed ones included; at 5 and 6 pairs evolve steps
+    # every letter instead of running the table
     rng = random.Random("table-vs-list")
     cases = []
-    for pairs in range(1, 5):
+    for pairs in range(1, 7):
         for alphabet in (link_letters(pairs), all_exchanges(pairs)):
             for _ in range(4):
                 letters = [rng.choice(alphabet) for _ in range(1000)] if alphabet else []
                 lengths = sorted({0, len(letters), *(rng.randint(0, len(letters)) for _ in range(38))})
                 want = reference_prefix_bytes(letters, pairs, set(lengths))
                 cases += [(letters[:n], pairs, want[n]) for n in lengths]
-    assert {pairs for _, pairs, _ in cases} == {1, 2, 3, 4}
+    assert {pairs for _, pairs, _ in cases} == {1, 2, 3, 4, 5, 6}
     for order in ("as drawn", "shuffled"):
         if order == "shuffled":
             random.Random(order).shuffle(cases)
@@ -358,12 +366,12 @@ def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions)
 
 
 def test_a_signed_zero_makes_a_distinct_state():
-    # == would merge these two lists, whose bytes differ, and a later letter
+    # == would merge these two states, whose bytes differ, and a later letter
     # can tell them apart: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0.
-    # Each letter here leads to its own list, kept under the anyon key
-    lists = {"plus": [0j, 1 + 0j], "minus": [complex(-0.0, 0.0), 1 + 0j]}
-    table = Automaton(reference_vacuum(2), anyon_core._amplitude_bytes,
-                      lambda state, name: lists[name])
+    # Each letter here leads to its own state, kept under the anyon key
+    states = {"plus": np.array([0j, 1 + 0j]), "minus": np.array([complex(-0.0, 0.0), 1 + 0j])}
+    table = Automaton(np.array(reference_vacuum(2)), np.ndarray.tobytes,
+                      lambda state, name: states[name])
     plus, minus = table.run(["plus"]), table.run(["minus"])
     assert sorted({0, plus, minus}) == [0, 1, 2]
 

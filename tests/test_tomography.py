@@ -18,6 +18,8 @@ from mjones.tomography import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+ONE_QUBIT = {"I": np.eye(2, dtype=complex), "X": X, "Y": Y,
+             "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
 XX_GATE = (np.eye(4) + 1j * np.kron(X, X)) / math.sqrt(2)
 YX_GATE = (np.eye(4) - 1j * np.kron(Y, X)) / math.sqrt(2)
 
@@ -25,6 +27,24 @@ YX_GATE = (np.eye(4) - 1j * np.kron(Y, X)) / math.sqrt(2)
 def test_labels_lexicographic():
     assert pauli_labels(1) == ("I", "X", "Y", "Z")
     assert pauli_labels(2)[:5] == ("II", "IX", "IY", "IZ", "XI")
+
+
+def test_basis_is_the_kronecker_products_of_i_x_y_z():
+    for k in range(4):
+        basis = pauli_basis(k)
+        assert len(basis) == 4 ** k
+        for label, e in zip(pauli_labels(k), basis):
+            want = np.array([[1.0 + 0j]])
+            for ch in label:
+                want = np.kron(want, ONE_QUBIT[ch])
+            assert np.array_equal(e, want), label
+
+
+def test_basis_is_orthonormal():
+    # Tr(E_m^+ E_n) = 2^k delta_mn
+    for k in range(4):
+        stacked = np.array([e.ravel() for e in pauli_basis(k)])
+        assert np.array_equal(stacked.conj() @ stacked.T, (1 << k) * np.eye(4 ** k))
 
 
 def test_identity_coefficients():

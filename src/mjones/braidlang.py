@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -158,13 +157,33 @@ def format_braid(word: BraidWord) -> str:
     return " ".join(toks)
 
 
-def _walk(word: BraidWord) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The closure permutation and the signed crossings of each ordered
-    strand pair, from one pass over the word.  The permutation's entry ``i``
-    is the final position of the strand that starts at position ``i``.  A
-    letter crossing strand
-    ``a`` (on the left) with strand ``b`` adds its sign under the key
-    ``a * strands + b``; strands are named by their starting positions."""
+@dataclass(frozen=True)
+class LinkInvariants:
+    """Combinatorial data of a braid closure.
+
+    ``linking`` lists the nonzero linking numbers as sorted triples
+    ``(i, j, lk)`` with ``i < j``: ``lk`` is half the signed count of
+    crossings between components ``i`` and ``j``, and every pair not
+    listed has linking number 0.  ``proper`` records whether every
+    component has even total linking with the union of the others.
+    """
+
+    writhe: int
+    components: int
+    linking: tuple[tuple[int, int, int], ...]
+    proper: bool
+
+
+def link_invariants(word: BraidWord) -> LinkInvariants:
+    """Writhe, components, nonzero linking numbers and properness of the
+    closure, from one pass over the word.
+
+    A letter crossing strand ``a`` (on the left) with strand ``b`` adds its
+    sign under the key ``a * strands + b``; strands are named by their
+    starting positions.  The components are the cycles of the final
+    ``at_pos`` (the strand at each position), numbered by their smallest
+    strand.
+    """
     n = word.strands
     at_pos = list(range(n))
     crossed: dict[int, int] = {}
@@ -174,32 +193,7 @@ def _walk(word: BraidWord) -> tuple[tuple[int, ...], dict[int, int]]:
         at_pos[k], at_pos[k + 1] = b, a
         key = a * n + b
         crossed[key] = crossed.get(key, 0) + (1 if g > 0 else -1)
-    perm = [0] * n
-    for pos, strand in enumerate(at_pos):
-        perm[strand] = pos
-    return tuple(perm), crossed
 
-
-@dataclass(frozen=True)
-class LinkInvariants:
-    """Combinatorial data of a braid closure.
-
-    ``linking[i][j]`` is the linking number of components ``i`` and ``j``
-    (half the signed count of crossings between them); the diagonal is
-    zero.  ``proper`` records whether every component has even total
-    linking with the union of the others.
-    """
-
-    writhe: int
-    components: int
-    linking: tuple[tuple[int, ...], ...]
-    proper: bool
-
-
-def link_invariants(word: BraidWord) -> LinkInvariants:
-    """Writhe, components, linking matrix and properness of the closure."""
-    perm, crossed = _walk(word)
-    n = word.strands
     comp_of = [-1] * n
     ncomp = 0
     for s in range(n):
@@ -208,7 +202,7 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
         t = s
         while comp_of[t] < 0:
             comp_of[t] = ncomp
-            t = perm[t]
+            t = at_pos[t]
         ncomp += 1
 
     pair_sum: dict[tuple[int, int], int] = {}   # signed crossings of components i < j
@@ -222,16 +216,10 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
             total[ca] += crossings
             total[cb] += crossings
 
-    rows = defaultdict(lambda: [0] * ncomp)    # the rows with a nonzero entry
-    for (i, j), crossings in pair_sum.items():
-        if crossings % 2 != 0:
-            raise AssertionError(
-                "inter-component crossing count is odd; impossible for a closure"
-            )
-        if crossings:
-            rows[i][j] = rows[j][i] = crossings // 2
-    zero = (0,) * ncomp
-    linking = tuple(tuple(rows[i]) if i in rows else zero for i in range(ncomp))
+    if any(crossings % 2 for crossings in pair_sum.values()):
+        raise AssertionError("inter-component crossing count is odd; impossible for a closure")
+    linking = tuple(sorted((i, j, crossings // 2)
+                           for (i, j), crossings in pair_sum.items() if crossings))
 
     # a component's total linking is half its crossings with the others
     proper = all(t % 4 == 0 for t in total)

@@ -89,14 +89,10 @@ def _invariants_payload(word: BraidWord) -> dict:
                             f"double only up to {MAX_STRANDS} strands")
     inv = link_invariants(word)
     arf = arf_invariant(inv, lookup_arf_data(word)) if inv.proper else None
-    # only the nonzero linking numbers, as [i, j, lk] with i < j: the full
-    # m x m matrix of a wide word would fill megabytes with zeros
-    linking = [[i, j, row[j]] for i, row in enumerate(inv.linking) if any(row)
-               for j in range(i + 1, inv.components) if row[j]]
     return {
         "writhe": inv.writhe,
         "components": inv.components,
-        "linking": linking,
+        "linking": [list(t) for t in inv.linking],
         "proper": inv.proper,
         "arf": arf,
         "jones_from_arf": jones_from_arf(inv, arf),
@@ -121,7 +117,7 @@ def _kauffman(word: BraidWord, tau: float) -> dict:
     from . import kauffman_oracle
 
     poly = kauffman_oracle.jones_polynomial(word)
-    value = kauffman_oracle.eval_at(poly, kauffman_oracle.A_AT_T_I)
+    value = kauffman_oracle.eval_at(poly)
     return {"V_re": value.real, "V_im": value.imag, "V_abs": abs(value),
             "polynomial": str(poly)}
 

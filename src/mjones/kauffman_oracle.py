@@ -122,22 +122,15 @@ class LaurentPolynomial:
 _POWERS_AT_T_I = tuple(cmath.exp(3j * cmath.pi * r / 8) for r in range(8))
 
 
-def eval_at(poly: LaurentPolynomial, a: complex) -> complex:
-    """Evaluate at a complex point by exact integer powers; a = 0 is rejected
-    when negative exponents are present.
-
-    At ``A_AT_T_I`` the coefficients are first summed exactly per exponent
-    mod 8 (with the sign of A^8 = -1), so huge alternating coefficients
-    cancel in integers instead of in floating point.
+def eval_at(poly: LaurentPolynomial) -> complex:
+    """Evaluate at ``A_AT_T_I``.  The coefficients are first summed exactly
+    per exponent mod 8 (with the sign of A^8 = -1), so huge alternating
+    coefficients cancel in integers instead of in floating point.
     """
-    if a == A_AT_T_I:
-        folded = [0] * 8
-        for e, c in poly.coeffs.items():
-            folded[e % 8] += c if e % 16 < 8 else -c
-        return sum(c * _POWERS_AT_T_I[r] for r, c in enumerate(folded))
-    if a == 0 and any(e < 0 for e in poly.coeffs):
-        raise ZeroDivisionError("cannot evaluate negative exponents at A = 0")
-    return sum(c * a ** e for e, c in poly.coeffs.items())
+    folded = [0] * 8
+    for e, c in poly.coeffs.items():
+        folded[e % 8] += c if e % 16 < 8 else -c
+    return sum(c * _POWERS_AT_T_I[r] for r, c in enumerate(folded))
 
 
 def _digit_width(bits: int) -> int:
@@ -294,4 +287,4 @@ def jones_polynomial(word: BraidWord) -> LaurentPolynomial:
 
 def jones_at_i(word: BraidWord) -> complex:
     """Jones value at t = i (see module docstring for the branch choice)."""
-    return eval_at(jones_polynomial(word), A_AT_T_I)
+    return eval_at(jones_polynomial(word))

@@ -160,7 +160,7 @@ def test_link_invariants_hopf():
     inv = link_invariants(HOPF)
     assert inv.writhe == 2
     assert inv.components == 2
-    assert inv.linking[0][1] == 1
+    assert inv.linking == ((0, 1, 1),)
     assert not inv.proper
 
 
@@ -175,7 +175,7 @@ def test_link_invariants_borromean():
     inv = link_invariants(BORROMEAN)
     assert inv.writhe == 0
     assert inv.components == 3
-    assert all(inv.linking[i][j] == 0 for i in range(3) for j in range(3))
+    assert inv.linking == ()
     assert inv.proper
 
 
@@ -183,7 +183,7 @@ def test_link_invariants_solomon():
     inv = link_invariants(SOLOMON)
     assert inv.writhe == 4
     assert inv.components == 2
-    assert inv.linking[0][1] == 2
+    assert inv.linking == ((0, 1, 2),)
     assert inv.proper
 
 
@@ -194,23 +194,18 @@ def test_link_invariants_empty_word():
     assert inv.proper
 
 
-def test_linking_matrix_symmetric_zero_diagonal():
-    rng = random.Random(13)
-    for _ in range(50):
-        strands = rng.randint(2, 5)
-        letters = tuple(
-            rng.choice([-1, 1]) * rng.randint(1, strands - 1)
-            for _ in range(rng.randint(0, 10))
-        )
-        inv = link_invariants(BraidWord(strands, letters))
-        m = inv.linking
-        assert all(m[i][i] == 0 for i in range(inv.components))
-        assert all(m[i][j] == m[j][i] for i in range(inv.components) for j in range(inv.components))
+def test_link_invariants_of_the_widest_unlink():
+    inv = link_invariants(BraidWord(2048, ()))
+    assert inv.components == 2048
+    assert inv.linking == ()
+    assert inv.proper
 
 
 def _link_invariants_by_matrix(word):
-    """The m x m reference: every pair's signed crossings, halved, and each
-    row's sum for properness.  It finds the closure permutation itself."""
+    """The dense m x m reference: every pair's signed crossings, halved, and
+    each row's sum for properness.  It finds the closure permutation itself,
+    checks that the matrix is symmetric with a zero diagonal, and returns
+    the nonzero entries of its upper triangle."""
     at_pos = list(range(word.strands))
     for g in word.letters:
         k = abs(g) - 1
@@ -235,9 +230,13 @@ def _link_invariants_by_matrix(word):
             crossing_sum[cb][ca] += 1 if g > 0 else -1
         at_pos[k], at_pos[k + 1] = at_pos[k + 1], at_pos[k]
     assert all(total % 2 == 0 for row in crossing_sum for total in row)
-    linking = tuple(tuple(total // 2 for total in row) for row in crossing_sum)
-    proper = all(sum(linking[i][j] for j in range(ncomp) if j != i) % 2 == 0
+    matrix = [[total // 2 for total in row] for row in crossing_sum]
+    assert all(matrix[i][i] == 0 for i in range(ncomp))
+    assert all(matrix[i][j] == matrix[j][i] for i in range(ncomp) for j in range(ncomp))
+    proper = all(sum(matrix[i][j] for j in range(ncomp) if j != i) % 2 == 0
                  for i in range(ncomp))
+    linking = tuple((i, j, matrix[i][j]) for i in range(ncomp)
+                    for j in range(i + 1, ncomp) if matrix[i][j])
     return LinkInvariants(word.writhe, ncomp, linking, proper)
 
 

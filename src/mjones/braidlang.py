@@ -13,7 +13,9 @@ linking numbers, the evenness condition on total linking ("properness"),
 and the sign of the Jones value at t = i, the Arf invariant (Murasugi;
 Lickorish-Millett 1986).  That sign is read off the closure's Seifert
 surface: one disc per strand, one half-twisted band per letter, and one
-loop per two consecutive letters of a column (J. Collins 2016).
+loop per two consecutive letters of a column (J. Collins 2016), as the
+sign of the Gauss sum of the loops' mod-2 form, which ``mjones.seifert``
+takes as a stream over the word.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BraidSyntaxError(ValueError):
@@ -231,104 +234,52 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
     )
 
 
-@dataclass(frozen=True)
-class SeifertForm:
-    """Mod-2 Seifert form q(x) = lk(x, x+) on the surface's loops in closing
-    order: ``diagonal[a]`` is q of loop ``a``; bit ``b`` of ``rows[a]`` is set
-    when loops ``a`` and ``b`` meet an odd number of times.  ``pieces``
-    counts the surface's connected parts."""
+class GaussSum(NamedTuple):
+    """The Gauss sum G = sum over x in GF(2)^loops of (-1)^q(x) of a closure's
+    mod-2 Seifert form q: 0 if ``zero``, else (-1)^negative
+    2^((loops + dropped)/2).  ``dropped`` counts the constraints of the
+    elimination that came out redundant; ``pieces`` counts the surface's
+    connected parts."""
 
+    zero: bool
+    negative: bool
+    dropped: int
+    loops: int
     pieces: int
-    diagonal: tuple[bool, ...]
-    rows: tuple[int, ...]
+
+    @property
+    def value(self) -> int:
+        """G itself."""
+        if self.zero:
+            return 0
+        g = 1 << (self.loops + self.dropped) // 2
+        return -g if self.negative else g
 
 
-def lookup_arf_data(word: BraidWord) -> SeifertForm:
-    """Seifert form of the closure, built in one pass over the word.
+def lookup_arf_data(word: BraidWord) -> GaussSum:
+    """The Gauss sum of the closure's Seifert form, in one pass over the word
+    (``seifert.sum_loops``)."""
+    from . import seifert   # here, so that parsing loads only this module
 
-    Two consecutive letters of column k, at times p < t, bound a loop with
-    q = 1 iff they have the same sign.  It meets the next loop of column k
-    (they share the band at t) and each loop of column k +- 1 whose time
-    interval interlaces with (p, t).  Such a pair is found when its first
-    loop closes: the open loop of a neighbour column then interlaces with
-    (p, t) iff it opened after p.
-    """
-    n = word.strands
-    when = [-1] * (n + 1)      # time of each column's last letter; 0 and n stay empty
-    sign = [0] * (n + 1)       # that letter
-    pending = [[] for _ in range(n + 1)]   # closed loops that each column's open loop meets
-    diagonal, rows = [], []
-    for t, g in enumerate(word.letters):
-        k = abs(g)
-        p = when[k]
-        if p >= 0:
-            a = len(rows)
-            row = 0
-            for b in pending[k]:
-                rows[b] |= 1 << a
-                row |= 1 << b
-            rows.append(row)
-            diagonal.append((sign[k] ^ g) >= 0)     # same sign
-            pending[k] = [a]
-            if when[k - 1] > p:
-                pending[k - 1].append(a)
-            if when[k + 1] > p:
-                pending[k + 1].append(a)
-        when[k], sign[k] = t, g
+    zero, negative, dropped = seifert.sum_loops(word.strands, word.letters)
     # each column in use joins two discs into one surface piece
-    return SeifertForm(n - sum(w >= 0 for w in when), tuple(diagonal), tuple(rows))
+    used = len({abs(g) for g in set(word.letters)})
+    return GaussSum(zero, negative, dropped, len(word.letters) - used, word.strands - used)
 
 
-def gauss_sum(form: SeifertForm) -> int:
-    """G = sum over x in GF(2)^r of (-1)^q(x), exactly: 0 or +-2^k.
-
-    The lowest remaining loop ``a`` goes with its lowest neighbour ``b``:
-    summing over x_a fixes x_b, leaving a factor 2 and the term
-    (q_a + L_a)(q_b + L_b), L_a and L_b the sums over their other
-    neighbours.  A loop without neighbours gives 2 if its q is 0, else 0.
-    The factors of 2 are counted and the sign kept apart, so G is formed
-    once, at the end.
-    """
-    rows, diag = list(form.rows), list(form.diagonal)
-    twos, negative = 0, False
-    for a, row_a in enumerate(rows):
-        if row_a is None:       # eliminated as a partner
-            continue
-        twos += 1
-        if not row_a:
-            if diag[a]:
-                return 0
-            continue
-        bit_a, bit_b = 1 << a, row_a & -row_a
-        b = bit_b.bit_length() - 1
-        only_a, only_b = row_a ^ bit_b, rows[b] ^ bit_a
-        da, db = diag[a], diag[b]
-        negative ^= da and db
-        rows[b] = None
-        todo = only_a | only_b
-        while todo:
-            bit_c = todo & -todo
-            todo ^= bit_c
-            c = bit_c.bit_length() - 1
-            in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
-            rows[c] ^= (only_b ^ bit_a if in_a else 0) ^ (only_a ^ bit_b if in_b else 0)
-            diag[c] ^= (in_a and db) ^ (in_b and da) ^ (in_a and in_b)
-    return -(1 << twos) if negative else 1 << twos
-
-
-def arf_invariant(inv: LinkInvariants, form: SeifertForm) -> int:
+def arf_invariant(inv: LinkInvariants, data: GaussSum) -> int:
     """Arf invariant of the closure: 1 iff its Seifert form's Gauss sum is
     negative.  Undefined (raises) for non-proper links.  A proper link of m
     components on r loops and s pieces has |G| = 2^((r - s + m)/2), the
-    intersection form's radical having rank m - s; other values are a fault.
+    intersection form's radical having rank m - s, that is dropped = m - s;
+    other values are a fault.
     """
     if not inv.proper:
         raise ValueError("invariant undefined: link is not proper")
-    g = gauss_sum(form)
-    twice = len(form.rows) - form.pieces + inv.components
-    if twice % 2 or abs(g) != 1 << twice // 2:
-        raise AssertionError(f"Gauss sum {g} does not fit a proper link of {inv.components} components")
-    return int(g < 0)
+    if data.zero or data.dropped != inv.components - data.pieces:
+        raise AssertionError(f"Gauss sum {data.value} does not fit a proper link of "
+                             f"{inv.components} components")
+    return int(data.negative)
 
 
 # sqrt(2)^(n-1) is a double iff n <= 2 * max_exp, i.e. 2048

@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mjones import spin_sim
+from mjones import braidlang, seifert, spin_sim
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
@@ -394,6 +394,7 @@ def test_a_filled_table_makes_one_lookup_per_letter(monkeypatch):
     spin_sim._walk_tables.cache_clear()
     first = [evolve(letters, pairs).tobytes() for letters, pairs in words]
     first_walks = [spin_sim.jones_spin_tableau(word).hex() for word in walks]
+    first_sums = [braidlang.lookup_arf_data(word) for word in walks]
 
     def miss(self, s, letter):
         raise AssertionError(f"table miss at state {s}, letter {letter}")
@@ -401,6 +402,7 @@ def test_a_filled_table_makes_one_lookup_per_letter(monkeypatch):
     monkeypatch.setattr(Automaton, "step", miss)
     assert [evolve(letters, pairs).tobytes() for letters, pairs in words] == first
     assert [spin_sim.jones_spin_tableau(word).hex() for word in walks] == first_walks
+    assert [braidlang.lookup_arf_data(word) for word in walks] == first_sums
 
 
 def anyon_round(rng):
@@ -420,7 +422,17 @@ def spin_round(rng):
             spin_sim.jones_spin_tableau, words, want)
 
 
-@pytest.mark.parametrize("make_round", [anyon_round, spin_round], ids=["anyon", "spin"])
+def seifert_round(rng):
+    # on 3 strands the Gauss sum runs on the Seifert stream's table; the
+    # stream stepping every letter is the reference
+    words = spin_words(rng, 16, 300)
+    return (seifert._table.cache_clear, lambda: seifert._table(3),
+            lambda word: braidlang.lookup_arf_data(word)[:3], words,
+            [seifert._streamed(3, word.letters) for word in words])
+
+
+@pytest.mark.parametrize("make_round", [anyon_round, spin_round, seifert_round],
+                         ids=["anyon", "spin", "seifert"])
 def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
     # misses from several threads at once must not give two states one id
     rng = random.Random("threads")

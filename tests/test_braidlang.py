@@ -6,21 +6,21 @@ import pathlib
 import random
 import sys
 import types
+from dataclasses import dataclass
 
 import pytest
 
 import mjones
-from mjones import anyon_core, kauffman_oracle
+from mjones import anyon_core, kauffman_oracle, seifert
 from mjones.braidlang import (
     MAX_STRANDS,
     BraidSyntaxError,
     BraidWord,
     CapacityError,
+    GaussSum,
     LinkInvariants,
-    SeifertForm,
     arf_invariant,
     format_braid,
-    gauss_sum,
     jones_from_arf,
     link_invariants,
     lookup_arf_data,
@@ -345,23 +345,28 @@ def test_strand_cap_is_the_float_range_of_the_unlink_value():
 
 
 @pytest.mark.parametrize("text, form", [
-    # two loops of one column share a band; same-sign letters give q = 1
-    ("s1 s1 s1", SeifertForm(1, (True, True), (0b10, 0b01))),
-    ("s1 s1^-1 s1", SeifertForm(1, (False, False), (0b10, 0b01))),
+    # two loops of one column share a band; same-sign letters give q = 1:
+    # G = 1 - 1 - 1 - 1 for q = x + y + xy, and 1 + 1 + 1 - 1 for q = xy
+    ("s1 s1 s1", GaussSum(False, True, 0, 2, 1)),
+    ("s1 s1^-1 s1", GaussSum(False, False, 0, 2, 1)),
     # interlacing loops of adjacent columns: (0, 2) and (1, 3)
-    ("s1 s2 s1 s2", SeifertForm(1, (True, True), (0b10, 0b01))),
-    # nested loops of adjacent columns do not meet: (1, 2) inside (0, 3)
-    ("s1 s2 s2^-1 s1", SeifertForm(1, (False, True), (0, 0))),
+    ("s1 s2 s1 s2", GaussSum(False, True, 0, 2, 1)),
+    # nested loops of adjacent columns do not meet: (1, 2) inside (0, 3), and
+    # the lone loop with q = 1 sums to 0
+    ("s1 s2 s2^-1 s1", GaussSum(True, False, 0, 2, 1)),
     # loops of columns two apart do not meet; strands 1-2 and 3-4 are two pieces
-    ("s1 s3 s1 s3", SeifertForm(2, (True, True), (0, 0))),
+    ("s1 s3 s1 s3", GaussSum(True, False, 0, 2, 2)),
 ])
 def test_seifert_form_examples(text, form):
-    assert lookup_arf_data(parse_braid(text)) == form
+    word = parse_braid(text)
+    assert lookup_arf_data(word) == form
+    assert lookup_arf_data(word).value == gauss_sum(seifert_form(word))
 
 
 def test_lookup_arf_data_empty_words():
-    assert lookup_arf_data(BraidWord(3, ())) == SeifertForm(3, (), ())
-    assert gauss_sum(lookup_arf_data(BraidWord(3, ()))) == 1
+    assert lookup_arf_data(BraidWord(3, ())) == GaussSum(False, False, 0, 0, 3)
+    assert lookup_arf_data(BraidWord(3, ())).value == 1
+    assert lookup_arf_data(BraidWord(5, ())) == GaussSum(False, False, 0, 0, 5)
 
 
 def test_lookup_arf_data_padded_word():
@@ -369,9 +374,95 @@ def test_lookup_arf_data_padded_word():
     for word in (TREFOIL, BORROMEAN, HOPF):
         base = lookup_arf_data(word)
         padded = lookup_arf_data(BraidWord(word.strands + 2, word.letters))
-        assert (padded.diagonal, padded.rows) == (base.diagonal, base.rows)
-        assert padded.pieces == base.pieces + 2
-        assert gauss_sum(padded) == gauss_sum(base)
+        assert padded == base._replace(pieces=base.pieces + 2)
+        assert padded.value == base.value
+
+
+# --- the reference: the whole Seifert form, then its Gauss sum ---------------
+
+@dataclass(frozen=True)
+class SeifertForm:
+    """Mod-2 Seifert form q(x) = lk(x, x+) on the surface's loops in closing
+    order: ``diagonal[a]`` is q of loop ``a``; bit ``b`` of ``rows[a]`` is set
+    when loops ``a`` and ``b`` meet an odd number of times.  ``pieces``
+    counts the surface's connected parts."""
+
+    pieces: int
+    diagonal: tuple[bool, ...]
+    rows: tuple[int, ...]
+
+
+def seifert_form(word):
+    """Seifert form of the closure, built in one pass over the word.
+
+    Two consecutive letters of column k, at times p < t, bound a loop with
+    q = 1 iff they have the same sign.  It meets the next loop of column k
+    (they share the band at t) and each loop of column k +- 1 whose time
+    interval interlaces with (p, t).  Such a pair is found when its first
+    loop closes: the open loop of a neighbour column then interlaces with
+    (p, t) iff it opened after p.
+    """
+    n = word.strands
+    when = [-1] * (n + 1)      # time of each column's last letter; 0 and n stay empty
+    sign = [0] * (n + 1)       # that letter
+    pending = [[] for _ in range(n + 1)]   # closed loops that each column's open loop meets
+    diagonal, rows = [], []
+    for t, g in enumerate(word.letters):
+        k = abs(g)
+        p = when[k]
+        if p >= 0:
+            a = len(rows)
+            row = 0
+            for b in pending[k]:
+                rows[b] |= 1 << a
+                row |= 1 << b
+            rows.append(row)
+            diagonal.append((sign[k] ^ g) >= 0)     # same sign
+            pending[k] = [a]
+            if when[k - 1] > p:
+                pending[k - 1].append(a)
+            if when[k + 1] > p:
+                pending[k + 1].append(a)
+        when[k], sign[k] = t, g
+    # each column in use joins two discs into one surface piece
+    return SeifertForm(n - sum(w >= 0 for w in when), tuple(diagonal), tuple(rows))
+
+
+def gauss_sum(form):
+    """G = sum over x in GF(2)^r of (-1)^q(x), exactly: 0 or +-2^k.
+
+    The lowest remaining loop ``a`` goes with its lowest neighbour ``b``:
+    summing over x_a fixes x_b, leaving a factor 2 and the term
+    (q_a + L_a)(q_b + L_b), L_a and L_b the sums over their other
+    neighbours.  A loop without neighbours gives 2 if its q is 0, else 0.
+    The factors of 2 are counted and the sign kept apart, so G is formed
+    once, at the end.
+    """
+    rows, diag = list(form.rows), list(form.diagonal)
+    twos, negative = 0, False
+    for a, row_a in enumerate(rows):
+        if row_a is None:       # eliminated as a partner
+            continue
+        twos += 1
+        if not row_a:
+            if diag[a]:
+                return 0
+            continue
+        bit_a, bit_b = 1 << a, row_a & -row_a
+        b = bit_b.bit_length() - 1
+        only_a, only_b = row_a ^ bit_b, rows[b] ^ bit_a
+        da, db = diag[a], diag[b]
+        negative ^= da and db
+        rows[b] = None
+        todo = only_a | only_b
+        while todo:
+            bit_c = todo & -todo
+            todo ^= bit_c
+            c = bit_c.bit_length() - 1
+            in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
+            rows[c] ^= (only_b ^ bit_a if in_a else 0) ^ (only_a ^ bit_b if in_b else 0)
+            diag[c] ^= (in_a and db) ^ (in_b and da) ^ (in_a and in_b)
+    return -(1 << twos) if negative else 1 << twos
 
 
 def _brute_gauss_sum(form):
@@ -398,56 +489,127 @@ def test_gauss_sum_matches_brute_force():
             form = SeifertForm(1, diagonal, tuple(rows))
             assert gauss_sum(form) == _brute_gauss_sum(form), form
     for _ in range(200):
-        form = lookup_arf_data(_random_word(rng, rng.randint(2, 6), rng.randint(0, 14)))
+        form = seifert_form(_random_word(rng, rng.randint(2, 6), rng.randint(0, 14)))
         if len(form.rows) <= 12:
             assert gauss_sum(form) == _brute_gauss_sum(form), form
 
 
-def reference_gauss_sum(form):
-    """gauss_sum as it was before its factors of 2 were counted: G doubled
-    and negated in place, one pair of loops at a time."""
-    rows, diag = list(form.rows), list(form.diagonal)
-    g = 1
-    for a, row_a in enumerate(rows):
-        if row_a is None:
-            continue
-        g *= 2
-        if not row_a:
-            if diag[a]:
-                return 0
-            continue
-        bit_a, bit_b = 1 << a, row_a & -row_a
-        b = bit_b.bit_length() - 1
-        only_a, only_b = row_a ^ bit_b, rows[b] ^ bit_a
-        da, db = diag[a], diag[b]
-        g = -g if da and db else g
-        rows[b] = None
-        todo = only_a | only_b
-        while todo:
-            bit_c = todo & -todo
-            todo ^= bit_c
-            c = bit_c.bit_length() - 1
-            in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
-            rows[c] ^= (only_b ^ bit_a if in_a else 0) ^ (only_a ^ bit_b if in_b else 0)
-            diag[c] ^= (in_a and db) ^ (in_b and da) ^ (in_a and in_b)
-    return g
+# --- the stream against the reference ----------------------------------------
+
+def _check_stream(word):
+    """lookup_arf_data equals the reference: G, so zero, the sign and the
+    dropped count, and the loop and piece counts.  Returns G."""
+    form = seifert_form(word)
+    want = gauss_sum(form)
+    data = lookup_arf_data(word)
+    assert (data.loops, data.pieces) == (len(form.rows), form.pieces), word
+    assert data.zero == (want == 0), word
+    if want:
+        assert data.negative == (want < 0), word
+        assert data.dropped == 2 * (abs(want).bit_length() - 1) - data.loops, word
+    assert data.value == want, word
+    return want
 
 
-def test_gauss_sum_equals_the_doubling_reference():
-    # 2000 seeded words on 1-16 strands with up to 200 letters: the same G,
-    # and so the same arf
+def test_stream_equals_the_reference_gauss_sum():
+    # 2400 seeded words on 2-14 strands with up to 80 letters, on the table
+    # (2-3 strands) and stepped per letter (4 and up)
     rng = random.Random("gauss-sum")
     proper = 0
-    for _ in range(2000):
-        word = _random_word(rng, rng.randint(1, 16), rng.randint(0, 200))
-        form = lookup_arf_data(word)
-        want = reference_gauss_sum(form)
-        assert gauss_sum(form) == want, word
+    for _ in range(2400):
+        word = _random_word(rng, rng.randint(2, 14), rng.randint(0, 80))
+        want = _check_stream(word)
         inv = link_invariants(word)
+        assert (want == 0) == (not inv.proper), word
         if inv.proper:
             proper += 1
-            assert arf_invariant(inv, form) == int(want < 0), word
-    assert 200 < proper < 1800, proper
+            assert arf_invariant(inv, lookup_arf_data(word)) == int(want < 0), word
+    assert 400 < proper < 2000, proper
+
+
+def _cancelling_word(rng, strands, length):
+    """A random word followed by its inverse: the closure is the unlink of
+    ``strands`` components, so G is not 0, whatever the form."""
+    half = _random_word(rng, strands, length // 2).letters
+    return BraidWord(strands, half + tuple(-g for g in reversed(half)))
+
+
+def test_stream_equals_the_reference_on_wide_words():
+    # 240 words of 16-2048 strands and up to 600 letters, half of them
+    # cancelling, so that many live loops meet before G is known
+    rng = random.Random("wide")
+    values = []
+    for i in range(240):
+        strands = MAX_STRANDS if i % 8 < 2 else int(2 ** rng.uniform(4, 11))
+        word = (_cancelling_word if i % 2 else _random_word)(rng, strands, rng.randint(0, 600))
+        values.append(_check_stream(word))
+    assert sum(v == 0 for v in values) > 40 and sum(v != 0 for v in values) > 120
+
+
+@pytest.mark.parametrize("strands", [2, 3])
+def test_stream_equals_the_reference_on_torus_words(strands):
+    # T(2, k) and T(3, k), their mirrors, and each padded with spare strands
+    # and shifted to higher columns, so that it runs on the table and per letter
+    for k in range(0, 61):
+        for sign in (1, -1):
+            letters = tuple(sign * g for _ in range(k) for g in range(1, strands))
+            for pad, shift in ((0, 0), (2, 0), (3, 2)):
+                shifted = tuple(g + shift if g > 0 else g - shift for g in letters)
+                word = BraidWord(strands + pad, shifted)
+                _check_stream(word)
+                assert lookup_arf_data(word)._replace(pieces=0) == lookup_arf_data(
+                    BraidWord(strands, letters))._replace(pieces=0), word
+
+
+def test_stream_equals_the_reference_on_padded_words():
+    # spare strands around a word change only the pieces
+    rng = random.Random("padded")
+    for _ in range(300):
+        word = _random_word(rng, rng.randint(2, 6), rng.randint(0, 40))
+        base = _check_stream(word)
+        for pad, shift in ((1, 0), (3, 0), (3, 3)):
+            letters = tuple(g + shift if g > 0 else g - shift for g in word.letters)
+            padded = BraidWord(word.strands + pad, letters)
+            assert _check_stream(padded) == base, padded
+            assert lookup_arf_data(padded).pieces == lookup_arf_data(word).pieces + pad
+
+
+@pytest.mark.parametrize("strands", range(2, seifert.TABLE_STRANDS + 1))
+def test_table_equals_the_per_letter_stream(strands):
+    # 1000 words of 0-300 letters, prefixes of seeded words, through fresh
+    # tables filled in two orders, against the stream stepping every letter
+    # with each column's last letter known
+    rng = random.Random(f"table-{strands}")
+    cases = []
+    for _ in range(50):
+        letters = _random_word(rng, strands, 300).letters
+        for n in sorted({0, len(letters), *(rng.randint(0, len(letters)) for _ in range(18))}):
+            word = BraidWord(strands, letters[:n])
+            cases.append((word, seifert._streamed(word.strands, word.letters)))
+    for order in ("as drawn", "shuffled"):
+        if order == "shuffled":
+            random.Random(order).shuffle(cases)
+        seifert._table.cache_clear()
+        table = seifert._table(strands)
+        assert [table.values[table.run(word.letters)] for word, _ in cases] == [
+            want for _, want in cases]
+
+
+def test_memory_does_not_grow_with_the_letters():
+    # known defect 5: the whole form of a 10^5-letter word took hundreds of MB
+    import tracemalloc
+
+    rng = random.Random("long")
+    for strands, length in ((3, 100_000), (64, 2_000)):
+        word = _random_word(rng, strands, length)
+        lookup_arf_data(word)     # fills what the table needs
+        tracemalloc.start()
+        try:
+            lookup_arf_data(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (strands, length, peak)
 
 
 def test_arf_route_matches_bracket_oracle_on_proper_links():
@@ -464,9 +626,9 @@ def test_arf_route_matches_bracket_oracle_on_proper_links():
     zeros = 0
     for word in words:
         inv = link_invariants(word)
-        form = lookup_arf_data(word)
-        assert (gauss_sum(form) == 0) == (not inv.proper), word
-        arf = arf_invariant(inv, form) if inv.proper else None
+        data = lookup_arf_data(word)
+        assert data.zero == (not inv.proper), word
+        arf = arf_invariant(inv, data) if inv.proper else None
         expected = jones_at_i(word)
         zeros += expected == 0
         assert abs(jones_from_arf(inv, arf) - expected) < 1e-12 * 2 ** (inv.components / 2), word

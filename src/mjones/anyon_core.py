@@ -29,11 +29,11 @@ letter touches: each closes to a split unknot and scales V by d.  Every
 exchange conserves fermion parity, so U|0...0> lies in the even-parity
 sector and only its 2^(n-1) amplitudes are stepped.  Exchanges are
 Clifford (Bravyi & Kitaev 2002), so the vacuum's orbit is finite, and so is
-the set of doubles the steps reach from it.  At most TABLE_PAIRS pairs a
-letter is therefore one lookup in an ``automaton.Automaton`` of those
-states, filled on first use; above that a letter costs O(2^(n-1)), and
-above MAX_PAIRS the backend raises CapacityError.  Either way one numpy
-step, ``_step``, computes every amplitude.
+the set of doubles the steps reach from it.  At most TABLE_PAIRS pairs
+those states make an ``automaton.Automaton``, filled on first use, where a
+letter is one lookup in its state's row; above that a letter costs
+O(2^(n-1)), and above MAX_PAIRS the backend raises CapacityError.  Either
+way one numpy step, ``_step``, computes every amplitude.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ MAX_PAIRS = 16
 _SQRT_HALF = math.sqrt(0.5)
 
 # registers of at most this many pairs (8 even-parity amplitudes) run on the
-# automaton of _table, where a letter is a dict lookup.  At 5 pairs and up
+# automaton of _table, a letter a lookup in its state's row.  At 5 pairs and up
 # every letter is a _step
 TABLE_PAIRS = 4
 

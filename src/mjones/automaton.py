@@ -1,8 +1,8 @@
 """Walks over finitely many states, run as automata filled on first use.
 
-Majorana exchanges are Clifford (Bravyi & Kitaev 2002), so from a fixed
-start the anyon amplitudes at a fixed pair count and the spin register's
-stabilizer states reach finitely many states.  Imports no numpy.
+Majorana exchanges are Clifford (Bravyi & Kitaev 2002), so the anyon and
+spin walks, like the Seifert stream at a fixed width, reach finitely many
+states.  A known letter is a lookup in its state's row.  Imports no numpy.
 """
 
 import threading
@@ -11,17 +11,16 @@ import threading
 class Automaton:
     """The states reachable from ``start`` under ``step``, filled on first use.
 
-    A state is a small integer, 0 being ``start``, that keeps the object it
+    A state s is a small integer, 0 being ``start``, that keeps the object it
     was first found as, under ``key(object)``, and ``value(object)``,
     computed once.  A transition (state, letter) runs ``step(object,
     letter)``, which returns a new object, once; then the letter is a lookup in
-    ``next``.  So ``run`` ends where stepping each letter would, if objects
-    of one key step and value alike.  Threads may share an automaton.
+    the state's row, ``rows[s]``.  So ``run`` ends where stepping each letter
+    would, if objects of one key step and value alike.  Threads may share it.
     """
 
     def __init__(self, start, key, step, value=lambda obj: None):
-        self.states, self.values, self.ids = [], [], {}
-        self.next = {}      # (state, letter) -> state
+        self.states, self.values, self.rows, self.ids = [], [], [], {}
         self._key, self._step, self._value = key, step, value
         self._lock = threading.Lock()   # one miss at a time adds its state
         self._add(start)
@@ -31,21 +30,22 @@ class Automaton:
         if s == len(self.states):
             self.states.append(obj)
             self.values.append(self._value(obj))
+            self.rows.append({})
         return s
 
     def step(self, s: int, letter) -> int:
         """The state letter leads state s to, computed and kept (a miss)."""
         after = self._step(self.states[s], letter)
         with self._lock:
-            self.next[s, letter] = t = self._add(after)
+            self.rows[s][letter] = t = self._add(after)
         return t
 
     def run(self, letters) -> int:
         """The state the letters lead ``start`` to, first letter first."""
-        nxt, s = self.next, 0
+        rows, s = self.rows, 0
         for letter in letters:
             try:
-                s = nxt[s, letter]
+                s = rows[s][letter]
             except KeyError:
                 s = self.step(s, letter)
         return s

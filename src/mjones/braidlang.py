@@ -227,7 +227,7 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
     # a component's total linking is half its crossings with the others
     proper = all(t % 4 == 0 for t in total)
     return LinkInvariants(
-        writhe=word.writhe,
+        writhe=sum(crossed.values()),
         components=ncomp,
         linking=linking,
         proper=proper,

@@ -10,8 +10,8 @@ only the live loops, about three per column, and the affine constraints
 that the sums leave (Gauss sums over GF(2) by elimination, Dehaene & De Moor
 2003).  At a fixed width it has finitely many states; on at most
 ``TABLE_STRANDS`` strands it runs as an ``automaton.Automaton`` filled on
-first use, a letter being one lookup.  ``braidlang.lookup_arf_data`` is its
-caller; this module loads on the first Gauss sum.
+first use, a letter being one lookup in its state's row.  Its caller is
+``braidlang.lookup_arf_data``; this module loads on the first Gauss sum.
 """
 
 import math
@@ -20,7 +20,7 @@ from functools import lru_cache
 from .automaton import Automaton
 
 # words on at most this many strands run on the automaton of ``_table``,
-# where a letter is a dict lookup: 2 / 3 strands reach 19 / 2541 states.
+# a letter a lookup in its state's row: 2 / 3 strands reach 19 / 2541 states.
 # At 4 strands the states pass 100,000, so wider words step every letter
 TABLE_STRANDS = 3
 

@@ -42,8 +42,8 @@ generators on the final state, or 0 when one is contradicted.  The four
 letters take phi0 to only 24 distinct stabilizer states, so the walk runs
 on the shared finite automaton (``automaton.Automaton``), filled on first
 use: each (state, letter) runs its stages once, each state's k is read
-once, and every later letter is one dict lookup.  ``verify`` and the
-stage-by-stage checks run the replay at their own tau.
+once, and every later letter is one lookup in its state's row.  ``verify``
+and the stage-by-stage checks run the replay at their own tau.
 """
 
 from __future__ import annotations
@@ -563,7 +563,7 @@ def jones_spin_tableau(word: BraidWord) -> float:
     stabilizer states stabilizer states.  |<phi0|phi_f>|^2 is 2^-k, with k
     the number of phi0's generators whose +1 outcome is random on phi_f, or
     0 when one is contradicted.  The letters run on the automaton of
-    ``_walk_tables``: one dict lookup each, once its table is filled.
+    ``_walk_tables``: one lookup each in its state's row, once it is filled.
     """
     if word.strands > 3:   # on three strands the letters are s1 and s2 only
         raise CapacityError("the ten-site register supports at most three strands")

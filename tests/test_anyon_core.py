@@ -122,10 +122,10 @@ def test_evolve_rejects_bad_index():
     _table.cache_clear()
     evolve([(1, 2), (4, 3)], 2)
     table = _table(2)
-    filled = (len(table.states), dict(table.next))
+    filled = (len(table.states), [dict(row) for row in table.rows])
     with pytest.raises(ValueError, match=r"^exchange \(3, 5\) out of range for 2 pairs$"):
         evolve([(3, 5)], 2)
-    assert (len(table.states), table.next) == filled
+    assert (len(table.states), table.rows) == filled
     with pytest.raises(ValueError):
         evolve([(0, 1)], 3)
     with pytest.raises(ValueError):
@@ -362,7 +362,8 @@ def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions)
             table.step(s, ab)
     table_keys = [full_bytes(state, pairs) for state in table.states]
     assert table_keys == keys
-    assert {(table_keys[s], ab): table_keys[t] for (s, ab), t in table.next.items()} == edges
+    assert {(table_keys[s], ab): table_keys[t]
+            for s, row in enumerate(table.rows) for ab, t in row.items()} == edges
 
 
 def test_a_signed_zero_makes_a_distinct_state():
@@ -457,7 +458,9 @@ def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
                 assert not thread.is_alive()
             table = automaton()
             assert sorted(table.ids.values()) == list(range(len(table.states)))
-            assert len(table.values) == len(table.states)
+            assert len(table.values) == len(table.rows) == len(table.states)
+            # a row may point only at a state whose own row is already there
+            assert all(0 <= t < len(table.rows) for row in table.rows for t in row.values())
             assert got == want
     finally:
         sys.setswitchinterval(interval)

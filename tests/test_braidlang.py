@@ -612,6 +612,32 @@ def test_memory_does_not_grow_with_the_letters():
         assert peak < 1e6, (strands, length, peak)
 
 
+def test_the_filled_three_strand_table_holds_under_095_mb():
+    # 2541 states and 10164 transitions, each state's row a dict letter ->
+    # state, hold 0.83 MB; one (state, letter) tuple key per transition would
+    # hold 1.06 MB.  A first fill warms the stream's own caches, so the
+    # second fill's held memory is the table's alone
+    import tracemalloc
+
+    def fill():
+        table = seifert._table(3)
+        for s, _ in enumerate(table.states):    # breadth first: grows as states are found
+            for g in (1, -1, 2, -2):
+                table.step(s, g)
+        return table
+
+    fill()
+    seifert._table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = fill()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(table.states), sum(map(len, table.rows))) == (2541, 10164)
+    assert held < 0.95e6, held
+
+
 def test_arf_route_matches_bracket_oracle_on_proper_links():
     # the route and the bracket are independent; on 1000 seeded words the
     # Gauss sum vanishes exactly on the links that are not proper, and the

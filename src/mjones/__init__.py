@@ -1,8 +1,8 @@
 """Jones polynomials at t = i, three independent ways.
 
 * :mod:`mjones.braidlang` - braid words and closure invariants
-* :mod:`mjones.seifert` - the Gauss sum of the Seifert form behind the arf route, as a
-  stream over the word
+* :mod:`mjones.seifert` - the Gauss sum of the Seifert form behind the arf route, in
+  one pass over the word
 * :mod:`mjones.anyon_core` - Ising-anyon braiding on n pairs as Majorana exchanges
 * :mod:`mjones.kauffman_oracle` - exact Temperley-Lieb bracket (classical oracle)
 * :mod:`mjones.spin_sim` - ten-qubit imaginary-time braiding replay and its exact

@@ -1,7 +1,7 @@
 """Walks over finitely many states, run as automata filled on first use.
 
 Majorana exchanges are Clifford (Bravyi & Kitaev 2002), so the anyon and
-spin walks, like the Seifert stream at a fixed width, reach finitely many
+spin walks, like the Seifert transfer at a fixed width, reach finitely many
 states.  A known letter is a lookup in its state's row.  Imports no numpy.
 """
 

@@ -15,7 +15,7 @@ Lickorish-Millett 1986).  That sign is read off the closure's Seifert
 surface: one disc per strand, one half-twisted band per letter, and one
 loop per two consecutive letters of a column (J. Collins 2016), as the
 sign of the Gauss sum of the loops' mod-2 form, which ``mjones.seifert``
-takes as a stream over the word.
+takes in one pass over the word.
 """
 
 from __future__ import annotations

@@ -1,36 +1,36 @@
-"""The Gauss sum of a braid closure's mod-2 Seifert form, as a stream over
+"""The Gauss sum of a braid closure's mod-2 Seifert form, in one pass over
 the word.
 
 The closure's Seifert surface has one disc per strand, one half-twisted
 band per letter, and one loop per two consecutive letters of a column
 (J. Collins 2016); G = sum over x in GF(2)^loops of (-1)^q(x), q the mod-2
-Seifert form of the loops, is 0 or +-2^k, and its sign is (-1)^arf.  The
-stream sums a loop out as soon as no later loop can meet it, so it keeps
-only the live loops, about three per column, and the affine constraints
-that the sums leave (Gauss sums over GF(2) by elimination, Dehaene & De Moor
-2003).  At a fixed width it has finitely many states; on at most
-``TABLE_STRANDS`` strands it runs as an ``automaton.Automaton`` filled on
-first use, a letter being one lookup in its state's row.  Its caller is
+Seifert form of the loops, is 0 or +-2^k, and its sign is (-1)^arf.
+
+A new loop of column k meets the live loops only through their sum l_k over
+the loops its column is waiting on.  So on at most ``TABLE_STRANDS``
+strands the pass steps the live form pushed onto the n - 1 column
+functionals: Phi(l) sums (-1)^q over the assignments of the live loops that
+give the functionals the values l (Gauss sums over GF(2), Dehaene & De Moor
+2003).  With each column's last sign and which of two neighbouring columns
+moved last, that is a state that is its own key, and finitely many at a
+fixed width, so ``_table`` runs it as an ``automaton.Automaton`` filled on
+first use, a letter being one lookup in its state's row.  Wider words step
+``_Stream``, which sums a loop out as soon as no later loop can meet it, so
+it keeps only the live loops, about three per column, and the affine
+constraints that the sums leave.  Its caller is
 ``braidlang.lookup_arf_data``; this module loads on the first Gauss sum.
 """
 
-import math
 from functools import lru_cache
 
 from .automaton import Automaton
 
-# words on at most this many strands run on the automaton of ``_table``,
-# a letter a lookup in its state's row: 2 / 3 strands reach 19 / 2541 states.
-# At 4 strands the states pass 100,000, so wider words step every letter
+# words on at most this many strands run on the automaton of ``_table``, a
+# letter a lookup in its state's row: 2 / 3 / 4 strands reach 17 / 417 /
+# 13,233 states.  At 4 strands 22,000 seeded 11-13-letter words reach 13,163
+# states, which hold 9 MB and spend as long on misses as the stream spends on
+# every letter, so wider words step the stream
 TABLE_STRANDS = 3
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Stream:
@@ -60,15 +60,14 @@ class _Stream:
 
     ``last`` holds each column's last letter time: a loop joins the pending
     list of a column only if a letter of it is still to come, so about three
-    loops per column are live, and none once the word is read.  Without it,
-    as in ``_table``, every column may have letters to come.
+    loops per column are live, and none once the word is read.
     """
 
     __slots__ = ("last", "when", "sign", "pending", "refs", "diag", "edges", "within",
                  "spare", "rows", "negative", "zero", "dropped")
 
-    def __init__(self, strands: int, last=None):
-        self.last = [math.inf] * (strands + 1) if last is None else last
+    def __init__(self, strands: int, last):
+        self.last = last
         self.when = [-1] * (strands + 1)     # each column's last letter time; 0 and n stay -1
         self.sign = [0] * (strands + 1)      # that letter
         self.pending = [[] for _ in range(strands + 1)]
@@ -218,139 +217,64 @@ class _Stream:
             within[i.bit_length() - 1] ^= low
             m ^= i
 
-    def key(self) -> tuple:
-        """The state up to renaming, as a tuple of small ints: each inner
-        column's rank among the last-letter times and whether its last letter
-        is positive; the pending lists as bits of the live loops, named by
-        first appearance; the assignments of the names where the live form is
-        nonzero, and where it is -1, as bits; and ``dropped``.  () once G = 0.
-        It also puts each pending list in name order, as ``_from_key`` lists
-        them, so that stepping this stream or the one built from its key
-        gives the same key."""
-        if self.zero:
-            return ()
-        when, pending, edges, diag = self.when, self.pending, self.edges, self.diag
-        inner = range(1, len(when) - 1)
-        name, lists = {}, []
-        for k in inner:
-            held = 0
-            for b in pending[k]:
-                held |= 1 << name.setdefault(b, len(name))
-            lists.append(held)
-            pending[k].sort(key=name.__getitem__)    # as _from_key lists them
-        # each live slot's value at every assignment of the names, as bits;
-        # the rows' and Q's values are xors and ands of them
-        at = dict(zip(name, _coordinates(len(name))))
-        every = (1 << (1 << len(name))) - 1
-        support = every
-        for mask, rhs in self.rows.values():
-            parity = 0
-            for b, x in at.items():
-                if mask >> b & 1:
-                    parity ^= x
-            support &= parity if rhs else every ^ parity
-        minus = every if self.negative else 0
-        for b, x in at.items():
-            if diag[b]:
-                minus ^= x
-            near = edges[b]
-            for c, y in at.items():
-                if c < b and near >> c & 1:     # each edge once
-                    minus ^= x & y
-        times = sorted(when)
-        return (*[times.index(when[k]) if when[k] >= 0 else -1 for k in inner],
-                *[self.sign[k] > 0 for k in inner], *lists, support, minus & support,
-                self.dropped)
+
+def _transfer(state, g):
+    """The state after letter g.  A state is (signs, later, phi, d): each
+    column's last sign, 0 while unused; later[i], whether column i + 2 moved
+    after column i + 1; Phi, with l_k as bit k - 1 and entries 0 and +-1;
+    and d, so that G = 2^((d + loops)/2) sum(Phi).  A repeat letter of column
+    k closes a loop x_a that meets just the live loops summing to l_k, so
+    Phi'(l') is the sum over l_k of Phi(l) (-1)^(l'_k (q + l_k)), q = 1 iff
+    the signs agree, where l is l' but at k (summed) and at a neighbour that
+    moved after k, which holds l' + l'_k there as x_a waits for its next
+    loop.  Then Phi is halved while every entry is even, d gaining 2.  Each
+    step is invertible on Phi, so Phi never vanishes."""
+    signs, later, phi, d = state
+    i = (g if g > 0 else -g) - 1
+    sign = 1 if g > 0 else -1
+    if signs[i]:
+        bit = spread = 1 << i
+        if i and not later[i - 1]:
+            spread |= bit >> 1
+        if i < len(later) and later[i]:
+            spread |= bit << 1
+        same = signs[i] == sign
+        new = []
+        for ell in range(len(phi)):
+            if ell & bit:
+                low = ell ^ spread     # l at k + 1 and k - 1, with l_k = 0
+                v = phi[low] - phi[low | bit]
+                new.append(-v if same else v)
+            else:
+                new.append(phi[ell] + phi[ell | bit])
+        d -= 1
+        while not any(v & 1 for v in new):
+            new = [v >> 1 for v in new]
+            d += 2
+        phi = tuple(new)
+    flags = list(later)
+    if i:
+        flags[i - 1] = True
+    if i < len(flags):
+        flags[i] = False
+    return signs[:i] + (sign,) + signs[i + 1:], tuple(flags), phi, d
 
 
-@lru_cache(maxsize=None)
-def _coordinates(live: int) -> tuple[int, ...]:
-    """For each of ``live`` names, the assignments x of them (name i as bit i)
-    where it is 1, as bits."""
-    return tuple(sum(1 << x for x in range(1 << live) if x >> i & 1) for i in range(live))
-
-
-@lru_cache(maxsize=None)
-def _live_form(live: int, support: int, minus: int) -> tuple:
-    """(rows, within, diag, edges, negative) of a stream on slots 0 .. live-1
-    whose live form is nonzero at the assignments in ``support`` and -1 at
-    those in ``minus``, as ``key`` gives them."""
-    s = _Stream(0)
-    s.refs, s.diag, s.edges, s.within = [0] * live, [0] * live, [0] * live, [0] * live
-    at = _coordinates(live)
-    for w in range(1, 1 << live):     # the rows: each w . x constant on the support
-        parity = 0
-        for i in _bits(w):
-            parity ^= at[i]
-        if parity & support in (0, support):
-            s._constrain(w, int(parity & support != 0))
-    # Q on the slots that are no pivot, from the signs at 0, e_i and e_i + e_j
-    free = [i for i in range(live) if i not in s.rows]
-    free_bits = sum(1 << i for i in free)
-    sign = {x & free_bits: minus >> x & 1 for x in _bits(support)}
-    for i in free:
-        s.diag[i] = sign[1 << i] ^ sign[0]
-        for j in free:
-            if j > i and sign[1 << i | 1 << j] ^ sign[1 << i] ^ sign[1 << j] ^ sign[0]:
-                s.edges[i] |= 1 << j
-                s.edges[j] |= 1 << i
-    return tuple(s.rows.items()), tuple(s.within), tuple(s.diag), tuple(s.edges), sign[0]
-
-
-def _from_key(key: tuple, strands: int) -> _Stream:
-    """A stream in the state ``key`` names, every column with letters to come."""
-    s = _Stream(strands)
-    if not key:
-        s.zero = True
-        return s
-    c = strands - 1
-    s.when[1:strands] = key[:c]
-    s.sign[1:strands] = [1 if up else -1 for up in key[c:2 * c]]
-    live = 0
-    for k, held in enumerate(key[2 * c:3 * c], 1):
-        live |= held
-        s.pending[k] = list(_bits(held))
-    live = live.bit_length()
-    rows, within, diag, edges, s.negative = _live_form(live, key[3 * c], key[3 * c + 1])
-    s.rows, s.within, s.diag, s.edges = dict(rows), list(within), list(diag), list(edges)
-    s.refs = [0] * live
-    for held in s.pending:
-        for b in held:
-            s.refs[b] += 1
-    s.dropped = key[-1]
-    return s
-
-
-@lru_cache(maxsize=None)
-def _finished(support: int, minus: int, dropped: int) -> tuple[bool, bool, int]:
-    """(zero, negative, dropped) once the live loops are summed out too.  The
-    live form sums to G' = (nonzero assignments) - 2 (-1 assignments); if
-    G' = +-2^f, summing them out drops 2f - log2 |support| more constraints."""
-    g = support.bit_count() - 2 * minus.bit_count()
-    if not g:
+def _value(state) -> tuple[bool, bool, int]:
+    """(zero, negative, dropped) of G, from d and the sum of Phi."""
+    total = sum(state[2])
+    if not total:
         return True, False, 0
-    f, log_support = abs(g).bit_length() - 1, support.bit_count().bit_length() - 1
-    return False, g < 0, dropped + 2 * f - log_support
+    return False, total < 0, state[3] + 2 * (abs(total).bit_length() - 1)
 
 
 @lru_cache(maxsize=None)
-def _table(strands: int):
-    """The stream at this width as an ``automaton.Automaton`` over its keys,
-    each state's value (zero, negative, dropped) of the word's G.  A miss
-    steps the stream it left last, if it ends there, else one built from the
-    key.  ``_table.cache_clear()`` empties every table."""
-    recent = {}     # the latest miss's key -> its stream, stepped again without decoding
-
-    def step(key, g):
-        s = recent.pop(key, None) or _from_key(key, strands)
-        s.read((g,), max(s.when) + 1)
-        after = s.key()
-        recent.clear()
-        recent[after] = s
-        return after
-
-    return Automaton(_Stream(strands).key(), lambda key: key, step,
-                     lambda key: _finished(*key[-3:]) if key else (True, False, 0))
+def _table(strands: int) -> Automaton:
+    """``_transfer`` at this width as an ``automaton.Automaton``, each state
+    its own key.  ``_table.cache_clear()`` empties every table."""
+    columns = strands - 1
+    start = (0,) * columns, (False,) * (columns - 1), (1,) + (0,) * ((1 << columns) - 1), 0
+    return Automaton(start, lambda state: state, _transfer, _value)
 
 
 def _streamed(strands: int, letters) -> tuple[bool, bool, int]:

@@ -424,8 +424,8 @@ def spin_round(rng):
 
 
 def seifert_round(rng):
-    # on 3 strands the Gauss sum runs on the Seifert stream's table; the
-    # stream stepping every letter is the reference
+    # on 3 strands the Gauss sum runs on the Seifert table of column
+    # functionals; the stream stepping every letter is the reference
     words = spin_words(rng, 16, 300)
     return (seifert._table.cache_clear, lambda: seifert._table(3),
             lambda word: braidlang.lookup_arf_data(word)[:3], words,

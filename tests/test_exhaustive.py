@@ -1,8 +1,8 @@
-"""Every word on at most three strands: the anyon table, the spin walk, the
-Seifert stream's table and the closure permutation searched breadth first as
-product automata.
+"""Every word on at most three strands, and on four for the Seifert half: the
+anyon table, the spin walk, the Seifert table and the closure permutation
+searched breadth first as product automata.
 
-At a fixed width the walks and the stream are finite automata, and the
+At a fixed width the walks and the Seifert table are finite automata, and the
 closure's strand order and the columns in use take finitely many values, so
 the search from the start state reaches every state that any word reaches.
 A check at every reached state is a check of every word of every length at
@@ -88,9 +88,10 @@ def test_every_word_agrees_on_the_anyon_and_spin_walks(strands, states, spin_sta
     assert len({s for (_, s), _ in product}) == spin_states
 
 
-@pytest.mark.parametrize("strands, states, anyon_states", [(2, 19, 11), (3, 2541, 53)])
+@pytest.mark.parametrize("strands, states, table_states, anyon_states",
+                         [(2, 19, 17, 11), (3, 421, 417, 53), (4, 13239, 13233, 391)])
 def test_every_word_agrees_on_the_anyon_walk_and_the_seifert_stream(
-        strands, states, anyon_states):
+        strands, states, table_states, anyon_states):
     # V_anyon is 0 exactly where the Gauss sum is, else (-1)^arf sqrt(2)^(m-1),
     # and the elimination drops m - pieces constraints
     anyon, stream = anyon_core._table(strands), seifert._table(strands)
@@ -106,6 +107,6 @@ def test_every_word_agrees_on_the_anyon_walk_and_the_seifert_stream(
         assert zero or dropped == m - (strands - len(used)), (
             f"dropped {dropped} != {m} components - {strands - len(used)} pieces: {where}")
     assert len(word_of) == states
-    assert len(stream.states) == len(stream.rows) == states
-    assert sum(map(len, stream.rows)) == 2 * (strands - 1) * states
+    assert len(stream.states) == len(stream.rows) == table_states
+    assert sum(map(len, stream.rows)) == 2 * (strands - 1) * table_states
     assert len({a for (a, _), _, _ in word_of}) == anyon_states

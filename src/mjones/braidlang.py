@@ -237,9 +237,9 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
 class GaussSum(NamedTuple):
     """The Gauss sum G = sum over x in GF(2)^loops of (-1)^q(x) of a closure's
     mod-2 Seifert form q: 0 if ``zero``, else (-1)^negative
-    2^((loops + dropped)/2).  ``dropped`` counts the constraints of the
-    elimination that came out redundant; ``pieces`` counts the surface's
-    connected parts."""
+    2^((loops + dropped)/2).  ``dropped`` counts the loops that the
+    elimination summed out alone, each giving a factor 2; ``pieces`` counts
+    the surface's connected parts."""
 
     zero: bool
     negative: bool

@@ -15,9 +15,8 @@ give the functionals the values l (Gauss sums over GF(2), Dehaene & De Moor
 moved last, that is a state that is its own key, and finitely many at a
 fixed width, so ``_table`` runs it as an ``automaton.Automaton`` filled on
 first use, a letter being one lookup in its state's row.  Wider words step
-``_Stream``, which sums a loop out as soon as no later loop can meet it, so
-it keeps only the live loops, about three per column, and the affine
-constraints that the sums leave.  Its caller is
+``_Stream``, which sums a loop out once no later loop can meet it, alone or
+with such a neighbour, so it keeps a few loops per column.  Its caller is
 ``braidlang.lookup_arf_data``; this module loads on the first Gauss sum.
 """
 
@@ -27,61 +26,58 @@ from .automaton import Automaton
 
 # words on at most this many strands run on the automaton of ``_table``, a
 # letter a lookup in its state's row: 2 / 3 / 4 strands reach 17 / 417 /
-# 13,233 states.  At 4 strands 22,000 seeded 11-13-letter words reach 13,163
-# states, which hold 9 MB and spend as long on misses as the stream spends on
-# every letter, so wider words step the stream
+# 13,233 states.  22,000 words of the ``bracket`` workload's 4-strand stratum
+# (seed 4242) reach 13,165 states holding 9 MB; filling and running the table
+# takes 0.44-0.49 s, the stream 0.39-0.43 s (2-core x86_64), so wider words
+# step the stream
 TABLE_STRANDS = 3
 
 
 class _Stream:
-    """The Gauss sum of the Seifert form, each loop summed out as soon as no
-    later loop can meet it.
+    """The Gauss sum of the Seifert form, each loop summed out once no later
+    loop can meet it and it is alone or has such a neighbour.
 
     Two consecutive letters of column k, at times p < t, bound a loop with
     q = 1 iff they have the same sign.  It meets the next loop of column k
     (they share the band at t) and each loop of column k +- 1 whose time
     interval interlaces with (p, t): the open loop of a neighbour column
     interlaces with (p, t) iff it opened after p.  So a loop waits in the
-    ``pending`` list of each column whose open loop it meets, and is live,
-    in a slot, until the last of them closes.  After each letter
+    ``pending`` list of each column whose open loop it meets, and is live
+    until the last of them closes; then its slot's bit is set in ``dead``.
+    After each letter
 
-        G = 2^twos * sum over the live x of [rows] (-1)^(negative + Q(x)),
+        G = 2^twos * sum over x in GF(2)^slots of (-1)^(negative + Q(x)),
 
-    Q having the slots' ``diag`` bits and ``edges``, and ``rows`` affine
-    constraints in reduced echelon form: row c (slots as bits, rhs) holds
-    its pivot c, which lies in no other row, and ``within[a]`` has the
-    pivots of the rows holding slot a.
-
-    Summing out x_a, with L_a the sum over a's neighbours: if x_a is in no
-    row, it gives 2 [L_a = q_a], a new row, or a dropped one if it reduces
-    to 0 = 0, or G = 0 if to 0 = 1.  If x_a is in a row, x_a = rhs + R there,
-    and x_a (q_a + L_a) becomes (rhs + R)(q_a + L_a).  Every row is
-    substituted in the end, so twos = (loops + dropped) / 2.
+    Q having the slots' ``diag`` bits and ``edges``.  A dead loop a with no
+    neighbours gives 2 if q_a = 0, a ``dropped`` loop, and G = 0 if q_a = 1.
+    A dead loop a with a dead neighbour b goes with b: summing over x_a fixes
+    x_b, leaving a factor 2 and (q_a + L_a)(q_b + L_b), L_a and L_b the sums
+    over their other neighbours.  A dead loop whose neighbours are all live
+    waits for one of them to die, so twos = (loops + dropped) / 2.
 
     ``last`` holds each column's last letter time: a loop joins the pending
-    list of a column only if a letter of it is still to come, so about three
-    loops per column are live, and none once the word is read.
+    list of a column only if a letter of it is still to come, so a few loops
+    per column are in slots, and none once the word is read.
     """
 
-    __slots__ = ("last", "when", "sign", "pending", "refs", "diag", "edges", "within",
-                 "spare", "rows", "negative", "zero", "dropped")
+    __slots__ = ("last", "when", "sign", "pending", "refs", "diag", "edges", "dead",
+                 "spare", "negative", "zero", "dropped")
 
     def __init__(self, strands: int, last):
         self.last = last
         self.when = [-1] * (strands + 1)     # each column's last letter time; 0 and n stay -1
         self.sign = [0] * (strands + 1)      # that letter
         self.pending = [[] for _ in range(strands + 1)]
-        self.refs, self.diag, self.edges, self.within = [], [], [], []   # by slot
+        self.refs, self.diag, self.edges = [], [], []   # by slot
         self.spare = []      # freed slots
-        self.rows = {}
-        self.negative = self.dropped = 0
+        self.dead = self.negative = self.dropped = 0
         self.zero = False
 
     def read(self, letters, t: int) -> None:
         """Read ``letters`` at times t, t + 1, ..., each later than every
         time read before: the one step of the stream."""
         when, sign, pending, refs, last = self.when, self.sign, self.pending, self.refs, self.last
-        diag, edges, within, spare = self.diag, self.edges, self.within, self.spare
+        diag, edges, spare = self.diag, self.edges, self.spare
         for g in letters:
             k = -g if g < 0 else g
             p = when[k]
@@ -95,7 +91,6 @@ class _Stream:
                     a = len(diag)
                     diag.append(same)
                     edges.append(0)
-                    within.append(0)
                     refs.append(0)
                 met, bit, near = pending[k], 1 << a, 0
                 for b in met:
@@ -117,9 +112,9 @@ class _Stream:
                 for b in met:
                     refs[b] -= 1
                     if not refs[b]:
-                        self._sum(b)
+                        self._die(b)
                 if not refs[a]:
-                    self._sum(a)
+                    self._die(a)
             when[k] = t
             sign[k] = g
             t += 1
@@ -128,94 +123,51 @@ class _Stream:
         """(zero, negative, dropped) of G, once no loop is live."""
         return (True, False, 0) if self.zero else (False, bool(self.negative), self.dropped)
 
-    def _sum(self, a: int) -> None:
-        """Sum out the loop in slot a and free the slot."""
-        diag, edges, within = self.diag, self.edges, self.within
-        bit, q, near, held = 1 << a, diag[a], edges[a], within[a]
-        edges[a] = 0
-        m = near
-        while m:
-            low = m & -m
-            edges[low.bit_length() - 1] ^= bit
-            m ^= low
-        if not held:
-            self._constrain(near, q)
-            self.spare.append(a)
-            return
-        rows = self.rows
-        low = held & -held      # the row of a's pivot, if a is one
-        mask, rhs = rows.pop(low.bit_length() - 1)
-        m = mask
-        while m:
-            i = m & -m
-            within[i.bit_length() - 1] ^= low
-            m ^= i
-        held ^= low
-        # the other rows holding a; this loop and _constrain's are written out,
-        # as one shared method made short words a fifth slower
-        while held:
-            s = held & -held
-            held ^= s
-            other, r = rows[s.bit_length() - 1]
-            rows[s.bit_length() - 1] = (other ^ mask, r ^ rhs)
-            m = mask
-            while m:
-                i = m & -m
-                within[i.bit_length() - 1] ^= s
-                m ^= i
-        # x_a = rhs + R turns x_a (q + L_a) into (rhs + R)(q + L_a)
-        rest = mask ^ bit
-        self.negative ^= rhs & q
-        m = rest
-        while m:
-            i = m & -m
-            m ^= i
-            edges[i.bit_length() - 1] ^= near & ~i
-            diag[i.bit_length() - 1] ^= q ^ (near & i != 0)
-        m = near
-        while m:
-            j = m & -m
-            m ^= j
-            edges[j.bit_length() - 1] ^= rest & ~j
-            diag[j.bit_length() - 1] ^= rhs
-        self.spare.append(a)
-
-    def _constrain(self, mask: int, rhs: int) -> None:
-        """Add the row: the sum of the slots in ``mask`` is ``rhs``."""
-        rows, within = self.rows, self.within
-        m = mask
-        while m:
-            i = m & -m
-            m ^= i
-            row = rows.get(i.bit_length() - 1)
-            if row:
-                mask ^= row[0]
-                rhs ^= row[1]
-        if not mask:
-            if rhs:
-                self.zero = True
-            else:
+    def _die(self, a: int) -> None:
+        """Mark the loop in slot a dead, then sum out every dead loop that is
+        alone or has a dead neighbour, freeing their slots."""
+        diag, edges, spare = self.diag, self.edges, self.spare
+        dead = self.dead | 1 << a
+        todo = 1 << a       # the dead loops whose neighbours changed
+        while todo:
+            bit_a = todo & -todo
+            todo ^= bit_a
+            a = bit_a.bit_length() - 1
+            near = edges[a]
+            if not near:
+                if diag[a]:
+                    self.zero = True
+                    break
                 self.dropped += 1
-            return
-        low = mask & -mask
-        c = low.bit_length() - 1
-        held = within[c]
-        while held:     # the pivot c leaves the other rows
-            s = held & -held
-            held ^= s
-            other, r = rows[s.bit_length() - 1]
-            rows[s.bit_length() - 1] = (other ^ mask, r ^ rhs)
-            m = mask
+                dead ^= bit_a
+                spare.append(a)
+                continue
+            bit_b = near & dead
+            if not bit_b:       # a waits for a live neighbour to die
+                continue
+            bit_b &= -bit_b
+            b = bit_b.bit_length() - 1
+            only_a, only_b = near ^ bit_b, edges[b] ^ bit_a
+            qa, qb = diag[a], diag[b]
+            self.negative ^= qa & qb
+            edges[a] = edges[b] = 0
+            dead ^= bit_a | bit_b
+            spare += (a, b)
+            m = only_a | only_b
+            todo = (todo | m) & dead
+            # (q_a + L_a)(q_b + L_b) on the other neighbours c, x_c x_c = x_c
             while m:
-                i = m & -m
-                within[i.bit_length() - 1] ^= s
-                m ^= i
-        rows[c] = (mask, rhs)
-        m = mask
-        while m:
-            i = m & -m
-            within[i.bit_length() - 1] ^= low
-            m ^= i
+                bit_c = m & -m
+                m ^= bit_c
+                c = bit_c.bit_length() - 1
+                in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
+                if in_a:
+                    edges[c] ^= only_b ^ bit_a
+                    diag[c] ^= qb
+                if in_b:
+                    edges[c] ^= only_a ^ bit_b
+                    diag[c] ^= qa ^ in_a
+        self.dead = dead
 
 
 def _transfer(state, g):

@@ -612,6 +612,31 @@ def test_memory_does_not_grow_with_the_letters():
         assert peak < 1e6, (strands, length, peak)
 
 
+@pytest.mark.parametrize("strands", [4, 6, 16])
+def test_the_per_letter_stream_holds_few_slots(strands):
+    # a dead loop waits in its slot while a neighbour is live, and goes as
+    # soon as it is alone or a neighbour dies: on 20,000-letter random,
+    # torus and skewed words (column 1 on 96 of every 97 letters) at most
+    # 11 / 17 / 40 slots are in use, and none is dead once the word is read.
+    # The random and skewed words cancel, so G is not 0 and every letter is read
+    rng = random.Random(f"slots-{strands}")
+    skewed = tuple(rng.choice([-1, 1]) * (rng.randint(2, strands - 1) if t % 97 == 96 else 1)
+                   for t in range(10_000))
+    words = (
+        _cancelling_word(rng, strands, 20_000).letters,
+        tuple(1 + t % (strands - 1) for t in range(20_000)),
+        skewed + tuple(-g for g in reversed(skewed)),
+    )
+    for letters in words:
+        last = [-1] * (strands + 1)
+        for t, g in enumerate(letters):
+            last[abs(g)] = t
+        stream = seifert._Stream(strands, last)
+        stream.read(letters, 0)
+        assert not stream.zero and not stream.dead, letters[:20]
+        assert len(stream.diag) < 4 * strands, (letters[:20], len(stream.diag))
+
+
 def test_the_filled_three_strand_table_holds_under_025_mb():
     # 417 states and 1668 transitions, each state a tuple of small ints and
     # its row a dict letter -> state, hold 0.12 MB.  A first fill warms what

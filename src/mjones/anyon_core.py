@@ -31,9 +31,13 @@ sector and only its 2^(n-1) amplitudes are stepped.  Exchanges are
 Clifford (Bravyi & Kitaev 2002), so the vacuum's orbit is finite, and so is
 the set of doubles the steps reach from it.  At most TABLE_PAIRS pairs
 those states make an ``automaton.Automaton``, filled on first use, where a
-letter is one lookup in its state's row; above that a letter costs
-O(2^(n-1)), and above MAX_PAIRS the backend raises CapacityError.  Either
-way one numpy step, ``_step``, computes every amplitude.
+letter is the exchange's slot among the 2n(2n-1) ordered exchanges and one
+index into its state's row; above that a letter costs O(2^(n-1)), and above
+MAX_PAIRS the backend raises CapacityError.  Either way one numpy step,
+``_step``, computes every amplitude.  No per-letter map hashes a signed
+generator: in CPython hash(-1) == hash(-2), so sigma_1^-1 and sigma_2^-1
+would collide in every dict keyed by them.  A link word's letters index a
+list, and its exchanges' slots are looked up by the (a, b) tuples.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ MAX_PAIRS = 16
 _SQRT_HALF = math.sqrt(0.5)
 
 # registers of at most this many pairs (8 even-parity amplitudes) run on the
-# automaton of _table, a letter a lookup in its state's row.  At 5 pairs and up
-# every letter is a _step
+# automaton of _table, a letter its exchange's slot in its state's row.  At 5
+# pairs and up every letter is a _step
 TABLE_PAIRS = 4
 
 
@@ -123,15 +127,27 @@ def _vacuum(pairs: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _slots(pairs: int) -> dict[tuple[int, int], int]:
+    """Each ordered exchange (a, b) at this pair count -> its slot, its index
+    in the rows of ``_table``: a before b, both in increasing order."""
+    anyons = range(1, 2 * pairs + 1)
+    return {ab: i for i, ab in enumerate((a, b) for a in anyons for b in anyons if a != b)}
+
+
+@lru_cache(maxsize=None)
 def _table(pairs: int) -> Automaton:
     """evolve at this pair count as an ``automaton.Automaton`` over the
     even-sector amplitude arrays reachable from the vacuum, keyed by their
     bytes: == would merge 0.0 and -0.0, which later letters can tell apart.
-    ``_table.cache_clear()`` empties every table.  It needs no cap: link
-    letters reach 1 / 11 / 53 / 391 states at 1-4 pairs, and all 56 ordered
-    exchanges at 4 pairs 6747 states and 377,832 transitions."""
+    A letter is an exchange's slot (``_slots``), so a row is a list of one
+    entry per ordered exchange, 56 at 4 pairs.  ``_table.cache_clear()``
+    empties every table.  It needs no cap: link letters reach 1 / 11 / 53 /
+    391 states at 1-4 pairs, and all 56 ordered exchanges at 4 pairs 6747
+    states and 377,832 transitions."""
+    exchanges = list(_slots(pairs))
     return Automaton(_vacuum(pairs), np.ndarray.tobytes,
-                     lambda state, ab: _step(state, _sector_exchange(*ab, pairs)))
+                     lambda state, i: _step(state, _sector_exchange(*exchanges[i], pairs)),
+                     len(exchanges))
 
 
 def evolve(letters, pairs: int) -> np.ndarray:
@@ -139,10 +155,17 @@ def evolve(letters, pairs: int) -> np.ndarray:
 
     Every exchange conserves fermion parity, so only the 2^(pairs-1)
     even-parity amplitudes are stepped; the odd ones stay exactly 0j.  At
-    most TABLE_PAIRS pairs the letters run on the automaton of ``_table``."""
+    most TABLE_PAIRS pairs the letters' slots run on the automaton of
+    ``_table``, once every letter has one."""
     if pairs > MAX_PAIRS:
         raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
     if pairs <= TABLE_PAIRS:
+        slots = _slots(pairs)
+        try:
+            letters = list(map(slots.__getitem__, letters))
+        except KeyError as miss:
+            _exchange(*miss.args[0], pairs)     # raises its ValueError
+            raise
         table = _table(pairs)
         state = table.states[table.run(letters)]
     else:
@@ -156,16 +179,26 @@ def evolve(letters, pairs: int) -> np.ndarray:
     return full
 
 
-@lru_cache(maxsize=None)
 def _generator_letter(g: int) -> tuple[int, int]:
     return (_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
+
+
+# one list per width; words wider than MAX_PAIRS, which evolve refuses, evict
+@lru_cache(maxsize=MAX_PAIRS)
+def _generator_letters(strands: int) -> list[tuple[int, int] | None]:
+    """_generator_letter(g) at index g for every generator g on this many
+    strands: sigma_k at k, sigma_k^-1 at -k, that is 2 * strands - 1 - k."""
+    letters = [None] * (2 * strands - 1)
+    for k in range(1, strands):
+        letters[k], letters[-k] = _generator_letter(k), _generator_letter(-k)
+    return letters
 
 
 def link_to_anyon_word(word: BraidWord) -> list[tuple[int, int]]:
     """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
     sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k.  Each
-    distinct generator is mapped once."""
-    return list(map(_generator_letter, word.letters))
+    letter indexes the width's list of them."""
+    return list(map(_generator_letters(word.strands).__getitem__, word.letters))
 
 
 def jones_su2_2(word: BraidWord) -> complex:

@@ -151,11 +151,17 @@ def format_braid(word: BraidWord) -> str:
     """Canonical printed form; ``parse_braid`` round-trips it exactly.
 
     The ``strands=`` prefix is emitted only when the count is not implied
-    by the letters.
+    by the letters.  Each letter indexes a list of tokens, s_k at k and
+    s_k^-1 at -k: in a dict keyed by signed letters s1^-1 and s2^-1 would
+    collide, as hash(-1) == hash(-2) in CPython.
     """
-    token = {g: f"s{abs(g)}" + ("^-1" if g < 0 else "") for g in set(word.letters)}
-    toks = [token[g] for g in word.letters]
-    if word.strands != 1 + max(map(abs, token), default=0):
+    columns = set(map(abs, word.letters))
+    top = max(columns, default=0)
+    token = [""] * (2 * top + 1)
+    for k in columns:
+        token[k], token[-k] = f"s{k}", f"s{k}^-1"
+    toks = list(map(token.__getitem__, word.letters))
+    if word.strands != 1 + top:
         toks.insert(0, f"strands={word.strands}")
     return " ".join(toks)
 
@@ -263,7 +269,7 @@ def lookup_arf_data(word: BraidWord) -> GaussSum:
 
     zero, negative, dropped = seifert.sum_loops(word.strands, word.letters)
     # each column in use joins two discs into one surface piece
-    used = len({abs(g) for g in set(word.letters)})
+    used = len(set(map(abs, word.letters)))
     return GaussSum(zero, negative, dropped, len(word.letters) - used, word.strands - used)
 
 

@@ -25,11 +25,12 @@ from functools import lru_cache
 from .automaton import Automaton
 
 # words on at most this many strands run on the automaton of ``_table``, a
-# letter a lookup in its state's row: 2 / 3 / 4 strands reach 17 / 417 /
-# 13,233 states.  22,000 words of the ``bracket`` workload's 4-strand stratum
-# (seed 4242) reach 13,165 states holding 9 MB; filling and running the table
-# takes 0.44-0.49 s, the stream 0.39-0.43 s (2-core x86_64), so wider words
-# step the stream
+# letter a lookup in its state's row of 2n - 1 slots: s_k at slot k, s_k^-1
+# at -k, which is slot 2n - 1 - k, so no two letters share one.  2 / 3 / 4
+# strands reach 17 / 417 / 13,233 states.  22,000 words of the ``bracket``
+# workload's 4-strand stratum (seed 4242) reach 13,165 states holding 7 MB;
+# filling and running the table takes 0.51-0.52 s, the stream 0.47-0.53 s
+# (2-core x86_64), so wider words step the stream
 TABLE_STRANDS = 3
 
 
@@ -223,10 +224,11 @@ def _value(state) -> tuple[bool, bool, int]:
 @lru_cache(maxsize=None)
 def _table(strands: int) -> Automaton:
     """``_transfer`` at this width as an ``automaton.Automaton``, each state
-    its own key.  ``_table.cache_clear()`` empties every table."""
+    its own key and each letter its own slot of 2 * strands - 1.
+    ``_table.cache_clear()`` empties every table."""
     columns = strands - 1
     start = (0,) * columns, (False,) * (columns - 1), (1,) + (0,) * ((1 << columns) - 1), 0
-    return Automaton(start, lambda state: state, _transfer, _value)
+    return Automaton(start, lambda state: state, _transfer, 2 * strands - 1, _value)
 
 
 def _streamed(strands: int, letters) -> tuple[bool, bool, int]:

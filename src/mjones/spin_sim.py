@@ -42,8 +42,8 @@ generators on the final state, or 0 when one is contradicted.  The four
 letters take phi0 to only 24 distinct stabilizer states, so the walk runs
 on the shared finite automaton (``automaton.Automaton``), filled on first
 use: each (state, letter) runs its stages once, each state's k is read
-once, and every later letter is one lookup in its state's row.  ``verify``
-and the stage-by-stage checks run the replay at their own tau.
+once, and every later letter is one index into its state's row, a list.
+``verify`` and the stage-by-stage checks run the replay at their own tau.
 """
 
 from __future__ import annotations
@@ -535,9 +535,10 @@ def _overlap_k(generators, tableau: StabilizerState) -> int | None:
 def _walk_tables() -> Automaton:
     """The walk as an ``automaton.Automaton`` over the 24 stabilizer states
     the letters reach from phi0, keyed by ``StabilizerState.key``, each with
-    its k (``_overlap_k``); ``_walk_tables.cache_clear()`` empties it.  Its
-    words: phi0's generators, the H0 terms negated, and each letter's
-    stages as (negated term, pairing)."""
+    its k (``_overlap_k``); ``_walk_tables.cache_clear()`` empties it.  A
+    row has 5 slots: s1 and s2 at 1 and 2, s2^-1 and s1^-1 at -2 and -1,
+    that is 3 and 4.  Its words: phi0's generators, the H0 terms negated,
+    and each letter's stages as (negated term, pairing)."""
     def words(terms):
         return tuple(pauli_word(t, N_SITES) for t in terms)
 
@@ -551,7 +552,7 @@ def _walk_tables() -> Automaton:
                               words(step.pairing for step in steps)))
     generators = words(PHI0_GENERATORS)
     return Automaton(StabilizerState.from_generators(generators, N_SITES), StabilizerState.key,
-                     partial(_walk_letter, words(-t for t in _H0_TERMS), stages),
+                     partial(_walk_letter, words(-t for t in _H0_TERMS), stages), 5,
                      partial(_overlap_k, generators))
 
 

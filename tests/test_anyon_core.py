@@ -18,6 +18,7 @@ from mjones.anyon_core import (
     _exchange,
     _generator_letter,
     _sector_exchange,
+    _slots,
     _table,
     braid_generators,
     evolve,
@@ -117,12 +118,26 @@ def test_evolve_bytes_are_pinned():
     assert digest.hexdigest() == EVOLVE_SHA256
 
 
+def test_link_letters_are_the_per_letter_exchanges():
+    # sigma_k^-1 indexes slot 2n - 1 - k of the width's list: words that use
+    # +-1 and +-(n - 1) at 1-16 strands would show a slot two letters share
+    rng = random.Random("link-letters")
+    for strands in range(1, 17):
+        ends = sorted({1, -1, strands - 1, 1 - strands}) if strands > 1 else []
+        for _ in range(20):
+            letters = ends + [rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                              for _ in range(rng.randint(0, 40) if ends else 0)]
+            rng.shuffle(letters)
+            word = BraidWord(strands, tuple(letters))
+            assert link_to_anyon_word(word) == [_generator_letter(g) for g in letters]
+
+
 def test_evolve_rejects_bad_index():
     # the bad letter is refused before it reaches the table
     _table.cache_clear()
     evolve([(1, 2), (4, 3)], 2)
     table = _table(2)
-    filled = (len(table.states), [dict(row) for row in table.rows])
+    filled = (len(table.states), [list(row) for row in table.rows])
     with pytest.raises(ValueError, match=r"^exchange \(3, 5\) out of range for 2 pairs$"):
         evolve([(3, 5)], 2)
     assert (len(table.states), table.rows) == filled
@@ -357,23 +372,25 @@ def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions)
     # the table, filled by the same search, holds the same states and edges
     _table.cache_clear()
     table = _table(pairs)
+    slots = _slots(pairs)
     for s, _ in enumerate(table.states):
         for ab in letters:
-            table.step(s, ab)
+            table.step(s, slots[ab])
     table_keys = [full_bytes(state, pairs) for state in table.states]
     assert table_keys == keys
-    assert {(table_keys[s], ab): table_keys[t]
-            for s, row in enumerate(table.rows) for ab, t in row.items()} == edges
+    exchanges = list(slots)
+    assert {(table_keys[s], exchanges[i]): table_keys[t]
+            for s, row in enumerate(table.rows) for i, t in enumerate(row) if t is not None} == edges
 
 
 def test_a_signed_zero_makes_a_distinct_state():
     # == would merge these two states, whose bytes differ, and a later letter
     # can tell them apart: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0.
     # Each letter here leads to its own state, kept under the anyon key
-    states = {"plus": np.array([0j, 1 + 0j]), "minus": np.array([complex(-0.0, 0.0), 1 + 0j])}
+    states = [np.array([0j, 1 + 0j]), np.array([complex(-0.0, 0.0), 1 + 0j])]
     table = Automaton(np.array(reference_vacuum(2)), np.ndarray.tobytes,
-                      lambda state, name: states[name])
-    plus, minus = table.run(["plus"]), table.run(["minus"])
+                      lambda state, i: states[i], len(states))
+    plus, minus = table.run([0]), table.run([1])
     assert sorted({0, plus, minus}) == [0, 1, 2]
 
 
@@ -411,7 +428,7 @@ def anyon_round(rng):
     exchanges = all_exchanges(4)
     words = [[rng.choice(exchanges) for _ in range(300)] for _ in range(8)]
     return (_table.cache_clear, lambda: _table(4), lambda letters: evolve(letters, 4).tobytes(),
-            words, [reference_prefix_bytes(letters, 4, {300})[300] for letters in words])
+            words, [reference_prefix_bytes(letters, 4, {300})[300] for letters in words], 56)
 
 
 def spin_round(rng):
@@ -420,7 +437,7 @@ def spin_round(rng):
     invariants = map(link_invariants, words)
     want = [2.0 ** ((inv.components - 1) / 2) if inv.proper else 0.0 for inv in invariants]
     return (spin_sim._walk_tables.cache_clear, spin_sim._walk_tables,
-            spin_sim.jones_spin_tableau, words, want)
+            spin_sim.jones_spin_tableau, words, want, 5)
 
 
 def seifert_round(rng):
@@ -429,7 +446,7 @@ def seifert_round(rng):
     words = spin_words(rng, 16, 300)
     return (seifert._table.cache_clear, lambda: seifert._table(3),
             lambda word: braidlang.lookup_arf_data(word)[:3], words,
-            [seifert._streamed(3, word.letters) for word in words])
+            [seifert._streamed(3, word.letters) for word in words], 5)
 
 
 @pytest.mark.parametrize("make_round", [anyon_round, spin_round, seifert_round],
@@ -446,7 +463,7 @@ def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(15):
-            clear, automaton, walk, words, want = make_round(rng)
+            clear, automaton, walk, words, want, slots = make_round(rng)
             got = [None] * len(words)
             clear()
             threads = [threading.Thread(target=run, args=(walk, words, got, first))
@@ -459,8 +476,10 @@ def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
             table = automaton()
             assert sorted(table.ids.values()) == list(range(len(table.states)))
             assert len(table.values) == len(table.rows) == len(table.states)
+            # a row is a list of one slot per letter, never a hashed map
+            assert all(type(row) is list and len(row) == slots for row in table.rows)
             # a row may point only at a state whose own row is already there
-            assert all(0 <= t < len(table.rows) for row in table.rows for t in row.values())
+            assert all(0 <= t < len(table.rows) for row in table.rows for t in row if t is not None)
             assert got == want
     finally:
         sys.setswitchinterval(interval)

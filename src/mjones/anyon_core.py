@@ -157,8 +157,7 @@ def evolve(letters, pairs: int) -> np.ndarray:
     even-parity amplitudes are stepped; the odd ones stay exactly 0j.  At
     most TABLE_PAIRS pairs the letters' slots run on the automaton of
     ``_table``, once every letter has one."""
-    if pairs > MAX_PAIRS:
-        raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
+    _check_capacity(pairs)
     if pairs <= TABLE_PAIRS:
         slots = _slots(pairs)
         try:
@@ -179,25 +178,35 @@ def evolve(letters, pairs: int) -> np.ndarray:
     return full
 
 
+def _check_capacity(pairs: int) -> None:
+    if pairs > MAX_PAIRS:
+        raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
+
+
 def _generator_letter(g: int) -> tuple[int, int]:
     return (_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
 
 
-# one list per width; words wider than MAX_PAIRS, which evolve refuses, evict
-@lru_cache(maxsize=MAX_PAIRS)
+@lru_cache(maxsize=None)
 def _generator_letters(strands: int) -> list[tuple[int, int] | None]:
     """_generator_letter(g) at index g for every generator g on this many
-    strands: sigma_k at k, sigma_k^-1 at -k, that is 2 * strands - 1 - k."""
+    strands: sigma_k at k, sigma_k^-1 at -k, that is 2 * strands - 1 - k.
+    Each is the key object of ``_slots(strands)``, so evolve's lookup of it
+    matches on identity, with no tuple compare."""
+    slots = _slots(strands)
+    exchanges = list(slots)
     letters = [None] * (2 * strands - 1)
-    for k in range(1, strands):
-        letters[k], letters[-k] = _generator_letter(k), _generator_letter(-k)
+    for k in (*range(1, strands), *range(1 - strands, 0)):
+        letters[k] = exchanges[slots[_generator_letter(k)]]
     return letters
 
 
 def link_to_anyon_word(word: BraidWord) -> list[tuple[int, int]]:
     """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
     sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k.  Each
-    letter indexes the width's list of them."""
+    letter indexes the width's list of them; a word wider than MAX_PAIRS is
+    refused before that list is built."""
+    _check_capacity(word.strands)
     return list(map(_generator_letters(word.strands).__getitem__, word.letters))
 
 

@@ -153,14 +153,19 @@ def format_braid(word: BraidWord) -> str:
     The ``strands=`` prefix is emitted only when the count is not implied
     by the letters.  Each letter indexes a list of tokens, s_k at k and
     s_k^-1 at -k: in a dict keyed by signed letters s1^-1 and s2^-1 would
-    collide, as hash(-1) == hash(-2) in CPython.
+    collide, as hash(-1) == hash(-2) in CPython.  The list has 2 top + 1
+    slots, so a word with fewer letters than its top column formats each
+    letter instead, and no list outgrows the word.
     """
     columns = set(map(abs, word.letters))
     top = max(columns, default=0)
-    token = [""] * (2 * top + 1)
-    for k in columns:
-        token[k], token[-k] = f"s{k}", f"s{k}^-1"
-    toks = list(map(token.__getitem__, word.letters))
+    if top <= len(word.letters):
+        token = [""] * (2 * top + 1)
+        for k in columns:
+            token[k], token[-k] = f"s{k}", f"s{k}^-1"
+        toks = list(map(token.__getitem__, word.letters))
+    else:
+        toks = [f"s{g}" if g > 0 else f"s{-g}^-1" for g in word.letters]
     if word.strands != 1 + top:
         toks.insert(0, f"strands={word.strands}")
     return " ".join(toks)

@@ -264,8 +264,9 @@ def cmd_jones(args) -> int:
 
 def cmd_braid_info(args) -> int:
     word = parse_braid(args.word)
+    invariants = _invariants_payload(word)     # first: it refuses more than MAX_STRANDS
     _emit(_report_text({"word": format_braid(word), "strands": word.strands,
-                        "invariants": _invariants_payload(word)}))
+                        "invariants": invariants}))
     return EXIT_OK
 
 

@@ -130,6 +130,10 @@ def test_link_letters_are_the_per_letter_exchanges():
             rng.shuffle(letters)
             word = BraidWord(strands, tuple(letters))
             assert link_to_anyon_word(word) == [_generator_letter(g) for g in letters]
+            # each is the slot map's own key object, so evolve's lookup of
+            # it is an identity match
+            keys = set(map(id, _slots(strands)))
+            assert all(id(ab) in keys for ab in link_to_anyon_word(word))
 
 
 def test_evolve_rejects_bad_index():
@@ -152,6 +156,11 @@ def test_pair_count_above_the_cap_is_a_capacity_error():
         evolve([], MAX_PAIRS + 1)
     with pytest.raises(CapacityError):
         jones_su2_2(BraidWord(MAX_PAIRS + 1, (1,)))
+    # refused before a per-width letter list is built: at 10^12 strands one
+    # would not fit in memory
+    for backend in (link_to_anyon_word, jones_su2_2, jones_majorana_abs):
+        with pytest.raises(CapacityError, match=r"capped at 16 pairs, not 1000000000000$"):
+            backend(BraidWord(10 ** 12, (1,)))
 
 
 def test_vacuum_amplitudes():

@@ -134,15 +134,19 @@ def test_format_matches_the_per_letter_reference():
             assert format_braid(word) == _format_by_letter(word)
     # up to 2048 strands, the end columns +-1 and +-(n - 1) always in use:
     # s_k^-1 indexes slot 2 top + 1 - k of the token list, so a slot shared
-    # by two letters would print the wrong token
+    # by two letters would print the wrong token.  Words shorter than their
+    # top column format letter by letter; both kinds are drawn
     for strands in (2, 3, 2048, *(rng.randint(4, 2047) for _ in range(60))):
         ends = (1, -1, strands - 1, 1 - strands)
         letters = ends + tuple(rng.choice(ends) if rng.random() < 0.5
                                else rng.choice([-1, 1]) * rng.randint(1, strands - 1)
-                               for _ in range(rng.randint(0, 200)))
+                               for _ in range(rng.randint(0, 2 * strands)))
         letters = tuple(rng.sample(letters, len(letters)))
         for word in (BraidWord(strands, letters), BraidWord(strands + rng.randint(1, 3), letters)):
             assert format_braid(word) == _format_by_letter(word)
+    # a sparse word on 10^12 strands: no list of 2 * 10^12 tokens
+    word = BraidWord(10 ** 12 + 1, (10 ** 12, -10 ** 12, 1))
+    assert format_braid(word) == str(word) == _format_by_letter(word)
 
 
 def test_parse_print_round_trip_random():

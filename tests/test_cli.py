@@ -420,6 +420,8 @@ def test_jones_wide_words_agree_relative_to_their_size(capsys, word):
     ["braid-info", "strands=3000"],
     ["jones", "strands=3000", "--backend", "kauffman"],
     ["jones", "strands=1000000000000 s1"],
+    ["braid-info", "s1000000000000"],
+    ["braid-info", "s100000000"],
 ])
 def test_more_strands_than_a_double_holds_is_capacity(capsys, argv):
     code, out, err = run(capsys, *argv)

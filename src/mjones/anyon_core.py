@@ -73,14 +73,6 @@ def _mode(anyon: int, pairs: int) -> PauliTerm:
     return majorana_string((anyon + 1) // 2, "a" if anyon % 2 else "b", pairs)
 
 
-@lru_cache(maxsize=None)
-def _exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source, coefficient) with gamma_a gamma_b |v> = coefficient * v[source]."""
-    if a == b or not (1 <= a <= 2 * pairs and 1 <= b <= 2 * pairs):
-        raise ValueError(f"exchange ({a}, {b}) out of range for {pairs} pairs")
-    return string_action(_mode(a, pairs) * _mode(b, pairs), pairs)
-
-
 def braid_generators(pairs: int) -> tuple[np.ndarray, ...]:
     """Dense matrices of the 2*pairs - 1 adjacent exchanges (m, m+1)."""
     eye = np.eye(1 << pairs, dtype=complex)
@@ -99,9 +91,11 @@ def _even(pairs: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sector_exchange(a: int, b: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """_exchange on the even-parity sector, by position: read-only (source,
-    coefficient) arrays."""
-    src, coeff = _exchange(a, b, pairs)
+    """Read-only (source, coefficient) arrays with gamma_a gamma_b |v> =
+    coefficient * v[source] on the even-parity sector, by position."""
+    if a == b or not (1 <= a <= 2 * pairs and 1 <= b <= 2 * pairs):
+        raise ValueError(f"exchange ({a}, {b}) out of range for {pairs} pairs")
+    src, coeff = string_action(_mode(a, pairs) * _mode(b, pairs), pairs)
     even = _even(pairs)
     src, coeff = src[even] >> 1, coeff[even]
     src.setflags(write=False)
@@ -163,7 +157,7 @@ def evolve(letters, pairs: int) -> np.ndarray:
         try:
             letters = list(map(slots.__getitem__, letters))
         except KeyError as miss:
-            _exchange(*miss.args[0], pairs)     # raises its ValueError
+            _sector_exchange(*miss.args[0], pairs)     # raises its ValueError
             raise
         table = _table(pairs)
         state = table.states[table.run(letters)]

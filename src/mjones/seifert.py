@@ -14,9 +14,9 @@ give the functionals the values l (Gauss sums over GF(2), Dehaene & De Moor
 2003).  With each column's last sign and which of two neighbouring columns
 moved last, that is a state that is its own key, and finitely many at a
 fixed width, so ``_table`` runs it as an ``automaton.Automaton`` filled on
-first use, a letter being one lookup in its state's row.  Wider words step
-``_Stream``, which sums a loop out once no later loop can meet it, alone or
-with such a neighbour, so it keeps a few loops per column.  Its caller is
+first use, a letter being one lookup in its state's row.  ``_streamed``
+steps wider words: it sums a loop out once no later loop can meet it, alone
+or with such a neighbour, so it keeps a few loops per column.  Its caller is
 ``braidlang.lookup_arf_data``; this module loads on the first Gauss sum.
 """
 
@@ -30,145 +30,8 @@ from .automaton import Automaton
 # strands reach 17 / 417 / 13,233 states.  22,000 words of the ``bracket``
 # workload's 4-strand stratum (seed 4242) reach 13,165 states holding 7 MB;
 # filling and running the table takes 0.51-0.52 s, the stream 0.47-0.53 s
-# (2-core x86_64), so wider words step the stream
+# (2-core x86_64), so wider words go to ``_streamed``
 TABLE_STRANDS = 3
-
-
-class _Stream:
-    """The Gauss sum of the Seifert form, each loop summed out once no later
-    loop can meet it and it is alone or has such a neighbour.
-
-    Two consecutive letters of column k, at times p < t, bound a loop with
-    q = 1 iff they have the same sign.  It meets the next loop of column k
-    (they share the band at t) and each loop of column k +- 1 whose time
-    interval interlaces with (p, t): the open loop of a neighbour column
-    interlaces with (p, t) iff it opened after p.  So a loop waits in the
-    ``pending`` list of each column whose open loop it meets, and is live
-    until the last of them closes; then its slot's bit is set in ``dead``.
-    After each letter
-
-        G = 2^twos * sum over x in GF(2)^slots of (-1)^(negative + Q(x)),
-
-    Q having the slots' ``diag`` bits and ``edges``.  A dead loop a with no
-    neighbours gives 2 if q_a = 0, a ``dropped`` loop, and G = 0 if q_a = 1.
-    A dead loop a with a dead neighbour b goes with b: summing over x_a fixes
-    x_b, leaving a factor 2 and (q_a + L_a)(q_b + L_b), L_a and L_b the sums
-    over their other neighbours.  A dead loop whose neighbours are all live
-    waits for one of them to die, so twos = (loops + dropped) / 2.
-
-    ``last`` holds each column's last letter time: a loop joins the pending
-    list of a column only if a letter of it is still to come, so a few loops
-    per column are in slots, and none once the word is read.
-    """
-
-    __slots__ = ("last", "when", "sign", "pending", "refs", "diag", "edges", "dead",
-                 "spare", "negative", "zero", "dropped")
-
-    def __init__(self, strands: int, last):
-        self.last = last
-        self.when = [-1] * (strands + 1)     # each column's last letter time; 0 and n stay -1
-        self.sign = [0] * (strands + 1)      # that letter
-        self.pending = [[] for _ in range(strands + 1)]
-        self.refs, self.diag, self.edges = [], [], []   # by slot
-        self.spare = []      # freed slots
-        self.dead = self.negative = self.dropped = 0
-        self.zero = False
-
-    def read(self, letters, t: int) -> None:
-        """Read ``letters`` at times t, t + 1, ..., each later than every
-        time read before: the one step of the stream."""
-        when, sign, pending, refs, last = self.when, self.sign, self.pending, self.refs, self.last
-        diag, edges, spare = self.diag, self.edges, self.spare
-        for g in letters:
-            k = -g if g < 0 else g
-            p = when[k]
-            if p >= 0 and not self.zero:
-                # the loop (p, t) of column k, in slot a
-                same = (sign[k] ^ g) >= 0
-                if spare:
-                    a = spare.pop()
-                    diag[a] = same
-                else:
-                    a = len(diag)
-                    diag.append(same)
-                    edges.append(0)
-                    refs.append(0)
-                met, bit, near = pending[k], 1 << a, 0
-                for b in met:
-                    edges[b] |= bit
-                    near |= 1 << b
-                edges[a] = near
-                # a stays live while a later loop of column k or k +- 1 may meet it
-                if last[k] > t:
-                    pending[k] = [a]
-                    refs[a] = 1
-                else:
-                    pending[k] = []
-                if when[k - 1] > p and last[k - 1] > t:
-                    pending[k - 1].append(a)
-                    refs[a] += 1
-                if when[k + 1] > p and last[k + 1] > t:
-                    pending[k + 1].append(a)
-                    refs[a] += 1
-                for b in met:
-                    refs[b] -= 1
-                    if not refs[b]:
-                        self._die(b)
-                if not refs[a]:
-                    self._die(a)
-            when[k] = t
-            sign[k] = g
-            t += 1
-
-    def result(self) -> tuple[bool, bool, int]:
-        """(zero, negative, dropped) of G, once no loop is live."""
-        return (True, False, 0) if self.zero else (False, bool(self.negative), self.dropped)
-
-    def _die(self, a: int) -> None:
-        """Mark the loop in slot a dead, then sum out every dead loop that is
-        alone or has a dead neighbour, freeing their slots."""
-        diag, edges, spare = self.diag, self.edges, self.spare
-        dead = self.dead | 1 << a
-        todo = 1 << a       # the dead loops whose neighbours changed
-        while todo:
-            bit_a = todo & -todo
-            todo ^= bit_a
-            a = bit_a.bit_length() - 1
-            near = edges[a]
-            if not near:
-                if diag[a]:
-                    self.zero = True
-                    break
-                self.dropped += 1
-                dead ^= bit_a
-                spare.append(a)
-                continue
-            bit_b = near & dead
-            if not bit_b:       # a waits for a live neighbour to die
-                continue
-            bit_b &= -bit_b
-            b = bit_b.bit_length() - 1
-            only_a, only_b = near ^ bit_b, edges[b] ^ bit_a
-            qa, qb = diag[a], diag[b]
-            self.negative ^= qa & qb
-            edges[a] = edges[b] = 0
-            dead ^= bit_a | bit_b
-            spare += (a, b)
-            m = only_a | only_b
-            todo = (todo | m) & dead
-            # (q_a + L_a)(q_b + L_b) on the other neighbours c, x_c x_c = x_c
-            while m:
-                bit_c = m & -m
-                m ^= bit_c
-                c = bit_c.bit_length() - 1
-                in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
-                if in_a:
-                    edges[c] ^= only_b ^ bit_a
-                    diag[c] ^= qb
-                if in_b:
-                    edges[c] ^= only_a ^ bit_b
-                    diag[c] ^= qa ^ in_a
-        self.dead = dead
 
 
 def _transfer(state, g):
@@ -232,14 +95,113 @@ def _table(strands: int) -> Automaton:
 
 
 def _streamed(strands: int, letters) -> tuple[bool, bool, int]:
-    """(zero, negative, dropped) of the word's G, the stream stepping every
-    letter after one pre-pass finds each column's last letter."""
+    """(zero, negative, dropped) of the word's G, each loop summed out once
+    no later loop can meet it and it is alone or has such a neighbour.
+
+    Two consecutive letters of column k, at times p < t, bound a loop with
+    q = 1 iff they have the same sign.  It meets the next loop of column k
+    (they share the band at t) and each loop of column k +- 1 whose time
+    interval interlaces with (p, t): the open loop of a neighbour column
+    interlaces with (p, t) iff it opened after p.  So a loop waits in the
+    ``pending`` list of each column whose open loop it meets and that has a
+    letter to come (``last``, from a pre-pass), and is live until the last
+    of them closes; then its slot's bit is set in ``dead``.  After each
+    letter G = 2^twos * sum over x in GF(2)^slots of (-1)^(negative + Q(x)),
+    Q having the slots' ``diag`` bits and ``edges``.  A dead loop a with no
+    neighbours gives 2 if q_a = 0, a ``dropped`` loop, and G = 0 if q_a = 1.
+    A dead loop a with a dead neighbour b goes with b: summing over x_a fixes
+    x_b, leaving a factor 2 and (q_a + L_a)(q_b + L_b), L_a and L_b the sums
+    over their other neighbours.  A dead loop whose neighbours are all live
+    waits for one of them to die, so twos = (loops + dropped) / 2, and a few
+    loops per column hold slots.  The order of these steps does not change
+    G, so the loops that die on one letter share one worklist, ``todo``.
+    """
     last = [-1] * (strands + 1)
     for t, g in enumerate(letters):
         last[-g if g < 0 else g] = t
-    s = _Stream(strands, last)
-    s.read(letters, 0)
-    return s.result()
+    when = [-1] * (strands + 1)     # each column's last letter time; 0 and n stay -1
+    sign = [0] * (strands + 1)      # that letter
+    pending = [[] for _ in range(strands + 1)]
+    refs, diag, edges = [], [], []   # by slot
+    spare = []      # freed slots
+    dead = negative = dropped = 0
+    for t, g in enumerate(letters):
+        k = -g if g < 0 else g
+        p = when[k]
+        if p >= 0:
+            # the loop (p, t) of column k, in slot a
+            same = (sign[k] ^ g) >= 0
+            if spare:
+                a = spare.pop()
+                diag[a] = same
+            else:
+                a = len(diag)
+                diag.append(same)
+                edges.append(0)
+                refs.append(0)
+            met, bit, near = pending[k], 1 << a, 0
+            for b in met:
+                edges[b] |= bit
+                near |= 1 << b
+            edges[a] = near
+            # a stays live while a later loop of column k or k +- 1 may meet it
+            if last[k] > t:
+                pending[k] = [a]
+                refs[a] = 1
+            else:
+                pending[k] = []
+            if when[k - 1] > p and last[k - 1] > t:
+                pending[k - 1].append(a)
+                refs[a] += 1
+            if when[k + 1] > p and last[k + 1] > t:
+                pending[k + 1].append(a)
+                refs[a] += 1
+            # the loops that die on this letter, then the dead loops a step touches
+            todo = 0 if refs[a] else bit
+            for b in met:
+                refs[b] -= 1
+                if not refs[b]:
+                    todo |= 1 << b
+            dead |= todo
+            while todo:
+                bit_a = todo & -todo
+                todo ^= bit_a
+                a = bit_a.bit_length() - 1
+                near = edges[a]
+                if not near:
+                    if diag[a]:
+                        return True, False, 0
+                    dropped += 1
+                    dead ^= bit_a
+                    spare.append(a)
+                    continue
+                bit_b = near & dead
+                if not bit_b:       # a waits for a live neighbour to die
+                    continue
+                bit_b &= -bit_b
+                b = bit_b.bit_length() - 1
+                only_a, only_b = near ^ bit_b, edges[b] ^ bit_a
+                qa, qb = diag[a], diag[b]
+                negative ^= qa & qb
+                edges[a] = edges[b] = 0
+                dead ^= bit_a | bit_b
+                spare += (a, b)
+                m = only_a | only_b
+                todo = (todo | m) & dead
+                # (q_a + L_a)(q_b + L_b) on the other neighbours c, x_c x_c = x_c
+                while m:
+                    bit_c = m & -m
+                    m ^= bit_c
+                    c = bit_c.bit_length() - 1
+                    in_a, in_b = only_a & bit_c != 0, only_b & bit_c != 0
+                    if in_a:
+                        edges[c] ^= only_b ^ bit_a
+                        diag[c] ^= qb
+                    if in_b:
+                        edges[c] ^= only_a ^ bit_b
+                        diag[c] ^= qa ^ in_a
+        when[k], sign[k] = t, g
+    return False, bool(negative), dropped
 
 
 def sum_loops(strands: int, letters) -> tuple[bool, bool, int]:

@@ -15,7 +15,6 @@ from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
     _even,
-    _exchange,
     _generator_letter,
     _sector_exchange,
     _slots,
@@ -59,9 +58,10 @@ def test_exchange_is_the_majorana_product_form():
 
 
 def test_exchange_arrays_are_read_only():
-    # _exchange and its even-parity sector are cached: a caller that wrote
-    # into their arrays would change every later exchange of the same pair
-    for src, coeff in (_exchange(1, 2, 2), _exchange(5, 3, 3), _sector_exchange(5, 3, 5)):
+    # the even-parity exchanges are cached: a caller that wrote into their
+    # arrays would change every later exchange of the same pair
+    for src, coeff in (_sector_exchange(1, 2, 2), _sector_exchange(5, 3, 3),
+                       _sector_exchange(5, 3, 5)):
         assert not src.flags.writeable and not coeff.flags.writeable
         with pytest.raises(ValueError):
             coeff[0] = 0

@@ -561,11 +561,13 @@ def test_stream_equals_the_reference_on_wide_words():
     assert sum(v == 0 for v in values) > 40 and sum(v != 0 for v in values) > 120
 
 
-@pytest.mark.parametrize("strands", [2, 3])
+@pytest.mark.parametrize("strands", [2, 3, 16, 64, 256, 2048])
 def test_stream_equals_the_reference_on_torus_words(strands):
     # T(2, k) and T(3, k), their mirrors, and each padded with spare strands
-    # and shifted to higher columns, so that it runs on the table and per letter
-    for k in range(0, 61):
+    # and shifted to higher columns, so that it runs on the table and per
+    # letter; and (s1 ... s_{n-1})^k on 16-2048 strands, up to k = 4 (2 at
+    # 2048 strands), where many loops are live at once
+    for k in range(61 if strands <= 3 else 3 if strands == 2048 else 5):
         for sign in (1, -1):
             letters = tuple(sign * g for _ in range(k) for g in range(1, strands))
             for pad, shift in ((0, 0), (2, 0), (3, 2)):
@@ -628,28 +630,33 @@ def test_memory_does_not_grow_with_the_letters():
 
 
 @pytest.mark.parametrize("strands", [4, 6, 16])
-def test_the_per_letter_stream_holds_few_slots(strands):
+def test_the_per_letter_stream_holds_little_memory(strands):
     # a dead loop waits in its slot while a neighbour is live, and goes as
     # soon as it is alone or a neighbour dies: on 20,000-letter random,
-    # torus and skewed words (column 1 on 96 of every 97 letters) at most
-    # 11 / 17 / 40 slots are in use, and none is dead once the word is read.
-    # The random and skewed words cancel, so G is not 0 and every letter is read
+    # torus and skewed words (column 1 on 96 of every 97 letters) the stream
+    # peaks at 1-5 KB traced; one that never freed a pair's slots would
+    # peak at 560 KB and more.  The random and skewed words cancel, so their
+    # closure is the unlink: G is 2^((loops + columns used) / 2), which a
+    # stream that left dead loops unsummed would miss
+    import tracemalloc
+
     rng = random.Random(f"slots-{strands}")
     skewed = tuple(rng.choice([-1, 1]) * (rng.randint(2, strands - 1) if t % 97 == 96 else 1)
                    for t in range(10_000))
-    words = (
-        _cancelling_word(rng, strands, 20_000).letters,
-        tuple(1 + t % (strands - 1) for t in range(20_000)),
-        skewed + tuple(-g for g in reversed(skewed)),
-    )
-    for letters in words:
-        last = [-1] * (strands + 1)
-        for t, g in enumerate(letters):
-            last[abs(g)] = t
-        stream = seifert._Stream(strands, last)
-        stream.read(letters, 0)
-        assert not stream.zero and not stream.dead, letters[:20]
-        assert len(stream.diag) < 4 * strands, (letters[:20], len(stream.diag))
+    unlinks = (_cancelling_word(rng, strands, 20_000).letters,
+               skewed + tuple(-g for g in reversed(skewed)))
+    torus = tuple(1 + t % (strands - 1) for t in range(20_000))
+    for letters in (*unlinks, torus):
+        tracemalloc.start()
+        try:
+            zero, negative, dropped = seifert._streamed(strands, letters)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not zero, letters[:20]
+        if letters is not torus:
+            assert (negative, dropped) == (False, len(set(map(abs, letters)))), letters[:20]
+        assert peak < 32_000, (letters[:20], peak)
 
 
 def test_the_filled_three_strand_table_holds_under_025_mb():

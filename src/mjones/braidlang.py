@@ -16,6 +16,13 @@ surface: one disc per strand, one half-twisted band per letter, and one
 loop per two consecutive letters of a column (J. Collins 2016), as the
 sign of the Gauss sum of the loops' mod-2 form, which ``mjones.seifert``
 takes in one pass over the word.
+
+The text front end costs about one builtin pass per letter: ``parse_braid``
+matches each distinct token once and maps the token list through those
+letters, a word read from canonical tokens prints as those tokens
+re-joined, and on at most ``PERMUTATION_STRANDS`` strands
+``link_invariants`` steps the closure permutation through a table of its
+n! states, one index and one count per letter.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -56,6 +64,9 @@ class BraidWord:
 
     strands: int
     letters: tuple[int, ...] = ()
+    # the printed form, kept by ``parse_braid``; not a field, so equality,
+    # hash and repr see only the strands and the letters
+    _text = None
 
     def __post_init__(self):
         if self.strands < 1:
@@ -109,14 +120,28 @@ def _letter(tok: str, pos: int) -> int:
     return g
 
 
+def _token(g: int) -> str:
+    """The canonical token of letter g."""
+    return f"s{g}" if g > 0 else f"s{-g}^-1"
+
+
 def parse_braid(text: str) -> BraidWord:
     """Parse whitespace-separated braid tokens into a :class:`BraidWord`.
 
     Accepted tokens: ``s<k>``, ``s<k>^-1``, ``<k>``, ``-<k>``, plus an
     optional leading ``strands=<n>``.  Without the prefix the strand count
     defaults to ``1 + max |k|`` (1 for the empty word).  ``k = 0`` and
-    generators out of range are rejected with the token position in the
-    message.
+    generators out of range are rejected with the first bad token's
+    position in the message.
+
+    Each distinct token is matched once, and the token list is mapped
+    through those letters.  A bad token sends the parse back to a scan in
+    order, which names the first one.  Every distinct letter and the top
+    column being checked, the word is built without ``BraidWord``'s
+    per-letter check.  When every distinct token is already canonical
+    (``s<k>`` or ``s<k>^-1``), the word keeps the re-joined tokens, with
+    the ``strands=`` prefix that ``format_braid`` would add, as its printed
+    form.
     """
     tokens = text.split()
     strands = None
@@ -126,14 +151,19 @@ def parse_braid(text: str) -> BraidWord:
         if strands < 1:
             raise BraidSyntaxError("token 1: strand count must be positive")
         start = 1
+        del tokens[0]
 
-    letter: dict[str, int] = {}     # each distinct token is matched once
-    letters = []
-    for pos, tok in enumerate(tokens[start:], start=start + 1):
-        g = letter.get(tok)
-        if g is None:
-            g = letter[tok] = _letter(tok, pos)
-        letters.append(g)
+    letter: dict[str, int] = {}
+    try:
+        for tok in set(tokens):
+            letter[tok] = _letter(tok, 0)
+    except BraidSyntaxError:
+        # a scan in order names the first bad token
+        for pos, tok in enumerate(tokens, start=start + 1):
+            if tok not in letter:
+                letter[tok] = _letter(tok, pos)
+        raise
+    letters = tuple(map(letter.__getitem__, tokens))
 
     top = max(map(abs, letter.values()), default=0)
     if strands is None:
@@ -144,28 +174,38 @@ def parse_braid(text: str) -> BraidWord:
         raise BraidSyntaxError(
             f"token {pos}: generator s{abs(g)} out of range for {strands} strands"
         )
-    return BraidWord(strands, tuple(letters))
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "strands", strands)
+    object.__setattr__(word, "letters", letters)
+    if all(tok == _token(g) for tok, g in letter.items()):
+        if strands != 1 + top:
+            tokens.insert(0, f"strands={strands}")
+        object.__setattr__(word, "_text", " ".join(tokens))
+    return word
 
 
 def format_braid(word: BraidWord) -> str:
     """Canonical printed form; ``parse_braid`` round-trips it exactly.
 
     The ``strands=`` prefix is emitted only when the count is not implied
-    by the letters.  Each letter indexes a list of tokens, s_k at k and
-    s_k^-1 at -k: in a dict keyed by signed letters s1^-1 and s2^-1 would
-    collide, as hash(-1) == hash(-2) in CPython.  The list has 2 top + 1
-    slots, so a word with fewer letters than its top column formats each
-    letter instead, and no list outgrows the word.
+    by the letters.  A word that ``parse_braid`` read from canonical tokens
+    prints as those tokens re-joined.  Otherwise each letter indexes a list
+    of tokens, s_k at k and s_k^-1 at -k: in a dict keyed by signed letters
+    s1^-1 and s2^-1 would collide, as hash(-1) == hash(-2) in CPython.  The
+    list has 2 top + 1 slots, so a word with fewer letters than its top
+    column formats each letter instead, and no list outgrows the word.
     """
+    if word._text is not None:
+        return word._text
     columns = set(map(abs, word.letters))
     top = max(columns, default=0)
     if top <= len(word.letters):
         token = [""] * (2 * top + 1)
         for k in columns:
-            token[k], token[-k] = f"s{k}", f"s{k}^-1"
+            token[k], token[-k] = _token(k), _token(-k)
         toks = list(map(token.__getitem__, word.letters))
     else:
-        toks = [f"s{g}" if g > 0 else f"s{-g}^-1" for g in word.letters]
+        toks = list(map(_token, word.letters))
     if word.strands != 1 + top:
         toks.insert(0, f"strands={word.strands}")
     return " ".join(toks)
@@ -188,25 +228,80 @@ class LinkInvariants:
     proper: bool
 
 
+# the closure permutation of a word on at most this many strands steps
+# through ``_permutation_table``, filled on first use: a letter is one
+# index into a row and one count of its transition, and the counts give
+# every crossing.  The table has n! states, 6 of 5 slots at 3 strands;
+# wider words step the permutation letter by letter
+PERMUTATION_STRANDS = 3
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(strands: int):
+    """(rows, perms, crossing) of the closure permutation at this width.
+
+    Transition 0 enters the identity; every other transition is one letter
+    from one permutation.  ``rows[t]`` is the row of the permutation that
+    transition t leads to, whose slot g (s_k at k, s_k^-1 at -k) holds the
+    transition of letter g from there; ``perms[t]`` is that permutation,
+    the strand at each position, and ``crossing[t]`` the letter's
+    ``(a * strands + b, sign)``, strand a crossing strand b from the left.
+    ``_permutation_table.cache_clear()`` empties every table."""
+    slots = 2 * strands - 1
+    states = [tuple(range(strands))]
+    ids = {states[0]: 0}
+    state_rows = []
+    target, crossing = [0], [None]
+    for perm in states:     # grows as permutations are found
+        row = [0] * slots
+        for k in range(strands - 1):
+            a, b = perm[k], perm[k + 1]
+            after = perm[:k] + (b, a) + perm[k + 2:]
+            s = ids.setdefault(after, len(states))
+            if s == len(states):
+                states.append(after)
+            for g in (k + 1, -k - 1):
+                row[g] = len(target)
+                target.append(s)
+                crossing.append((a * strands + b, 1 if g > 0 else -1))
+        state_rows.append(tuple(row))
+    return (tuple(state_rows[s] for s in target), tuple(states[s] for s in target),
+            tuple(crossing))
+
+
 def link_invariants(word: BraidWord) -> LinkInvariants:
     """Writhe, components, nonzero linking numbers and properness of the
     closure, from one pass over the word.
 
     A letter crossing strand ``a`` (on the left) with strand ``b`` adds its
     sign under the key ``a * strands + b``; strands are named by their
-    starting positions.  The components are the cycles of the final
+    starting positions.  At most ``PERMUTATION_STRANDS`` strands the pass
+    walks ``_permutation_table`` and counts each transition it takes, and
+    the counts sum the signs; wider words swap the strands of a list
+    letter by letter.  The components are the cycles of the final
     ``at_pos`` (the strand at each position), numbered by their smallest
     strand.
     """
     n = word.strands
-    at_pos = list(range(n))
     crossed: dict[int, int] = {}
-    for g in word.letters:
-        k = abs(g) - 1
-        a, b = at_pos[k], at_pos[k + 1]
-        at_pos[k], at_pos[k + 1] = b, a
-        key = a * n + b
-        crossed[key] = crossed.get(key, 0) + (1 if g > 0 else -1)
+    if n <= PERMUTATION_STRANDS:
+        rows, perms, crossing = _permutation_table(n)
+        t, times = 0, [0] * len(rows)
+        for g in word.letters:
+            t = rows[t][g]
+            times[t] += 1
+        at_pos = perms[t]
+        for (key, sign), count in zip(crossing[1:], times[1:]):
+            if count:
+                crossed[key] = crossed.get(key, 0) + sign * count
+    else:
+        at_pos = list(range(n))
+        for g in word.letters:
+            k = abs(g) - 1
+            a, b = at_pos[k], at_pos[k + 1]
+            at_pos[k], at_pos[k + 1] = b, a
+            key = a * n + b
+            crossed[key] = crossed.get(key, 0) + (1 if g > 0 else -1)
 
     comp_of = [-1] * n
     ncomp = 0

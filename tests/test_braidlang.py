@@ -1,9 +1,12 @@
 """Braid parsing, closure invariants, and the Seifert-form sign of V(i)."""
 
 import ast
+import dataclasses
+import itertools
 import math
 import pathlib
 import random
+import re
 import sys
 import types
 from dataclasses import dataclass
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 import mjones
-from mjones import anyon_core, kauffman_oracle, seifert
+from mjones import anyon_core, braidlang, kauffman_oracle, seifert
 from mjones.braidlang import (
     MAX_STRANDS,
     BraidSyntaxError,
@@ -149,6 +152,107 @@ def test_format_matches_the_per_letter_reference():
     assert format_braid(word) == str(word) == _format_by_letter(word)
 
 
+def _parse_by_token(text):
+    """The reference parse, token by token: the word, or the message of the
+    first malformed or zero token, else of the first one out of range."""
+    tokens = text.split()
+    strands, start = None, 0
+    if tokens and (m := re.fullmatch(r"strands=(\d+)", tokens[0])):
+        strands, start = int(m[1]), 1
+    letters = []
+    for pos, tok in enumerate(tokens[start:], start=start + 1):
+        m = re.fullmatch(r"s(\d+)(\^-1)?|(-?\d+)", tok)
+        if not m:
+            return f"token {pos}: malformed braid token {tok!r}"
+        g = int(m[3]) if m[3] else -int(m[1]) if m[2] else int(m[1])
+        if g == 0:
+            return f"token {pos}: generator index 0 is not allowed"
+        letters.append(g)
+    if strands is None:
+        strands = 1 + max(map(abs, letters), default=0)
+    for pos, g in enumerate(letters, start=start + 1):
+        if abs(g) >= strands:
+            return f"token {pos}: generator s{abs(g)} out of range for {strands} strands"
+    return BraidWord(strands, tuple(letters))
+
+
+def _parsed_or_message(text):
+    try:
+        return parse_braid(text)
+    except BraidSyntaxError as exc:
+        return str(exc)
+
+
+def test_parse_matches_the_per_token_reference_on_two_bad_tokens():
+    # distinct bad tokens are matched in set order, so every pair is placed
+    # in both orders after long runs of repeats: the first bad one in the
+    # text must name the error, as the per-token reference finds it
+    malformed, zero, out_of_range = ("sX", "s1.5", "s2^-2"), ("s0", "-0", "0"), ("s3", "-4")
+    bad = malformed + zero + out_of_range
+    run = "s1 s2^-1 -1 2 " * 150
+    for first, second in itertools.permutations(bad, 2):
+        for prefix in ("strands=3 ", ""):
+            for text in (f"{prefix}{run}{first} {run}{second} {run}",
+                         f"{prefix}{run}{first} {second} {first} {run}{second}"):
+                want = _parse_by_token(text)
+                # without the prefix a large generator only widens the word
+                if prefix or not {first, second} <= set(out_of_range):
+                    assert isinstance(want, str), text[-40:]
+                assert _parsed_or_message(text) == want, text[-40:]
+    # three distinct kinds, every order, and the reference itself pinned
+    for order in itertools.permutations(("sX", "-0", "s7")):
+        text = "strands=3 " + run + " ".join(order)
+        assert _parsed_or_message(text) == _parse_by_token(text)
+    assert _parse_by_token("strands=3 " + run + "s7 -0 sX") == (
+        "token 603: generator index 0 is not allowed")
+    assert _parse_by_token("strands=3 " + run + "s7 s1") == (
+        "token 602: generator s7 out of range for 3 strands")
+
+
+def test_parse_builds_the_same_word_as_the_constructor():
+    rng = random.Random(31)
+    forms = (lambda k: f"s{k}", lambda k: f"s{k}^-1", str, lambda k: f"-{k}")
+    texts = ["", "strands=4", "s1", "strands=03 -2 1", "s01 s١ s1"]
+    for _ in range(60):
+        strands = rng.randint(1, 9)
+        tokens = [forms[rng.randrange(4)](rng.randint(1, strands - 1))
+                  for _ in range(rng.randint(0, 400) if strands > 1 else 0)]
+        prefix = f"strands={strands + rng.randint(0, 2)}" if rng.random() < 0.5 else ""
+        texts.append(" ".join([prefix, *tokens]))
+    for text in texts:
+        word, want = parse_braid(text), _parse_by_token(text)
+        assert word == want == BraidWord(want.strands, want.letters), text[:40]
+        assert hash(word) == hash(want) and repr(word) == repr(want), text[:40]
+        assert type(word.letters) is tuple
+    assert [f.name for f in dataclasses.fields(BraidWord)] == ["strands", "letters"]
+    # a direct call keeps its check and its message
+    with pytest.raises(ValueError, match=r"letter 3 out of range for 3 strands \(need 1 <= \|g\| <= 2\)"):
+        BraidWord(3, (1, 3))
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("s1 s2^-1  s1\ts2^-1\n\n s1   \t s2^-1 ", True),
+    ("\t\ts3 s1^-1\r\n", True),
+    ("strands=3 s1 s2^-1", True),       # redundant prefix
+    ("strands=5 s1 s2^-1", True),       # needed prefix
+    ("strands=03 s1 s2", True),
+    ("strands=03 s1", True),
+    ("1 s1", False),
+    ("s1 -2 s2^-1", False),
+    ("s01 s1", False),
+    ("s١ s1", False),
+    ("", True),
+    ("   ", True),
+    ("strands=4", True),
+    ("strands=1", True),
+])
+def test_format_of_a_parsed_word_matches_the_per_letter_reference(text, canonical):
+    word = parse_braid(text)
+    assert format_braid(word) == str(word) == _format_by_letter(word)
+    # canonical input keeps its re-joined tokens as the printed form
+    assert (word._text is not None) == canonical
+
+
 def test_parse_print_round_trip_random():
     rng = random.Random(7)
     for _ in range(200):
@@ -269,6 +373,68 @@ def test_link_invariants_match_the_matrix_reference():
         assert inv == _link_invariants_by_matrix(word), word
         proper += inv.proper
     assert 0 < proper < 1200     # both branches of properness are reached
+
+
+def _link_invariants_by_letter(word):
+    """The reference pass: the closure permutation stepped letter by letter
+    on a list, each crossing's sign added under its strand pair."""
+    n = word.strands
+    at_pos = list(range(n))
+    crossed = {}
+    for g in word.letters:
+        k = abs(g) - 1
+        a, b = at_pos[k], at_pos[k + 1]
+        at_pos[k], at_pos[k + 1] = b, a
+        crossed[a * n + b] = crossed.get(a * n + b, 0) + (1 if g > 0 else -1)
+    comp_of, ncomp = [-1] * n, 0
+    for s in range(n):
+        if comp_of[s] < 0:
+            t = s
+            while comp_of[t] < 0:
+                comp_of[t] = ncomp
+                t = at_pos[t]
+            ncomp += 1
+    pair_sum, total = {}, [0] * ncomp
+    for key, crossings in crossed.items():
+        ca, cb = comp_of[key // n], comp_of[key % n]
+        if ca != cb:
+            pair = (min(ca, cb), max(ca, cb))
+            pair_sum[pair] = pair_sum.get(pair, 0) + crossings
+            total[ca] += crossings
+            total[cb] += crossings
+    linking = tuple(sorted((i, j, c // 2) for (i, j), c in pair_sum.items() if c))
+    return LinkInvariants(sum(crossed.values()), ncomp, linking,
+                          all(t % 4 == 0 for t in total))
+
+
+def test_permutation_table_equals_the_per_letter_pass():
+    assert braidlang.PERMUTATION_STRANDS == 3
+    rows, perms, _ = braidlang._permutation_table(3)
+    assert len(set(perms)) == 6 and {len(row) for row in rows} == {5}
+    # every word of at most 7 letters at 1-3 strands
+    for strands in (1, 2, 3):
+        alphabet = [g for k in range(1, strands) for g in (k, -k)]
+        for length in range(8):
+            for letters in itertools.product(alphabet, repeat=length):
+                word = BraidWord(strands, letters)
+                assert link_invariants(word) == _link_invariants_by_letter(word), word
+    # and 200 seeded 1000-letter words at 2 and 3 strands
+    rng = random.Random("permutations")
+    for trial in range(200):
+        word = _random_word(rng, 2 + trial % 2, 1000)
+        assert link_invariants(word) == _link_invariants_by_letter(word)
+
+
+def test_wider_words_step_the_permutation_letter_by_letter(monkeypatch):
+    widths = []
+    table = braidlang._permutation_table
+    monkeypatch.setattr(braidlang, "_permutation_table",
+                        lambda strands: widths.append(strands) or table(strands))
+    rng = random.Random("wide")
+    for strands in (3, 4, 5, 9):
+        word = _random_word(rng, strands, 300)
+        assert link_invariants(word) == _link_invariants_by_letter(word)
+    assert widths == [3]
 
 
 def test_capacity_error_is_owned_by_the_shared_layer():
@@ -632,20 +798,21 @@ def test_memory_does_not_grow_with_the_letters():
 @pytest.mark.parametrize("strands", [4, 6, 16])
 def test_the_per_letter_stream_holds_little_memory(strands):
     # a dead loop waits in its slot while a neighbour is live, and goes as
-    # soon as it is alone or a neighbour dies: on 20,000-letter random,
+    # soon as it is alone or a neighbour dies: on 4,000-letter random,
     # torus and skewed words (column 1 on 96 of every 97 letters) the stream
     # peaks at 1-5 KB traced; one that never freed a pair's slots would
-    # peak at 560 KB and more.  The random and skewed words cancel, so their
+    # peak at 109 KB and more.  The random and skewed words cancel, so their
     # closure is the unlink: G is 2^((loops + columns used) / 2), which a
-    # stream that left dead loops unsummed would miss
+    # stream that left dead loops unsummed would miss.  tracemalloc traces
+    # every allocation, so longer words only cost time
     import tracemalloc
 
     rng = random.Random(f"slots-{strands}")
     skewed = tuple(rng.choice([-1, 1]) * (rng.randint(2, strands - 1) if t % 97 == 96 else 1)
-                   for t in range(10_000))
-    unlinks = (_cancelling_word(rng, strands, 20_000).letters,
+                   for t in range(2_000))
+    unlinks = (_cancelling_word(rng, strands, 4_000).letters,
                skewed + tuple(-g for g in reversed(skewed)))
-    torus = tuple(1 + t % (strands - 1) for t in range(20_000))
+    torus = tuple(1 + t % (strands - 1) for t in range(4_000))
     for letters in (*unlinks, torus):
         tracemalloc.start()
         try:

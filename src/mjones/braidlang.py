@@ -98,11 +98,14 @@ _TOKEN = re.compile(r"^(?:s(\d+)(\^-1)?|(-?\d+))$")
 _STRANDS = re.compile(r"^strands=(\d+)$")
 
 
-def _number(digits: str) -> int:
+def _number(digits: str, pos: int, what: str) -> int:
+    """``int(digits)``, the ``what`` of token ``pos``; past int()'s digit
+    limit the text is malformed, not a crash."""
     try:
         return int(digits)
-    except ValueError as exc:   # past int()'s digit limit: malformed text, not a crash
-        raise BraidSyntaxError(str(exc)) from exc
+    except ValueError as exc:
+        count = len(digits.lstrip("-"))
+        raise BraidSyntaxError(f"token {pos}: {what} has {count} digits") from exc
 
 
 def _letter(tok: str, pos: int) -> int:
@@ -111,10 +114,10 @@ def _letter(tok: str, pos: int) -> int:
     if not m:
         raise BraidSyntaxError(f"token {pos}: malformed braid token {tok!r}")
     if m.group(1) is not None:
-        k = _number(m.group(1))
+        k = _number(m.group(1), pos, "generator index")
         g = -k if m.group(2) else k
     else:
-        g = _number(m.group(3))
+        g = _number(m.group(3), pos, "generator index")
     if g == 0:
         raise BraidSyntaxError(f"token {pos}: generator index 0 is not allowed")
     return g
@@ -147,7 +150,7 @@ def parse_braid(text: str) -> BraidWord:
     strands = None
     start = 0
     if tokens and (m := _STRANDS.match(tokens[0])):
-        strands = _number(m.group(1))
+        strands = _number(m.group(1), 1, "strand count")
         if strands < 1:
             raise BraidSyntaxError("token 1: strand count must be positive")
         start = 1

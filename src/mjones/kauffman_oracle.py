@@ -5,7 +5,11 @@ model: reading the word left to right, each letter sigma_i^(+-1) acts as
 A^(+-1) * 1 + A^(-+1) * e_i on partial diagrams, and each state of the
 closure contributes A^(a-b) d^(loops-1) with d = -A^2 - A^-2.  Strands are
 joined to their trace arcs as soon as no later letter touches them, so the
-transfer only tracks diagrams on the strands still in play.
+transfer only tracks diagrams on the strands still in play.  On at most
+``TABLE_STRANDS`` live strands the diagrams are the states of an
+``automaton.Automaton`` kept per width and filled on first use, so a step
+is a list lookup; wider diagrams are stepped as tuples, as a kept table of
+them would grow without bound.
 
 Loops are folded as they close: a closing loop multiplies its diagram's
 weight by d at once, so every live diagram carries a single Laurent
@@ -22,8 +26,9 @@ untouched strands' loop factors is charged up front by its multiplication
 cost, then before each letter every live diagram is charged its two shifts
 and adds plus a fixed overhead, and the word is refused with
 ``CapacityError`` once the running total passes ``MAX_TRANSFER_WORK``,
-under a second of work.  A refused word has therefore cost at most that
-second.
+under a second of work.  Wide words whose letters close strands are
+under-charged, as their weights grow faster than the charge counts: s1 s2
+... s2047 is refused at letter 1559 after about ten seconds.
 
 Smoothing convention: for a positive letter the A-smoothing is the
 identity-like (vertical) one and the A^-1-smoothing the cap-cup; negative
@@ -46,7 +51,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
+from .automaton import Automaton
 from .braidlang import BraidWord, CapacityError
 
 # the bracket's capacity, in bit operations of its transfer, charged letter
@@ -61,6 +68,13 @@ TRANSITION_BITS = 20_000
 # integer, costs about big * small^0.585 units (sizes in 30-bit digits): a
 # median 9.4 ns per unit on the same box, 140 bit operations at the rate above
 PRODUCT_BITS = 140
+
+# words on at most this many live strands step a kept ``_table`` of
+# diagrams, a transition one list lookup: 2 / 5 / 15 / 53 / 212 / 931
+# diagrams at 1-6 live strands, all six tables filled 0.30 MB under
+# tracemalloc.  Wider words step slot tuples, as a kept table would hold
+# every wide diagram ever reached, up to 4096 slots each
+TABLE_STRANDS = 6
 
 # evaluation point for t = i  (A^-4 = i)
 A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
@@ -162,6 +176,35 @@ def _unpack(packed: int, width: int) -> list[int]:
             for i in range(0, count * size, size)]
 
 
+def _diagram_step(live: int, diag: tuple, slot: int) -> tuple:
+    """The diagram after e_k at slot k < live, which caps the top ends p = k
+    and q = k + 1 and cups new ones, or after the closing of strand p at
+    slot live + p, which joins p's top end to its bottom end q = live + p.
+    Unless p and q were paired, a loop closing, their partners pair up."""
+    slots = list(diag)
+    p, q = (slot, slot + 1) if slot < live else (slot - live, slot)
+    x, y = slots[p], slots[q]
+    if x != q:
+        slots[x], slots[y] = y, x
+    slots[p], slots[q] = (q, p) if slot < live else (-1, -1)
+    return tuple(slots)
+
+
+@lru_cache(maxsize=None)
+def _table(live: int) -> Automaton:
+    """The diagrams on ``live`` strands as an ``automaton.Automaton``, each
+    diagram its own key and each step of ``_diagram_step`` its own slot; a
+    diagram's value is the bitmask of the slots whose step closes a loop.
+    ``_table.cache_clear()`` empties every table."""
+    def closes_loops(diag):
+        return (sum(1 << k for k in range(live - 1) if diag[k] == k + 1)
+                + sum(1 << live + p for p in range(live) if diag[p] == live + p))
+
+    start = tuple(live + p for p in range(live)) + tuple(range(live))
+    return Automaton(start, lambda diag: diag, partial(_diagram_step, live), 2 * live,
+                     closes_loops)
+
+
 def bracket(word: BraidWord) -> LaurentPolynomial:
     """Kauffman bracket of the trace closure, normalised so the unknot is 1.
 
@@ -176,7 +219,11 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     identity smoothing keeps it, and e_k caps the top ends of k and k + 1
     and cups new ones.  When the letter is the last to touch k or k + 1, one
     closing pass then joins each such strand's top end to its bottom end,
-    its trace arc, so only strands still in play are tracked.
+    its trace arc, so only strands still in play are tracked.  On at most
+    ``TABLE_STRANDS`` live strands a diagram is its id in ``_table(live)``,
+    kept across calls: each e_k and each closing is one lookup in its row,
+    and a bit of its value says whether a loop closes.  Wider diagrams are
+    slot tuples, stepped in place and hashed as dict keys.
 
     A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
     coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
@@ -209,8 +256,13 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     small, big = sorted(((2 * c + 2) * wide / 30, (2 * spare + 1) * wide / 30))
     work = PRODUCT_BITS * big * small ** 0.585 if spare else 0
 
-    start = [live + p for p in range(live)] + list(range(live))
-    states = {tuple(start): 1}
+    if live <= TABLE_STRANDS:
+        table = _table(live)
+        rows, loops, states = table.rows, table.values, {0: 1}
+    else:
+        table = None
+        start = [live + p for p in range(live)] + list(range(live))
+        states = {tuple(start): 1}
     offset = 0
     for j, g in enumerate(letters):
         # each live diagram takes two shifts and adds on about 2(j + 1)
@@ -225,6 +277,20 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
         closing = [p for p in (k, k + 1) if last[p] == j]
         up = 2 * width if g > 0 else 0
         offset += (3 if g > 0 else 1) + 2 * len(closing)
+        if table:
+            # one row lookup per transition, a miss filling it
+            for slot in [k] + [live + p for p in closing]:
+                nxt, bit = {}, 1 << slot
+                get = nxt.get
+                for s, w in states.items():
+                    if slot == k:   # the identity smoothing keeps the diagram
+                        nxt[s] = get(s, 0) + (w << up)
+                    t = rows[s][slot]
+                    if t is None:
+                        t = table.step(s, slot)
+                    nxt[t] = get(t, 0) + (-((w << 2 * width) + w) if loops[s] & bit else w << width)
+                states = nxt
+            continue
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         for diag, w in states.items():

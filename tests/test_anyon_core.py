@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mjones import braidlang, seifert, spin_sim
+from mjones import braidlang, kauffman_oracle, seifert, spin_sim
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
@@ -458,8 +458,20 @@ def seifert_round(rng):
             [seifert._streamed(3, word.letters) for word in words], 5)
 
 
-@pytest.mark.parametrize("make_round", [anyon_round, spin_round, seifert_round],
-                         ids=["anyon", "spin", "seifert"])
+def bracket_round(rng):
+    # 5-strand words that touch every strand run on the bracket's table of
+    # 5-live-strand diagrams; the bracket before the round is the reference
+    words = []
+    while len(words) < 60:
+        letters = tuple(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(12))
+        if len({p for g in letters for p in (abs(g) - 1, abs(g))}) == 5:
+            words.append(BraidWord(5, letters))
+    return (kauffman_oracle._table.cache_clear, lambda: kauffman_oracle._table(5),
+            kauffman_oracle.bracket, words, [kauffman_oracle.bracket(word) for word in words], 10)
+
+
+@pytest.mark.parametrize("make_round", [anyon_round, spin_round, seifert_round, bracket_round],
+                         ids=["anyon", "spin", "seifert", "bracket"])
 def test_threads_sharing_a_table_keep_one_state_per_id(make_round):
     # misses from several threads at once must not give two states one id
     rng = random.Random("threads")

@@ -470,13 +470,15 @@ def test_braid_info_parse_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["jones", "braid-info"])
-@pytest.mark.parametrize("word", ["s" + "1" * 5000, "strands=" + "9" * 5000],
-                         ids=["generator", "strands"])
-def test_a_number_past_the_digit_limit_is_a_parse_error(capsys, command, word):
-    # more digits than int() converts: one stderr line, no traceback
+@pytest.mark.parametrize("word, message", [
+    ("s1 s2 s" + "1" * 5000, "token 3: generator index has 5000 digits"),
+    ("strands=" + "9" * 5000, "token 1: strand count has 5000 digits"),
+], ids=["generator", "strands"])
+def test_a_number_past_the_digit_limit_is_a_parse_error(capsys, command, word, message):
+    # more digits than int() converts: one stderr line naming the token, no traceback
     code, out, err = run(capsys, command, word)
     assert code == EXIT_PARSE and out == ""
-    assert err.startswith("parse error: Exceeds the limit") and len(err.splitlines()) == 1
+    assert err == f"parse error: {message}\n"
 
 
 def test_verify_json_schema(capsys):

@@ -4,22 +4,29 @@ state sum and the transfer that keys each diagram's weights by (A-exponent,
 loop count)."""
 
 import cmath
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mjones import anyon_core, kauffman_oracle
+from mjones.automaton import Automaton
 from mjones.braidlang import (
     BraidWord,
     arf_invariant,
     jones_from_arf,
     link_invariants,
     lookup_arf_data,
+    parse_braid,
 )
+from mjones.cli import main
 from mjones.kauffman_oracle import (
     A_AT_T_I,
+    TABLE_STRANDS,
     CapacityError,
     LaurentPolynomial,
     bracket,
@@ -489,3 +496,111 @@ def test_conjugation_invariance_on_long_words(case):
     expected = bracket(word)
     assert bracket(rotated) == expected
     assert bracket(conjugated) == expected
+
+
+# --- the kept tables of diagrams at <= TABLE_STRANDS live strands ------------
+
+def test_every_short_word_on_two_to_four_strands_matches_the_dict_transfer():
+    count = 0
+    for strands in (2, 3, 4):
+        alphabet = [s * k for k in range(1, strands) for s in (1, -1)]
+        for length in range(7):
+            for letters in itertools.product(alphabet, repeat=length):
+                word = BraidWord(strands, letters)
+                assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+                count += 1
+    assert count == 127 + 5461 + 55987
+
+
+def _touching_every_strand(rng, strands, count):
+    words = []
+    while len(words) < count:
+        letters = tuple(rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(6, 18)))
+        if len({p for g in letters for p in (abs(g) - 1, abs(g))}) == strands:
+            words.append(BraidWord(strands, letters))
+    return words
+
+
+@pytest.mark.parametrize("live", [TABLE_STRANDS, TABLE_STRANDS + 1])
+def test_words_either_side_of_the_table_bound_match_the_dict_transfer(monkeypatch, live):
+    widths = []
+    table = kauffman_oracle._table
+    monkeypatch.setattr(kauffman_oracle, "_table", lambda n: widths.append(n) or table(n))
+    for word in _touching_every_strand(random.Random(f"bound {live}"), live, 500):
+        assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+    assert set(widths) == ({live} if live <= TABLE_STRANDS else set())
+
+
+def test_padded_words_use_the_table_of_their_live_width(monkeypatch):
+    # the generators sit among untouched strands, up to 22 in all, so the
+    # table is chosen by the live width, not by the strand count
+    widths = []
+    table = kauffman_oracle._table
+    monkeypatch.setattr(kauffman_oracle, "_table", lambda n: widths.append(n) or table(n))
+    rng = random.Random("padded")
+    for top in range(1, TABLE_STRANDS):
+        for _ in range(40):
+            shift = rng.randint(0, 5)
+            letters = tuple(rng.choice((-1, 1)) * (rng.randint(1, top) + shift) for _ in range(10))
+            word = BraidWord(top + shift + rng.randint(2, 12), letters)
+            live = len({p for g in letters for p in (abs(g) - 1, abs(g))})
+            assert live < word.strands
+            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+            assert widths == [live]
+            widths.clear()
+
+
+def test_wider_words_never_touch_a_table(monkeypatch):
+    widths = []
+    monkeypatch.setattr(kauffman_oracle, "_table", lambda n: widths.append(n))
+    rng = random.Random("wide")
+    for live in (TABLE_STRANDS + 1, 9, 16):
+        for word in _touching_every_strand(rng, live, 5):
+            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+    assert widths == []
+
+
+def test_the_filled_tables_hold_under_1_mb():
+    # every diagram that a step at an open slot reaches, at 1 to 6 live
+    # strands.  A first fill warms what the interpreter caches on first use,
+    # so the second fill's held memory is the tables' alone
+    def fill():
+        tables = []
+        for live in range(1, TABLE_STRANDS + 1):
+            table = kauffman_oracle._table(live)
+            for s, diag in enumerate(table.states):   # breadth first
+                for k in range(live - 1):
+                    if diag[k] >= 0 and diag[k + 1] >= 0:
+                        table.step(s, k)
+                for p in range(live):
+                    if diag[p] >= 0:
+                        table.step(s, live + p)
+            tables.append(table)
+        return tables
+
+    fill()
+    kauffman_oracle._table.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = fill()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(table.states) for table in tables] == [2, 5, 15, 53, 212, 931][:TABLE_STRANDS]
+    assert held < 1e6, held
+
+
+@pytest.mark.parametrize("text, value", [
+    ("s1 s1 s1", -1), ("s1 s2^-1 s1 s2^-1", -1), ("s1 s2 s1 s2 s2", -math.sqrt(2)),
+])
+def test_the_bracket_stays_off_the_shared_automaton_run(monkeypatch, capsys, text, value):
+    # a fault in Automaton.run, which the anyon, spin and Seifert routes
+    # share, must not reach the bracket, so a comparison still catches it
+    run = Automaton.run
+    monkeypatch.setattr(Automaton, "run", lambda self, letters: run(self, list(letters)[:-1]))
+    word = parse_braid(text)
+    assert jones_at_i(word) == pytest.approx(value, abs=1e-12)
+    assert abs(anyon_core.jones_su2_2(word) - value) > 0.4
+    assert main(["jones", text, "--backend", "all"]) != 0
+    capsys.readouterr()

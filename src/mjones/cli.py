@@ -327,25 +327,98 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first ``main`` call and reused: building it costs about 25
-# times one parse.  ``main`` reads a command's arguments with that command's
-# parser alone, in one pass; the top-level parser runs only for no command,
-# an unknown one or arguments left over, so that its usage line, message and
-# exit status stand.
+def _plain_reader(dest: str, name: str, parser: argparse.ArgumentParser):
+    """A reader of the plainest argv that ``parser`` takes, derived from its
+    own store actions: exact option strings, each at most once with one
+    value; no token that starts with "-", so that argparse keeps its
+    negative-number and "--" rules; each value put through its action's
+    type and choices; and exactly the parser's positionals.  The reader
+    returns the namespace that the top-level parser makes for ``name``
+    followed by that argv, or None for any other argv.  A parser with any
+    other kind of action, a required option or an exclusive group gets no
+    reader (None)."""
+    if parser._mutually_exclusive_groups:
+        return None
+    options, positionals, defaults = {}, [], {dest: name}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or action.option_strings and action.required):
+            return None
+        for option in action.option_strings:
+            options[option] = action
+        if not action.option_strings:
+            positionals.append(action)
+        if action.default is not argparse.SUPPRESS:
+            default = action.default
+            # argparse puts a string default through the type, as it does a value
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            defaults[action.dest] = default
+    for key, value in parser._defaults.items():    # set_defaults: fn
+        defaults.setdefault(key, value)
+
+    def read(argv):
+        values, given = dict(defaults), set()
+        pending, tokens = iter(positionals), iter(argv)
+        for token in tokens:
+            if token.startswith("-"):
+                action = options.get(token)
+                token = next(tokens, "-")
+                if action is None or action in given or token.startswith("-"):
+                    return None
+                given.add(action)
+            else:
+                action = next(pending, None)
+                if action is None:
+                    return None
+            try:
+                value = token if action.type is None else action.type(token)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if next(pending, None) is not None:
+            return None
+        return argparse.Namespace(**values)
+
+    return read
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """Each subcommand's name -> (its parser, its plain reader or None)."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: (command, _plain_reader(sub.dest, name, command))
+            for name, command in sub.choices.items()}
+
+
+# built on the first ``main`` call and reused, with the table of its
+# commands and their plain readers kept on it: building it costs about 25
+# times one parse.  ``main`` reads a plain argv with the command's reader,
+# with no argparse call.  Any other argv goes to the command's parser
+# alone, in one pass; the top-level parser runs only for no command, an
+# unknown one or arguments left over.  So argparse alone refuses an argv or
+# prints help, and every usage line, message and exit status stands.
 _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
-        _parser = build_parser()
-    commands = next(action.choices for action in _parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
+        parser = build_parser()
+        parser.commands = _commands(parser)    # whole before another call can see it
+        _parser = parser
     argv = sys.argv[1:] if argv is None else argv
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
+    command, read = _parser.commands.get(argv[0] if argv else None, (None, None))
+    args = read(argv[1:]) if read else None
+    if args is None and command is not None:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if command is None or extra:
+        if extra:
+            args = None
+    if args is None:
         args = _parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, schemas."""
 
+import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -772,6 +774,20 @@ PARITY_ARGV = [
     ["jones", "s1", "--tau"],
     ["verify", "--tau", "abc"],
     ["verify", "--output", "csv"],
+    # forms a plain reader could misread: a repeated flag (argparse keeps the
+    # last), values float() reads in its own way, empty and dash words, a
+    # flag in the wrong case or with one dash, one word too many or a value
+    # missing; NaN is left out, as a namespace holding it never equals itself
+    ["jones", "s1", "--backend", "anyon", "--backend", "kauffman"],
+    ["verify", "--tau", "5", "--tau", "6"],
+    *[["jones", "s1", "--tau", tau] for tau in (" 5 ", "1_000", "\u0661", "-inf", "-1e-3")],
+    ["jones", "s1", "--backend", ""],
+    ["jones", ""],
+    ["jones", "-"],
+    ["jones", "s1", "--OUTPUT", "json"],
+    ["jones", "s1", "-tau", "5"],
+    ["braid-info", "s1", "s2"],
+    ["jones", "s1", "--output"],
 ]
 
 
@@ -799,6 +815,35 @@ def test_main_reads_argv_as_the_full_parser_does(capsys, monkeypatch, argv):
         return args
 
     assert _outcome(capsys, via_main) == _outcome(capsys, lambda: build_parser().parse_args(argv))
+
+
+# the four ``jones`` flags with their values, in every order
+_FLAG_ORDERS = [[token for flag in flags for token in flag] for flags in itertools.permutations(
+    (("--backend", "kauffman"), ("--tau", "5"), ("--tolerance", "1e-6"), ("--output", "json")))]
+
+
+def test_a_plain_argv_runs_no_argparse_parse(capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spied(self, *args, **kwargs):
+        calls.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spied)
+    plain = [["jones", "s1 s2^-1 s1", "--backend", "all", "--output", "json"],
+             ["verify", "--output", "json"],
+             ["braid-info", "s1 s1"],
+             *[["jones", "s1 s1", *flags] for flags in _FLAG_ORDERS],
+             *[["jones", *flags[:4], "s1 s1", *flags[4:]] for flags in _FLAG_ORDERS]]
+    for argv in plain:
+        assert main(argv) == EXIT_OK, argv
+    capsys.readouterr()
+    assert calls == []
+    # anything else, here an abbreviated flag, is argparse's: one parse
+    assert main(["jones", "s1", "--back", "anyon"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

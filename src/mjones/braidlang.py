@@ -192,24 +192,13 @@ def format_braid(word: BraidWord) -> str:
 
     The ``strands=`` prefix is emitted only when the count is not implied
     by the letters.  A word that ``parse_braid`` read from canonical tokens
-    prints as those tokens re-joined.  Otherwise each letter indexes a list
-    of tokens, s_k at k and s_k^-1 at -k: in a dict keyed by signed letters
-    s1^-1 and s2^-1 would collide, as hash(-1) == hash(-2) in CPython.  The
-    list has 2 top + 1 slots, so a word with fewer letters than its top
-    column formats each letter instead, and no list outgrows the word.
+    prints as those tokens re-joined; any other word formats letter by
+    letter.
     """
     if word._text is not None:
         return word._text
-    columns = set(map(abs, word.letters))
-    top = max(columns, default=0)
-    if top <= len(word.letters):
-        token = [""] * (2 * top + 1)
-        for k in columns:
-            token[k], token[-k] = _token(k), _token(-k)
-        toks = list(map(token.__getitem__, word.letters))
-    else:
-        toks = list(map(_token, word.letters))
-    if word.strands != 1 + top:
+    toks = list(map(_token, word.letters))
+    if word.strands != 1 + word.max_generator():
         toks.insert(0, f"strands={word.strands}")
     return " ".join(toks)
 

@@ -388,20 +388,18 @@ def _plain_reader(dest: str, name: str, parser: argparse.ArgumentParser):
 
 
 def _commands(parser: argparse.ArgumentParser) -> dict:
-    """Each subcommand's name -> (its parser, its plain reader or None)."""
+    """Each subcommand's name -> its plain reader, or None."""
     sub = next(action for action in parser._actions
                if isinstance(action, argparse._SubParsersAction))
-    return {name: (command, _plain_reader(sub.dest, name, command))
+    return {name: _plain_reader(sub.dest, name, command)
             for name, command in sub.choices.items()}
 
 
-# built on the first ``main`` call and reused, with the table of its
-# commands and their plain readers kept on it: building it costs about 25
-# times one parse.  ``main`` reads a plain argv with the command's reader,
-# with no argparse call.  Any other argv goes to the command's parser
-# alone, in one pass; the top-level parser runs only for no command, an
-# unknown one or arguments left over.  So argparse alone refuses an argv or
-# prints help, and every usage line, message and exit status stands.
+# built on the first ``main`` call and reused, with its commands' plain
+# readers kept on it: building it costs about 25 times one parse.  ``main``
+# reads a plain argv with the command's reader, with no argparse call; any
+# other argv goes to the top-level parser.  So argparse alone refuses an
+# argv or prints help, and every usage line, message and exit status stands.
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -412,12 +410,8 @@ def main(argv=None) -> int:
         parser.commands = _commands(parser)    # whole before another call can see it
         _parser = parser
     argv = sys.argv[1:] if argv is None else argv
-    command, read = _parser.commands.get(argv[0] if argv else None, (None, None))
+    read = _parser.commands.get(argv[0] if argv else None)
     args = read(argv[1:]) if read else None
-    if args is None and command is not None:
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:
-            args = None
     if args is None:
         args = _parser.parse_args(argv)
     try:

@@ -8,8 +8,9 @@ joined to their trace arcs as soon as no later letter touches them, so the
 transfer only tracks diagrams on the strands still in play.  On at most
 ``TABLE_STRANDS`` live strands the diagrams are the states of an
 ``automaton.Automaton`` kept per width and filled on first use, so a step
-is a list lookup; wider diagrams are stepped as tuples, as a kept table of
-them would grow without bound.
+is a list lookup.  Wider diagrams are stepped by the same move that fills
+the tables, ``_diagram_step``, and are not kept, as a kept table of them
+would grow without bound.
 
 Loops are folded as they close: a closing loop multiplies its diagram's
 weight by d at once, so every live diagram carries a single Laurent
@@ -72,8 +73,9 @@ PRODUCT_BITS = 140
 # words on at most this many live strands step a kept ``_table`` of
 # diagrams, a transition one list lookup: 2 / 5 / 15 / 53 / 212 / 931
 # diagrams at 1-6 live strands, all six tables filled 0.30 MB under
-# tracemalloc.  Wider words step slot tuples, as a kept table would hold
-# every wide diagram ever reached, up to 4096 slots each
+# tracemalloc.  Wider words step their diagrams by ``_diagram_step`` and
+# keep none, as a kept table would hold every wide diagram ever reached, up
+# to 4096 slots each
 TABLE_STRANDS = 6
 
 # evaluation point for t = i  (A^-4 = i)
@@ -223,7 +225,9 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     ``TABLE_STRANDS`` live strands a diagram is its id in ``_table(live)``,
     kept across calls: each e_k and each closing is one lookup in its row,
     and a bit of its value says whether a loop closes.  Wider diagrams are
-    slot tuples, stepped in place and hashed as dict keys.
+    slot tuples, hashed as dict keys and not kept: each e_k and each
+    closing is one ``_diagram_step``, and a loop closes when the slot's two
+    ends are paired.
 
     A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
     coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
@@ -258,11 +262,11 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
 
     if live <= TABLE_STRANDS:
         table = _table(live)
-        rows, loops, states = table.rows, table.values, {0: 1}
+        rows, loops, start = table.rows, table.values, 0
     else:
         table = None
-        start = [live + p for p in range(live)] + list(range(live))
-        states = {tuple(start): 1}
+        start = tuple(live + p for p in range(live)) + tuple(range(live))
+    states = {start: 1}
     offset = 0
     for j, g in enumerate(letters):
         # each live diagram takes two shifts and adds on about 2(j + 1)
@@ -277,52 +281,23 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
         closing = [p for p in (k, k + 1) if last[p] == j]
         up = 2 * width if g > 0 else 0
         offset += (3 if g > 0 else 1) + 2 * len(closing)
-        if table:
-            # one row lookup per transition, a miss filling it
-            for slot in [k] + [live + p for p in closing]:
-                nxt, bit = {}, 1 << slot
-                get = nxt.get
-                for s, w in states.items():
-                    if slot == k:   # the identity smoothing keeps the diagram
-                        nxt[s] = get(s, 0) + (w << up)
+        # e_k at slot k, then the closing of each strand p at slot live + p
+        for slot in [k] + [live + p for p in closing]:
+            nxt, bit = {}, 1 << slot
+            get = nxt.get
+            p, q = (slot, slot + 1) if slot < live else (slot - live, slot)
+            for s, w in states.items():
+                if slot == k:   # the identity smoothing keeps the diagram
+                    nxt[s] = get(s, 0) + (w << up)
+                if table:   # one row lookup, a miss filling it
                     t = rows[s][slot]
                     if t is None:
                         t = table.step(s, slot)
-                    nxt[t] = get(t, 0) + (-((w << 2 * width) + w) if loops[s] & bit else w << width)
-                states = nxt
-            continue
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        for diag, w in states.items():
-            # the identity smoothing keeps the diagram
-            nxt[diag] = get(diag, 0) + (w << up)
-            x = diag[k]
-            if x == k + 1:   # e_k closes the cup at k, k+1 and cups again
-                key, v = diag, -((w << 2 * width) + w)
-            else:
-                slots = list(diag)
-                y = diag[k + 1]
-                slots[x], slots[y] = y, x
-                slots[k], slots[k + 1] = k + 1, k
-                key, v = tuple(slots), w << width
-            nxt[key] = get(key, 0) + v
-        if not closing:
+                    closes = loops[s] & bit
+                else:
+                    t, closes = _diagram_step(live, s, slot), s[p] == q
+                nxt[t] = get(t, 0) + (-((w << 2 * width) + w) if closes else w << width)
             states = nxt
-        else:
-            states = {}
-            for diag, w in nxt.items():
-                slots = list(diag)
-                for p in closing:
-                    # join the top end of p to its bottom end
-                    x, y = slots[p], slots[live + p]
-                    if x == live + p:   # a loop closes
-                        w = -((w << 2 * width) + w)
-                    else:
-                        slots[x], slots[y] = y, x
-                        w <<= width
-                    slots[p] = slots[live + p] = -1
-                key = tuple(slots)
-                states[key] = states.get(key, 0) + w
     (packed,) = states.values()   # every strand is closed: one empty diagram
 
     if live == n:

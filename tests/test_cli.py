@@ -841,9 +841,10 @@ def test_a_plain_argv_runs_no_argparse_parse(capsys, monkeypatch):
         assert main(argv) == EXIT_OK, argv
     capsys.readouterr()
     assert calls == []
-    # anything else, here an abbreviated flag, is argparse's: one parse
+    # anything else, here an abbreviated flag, is argparse's: the top-level
+    # parse, which runs the command's parser in turn
     assert main(["jones", "s1", "--back", "anyon"]) == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == 2
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

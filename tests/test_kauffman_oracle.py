@@ -552,13 +552,18 @@ def test_padded_words_use_the_table_of_their_live_width(monkeypatch):
 
 
 def test_wider_words_never_touch_a_table(monkeypatch):
-    widths = []
+    # wider diagrams are stepped by the move that fills the tables
+    widths, stepped = [], set()
+    step = kauffman_oracle._diagram_step
     monkeypatch.setattr(kauffman_oracle, "_table", lambda n: widths.append(n))
+    monkeypatch.setattr(kauffman_oracle, "_diagram_step",
+                        lambda live, diag, slot: stepped.add(live) or step(live, diag, slot))
     rng = random.Random("wide")
     for live in (TABLE_STRANDS + 1, 9, 16):
         for word in _touching_every_strand(rng, live, 5):
             assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
     assert widths == []
+    assert stepped == {TABLE_STRANDS + 1, 9, 16}
 
 
 def test_the_filled_tables_hold_under_1_mb():

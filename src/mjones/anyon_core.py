@@ -34,10 +34,11 @@ those states make an ``automaton.Automaton``, filled on first use, where a
 letter is the exchange's slot among the 2n(2n-1) ordered exchanges and one
 index into its state's row; above that a letter costs O(2^(n-1)), and above
 MAX_PAIRS the backend raises CapacityError.  Either way one numpy step,
-``_step``, computes every amplitude.  No per-letter map hashes a signed
-generator: in CPython hash(-1) == hash(-2), so sigma_1^-1 and sigma_2^-1
-would collide in every dict keyed by them.  A link word's letters index a
-list, and its exchanges' slots are looked up by the (a, b) tuples.
+``_step``, computes every amplitude.  The slots follow the rule of every
+tabled walk: link letter g, sigma_k at k and sigma_k^-1 at -k, is slot g,
+counted from the end when negative, so a link word's letters index the
+slot-ordered exchanges and no per-letter map hashes a signed generator (in
+CPython hash(-1) == hash(-2)).
 """
 
 from __future__ import annotations
@@ -121,11 +122,23 @@ def _vacuum(pairs: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _slots(pairs: int) -> dict[tuple[int, int], int]:
-    """Each ordered exchange (a, b) at this pair count -> its slot, its index
-    in the rows of ``_table``: a before b, both in increasing order."""
+def _exchanges(pairs: int) -> list[tuple[int, int]]:
+    """Every ordered exchange (a, b) at this pair count, in slot order, the
+    order of the rows of ``_table``: link letter g's exchange is at slot g,
+    sigma_k's (a_k, a_{k+1}) at k and sigma_k^-1's (a_{k+1}, a_k) at -k,
+    counted from the end; the others, a before b, fill slot 0 and the slots
+    between."""
+    sigmas = [(_anyon(k), _anyon(k + 1)) for k in range(1, pairs)]
+    inverses = [(b, a) for a, b in reversed(sigmas)]
     anyons = range(1, 2 * pairs + 1)
-    return {ab: i for i, ab in enumerate((a, b) for a in anyons for b in anyons if a != b)}
+    others = [(a, b) for a in anyons for b in anyons if a != b and (a, b) not in sigmas + inverses]
+    return [*others[:1], *sigmas, *others[1:], *inverses]
+
+
+@lru_cache(maxsize=None)
+def _slots(pairs: int) -> dict[tuple[int, int], int]:
+    """Each ordered exchange (a, b) at this pair count -> its slot in ``_exchanges``."""
+    return {ab: i for i, ab in enumerate(_exchanges(pairs))}
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +146,12 @@ def _table(pairs: int) -> Automaton:
     """evolve at this pair count as an ``automaton.Automaton`` over the
     even-sector amplitude arrays reachable from the vacuum, keyed by their
     bytes: == would merge 0.0 and -0.0, which later letters can tell apart.
-    A letter is an exchange's slot (``_slots``), so a row is a list of one
-    entry per ordered exchange, 56 at 4 pairs.  ``_table.cache_clear()``
-    empties every table.  It needs no cap: link letters reach 1 / 11 / 53 /
-    391 states at 1-4 pairs, and all 56 ordered exchanges at 4 pairs 6747
-    states and 377,832 transitions."""
-    exchanges = list(_slots(pairs))
+    A letter is an exchange's slot in ``_exchanges``, so a row is a list of
+    one entry per ordered exchange, 56 at 4 pairs, and link letter g is
+    slot g.  ``_table.cache_clear()`` empties every table.  It needs no cap:
+    link letters reach 1 / 11 / 53 / 391 states at 1-4 pairs, and all 56
+    ordered exchanges at 4 pairs 6747 states and 377,832 transitions."""
+    exchanges = _exchanges(pairs)
     return Automaton(_vacuum(pairs), np.ndarray.tobytes,
                      lambda state, i: _step(state, _sector_exchange(*exchanges[i], pairs)),
                      len(exchanges))
@@ -177,31 +190,13 @@ def _check_capacity(pairs: int) -> None:
         raise CapacityError(f"anyon backend is capped at {MAX_PAIRS} pairs, not {pairs}")
 
 
-def _generator_letter(g: int) -> tuple[int, int]:
-    return (_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
-
-
-@lru_cache(maxsize=None)
-def _generator_letters(strands: int) -> list[tuple[int, int] | None]:
-    """_generator_letter(g) at index g for every generator g on this many
-    strands: sigma_k at k, sigma_k^-1 at -k, that is 2 * strands - 1 - k.
-    Each is the key object of ``_slots(strands)``, so evolve's lookup of it
-    matches on identity, with no tuple compare."""
-    slots = _slots(strands)
-    exchanges = list(slots)
-    letters = [None] * (2 * strands - 1)
-    for k in (*range(1, strands), *range(1 - strands, 0)):
-        letters[k] = exchanges[slots[_generator_letter(k)]]
-    return letters
-
-
 def link_to_anyon_word(word: BraidWord) -> list[tuple[int, int]]:
     """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
-    sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k.  Each
-    letter indexes the width's list of them; a word wider than MAX_PAIRS is
-    refused before that list is built."""
+    sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k: letter g
+    is slot g of ``_exchanges``, a key object of ``_slots`` that evolve matches
+    on identity.  A word wider than MAX_PAIRS is refused before it is built."""
     _check_capacity(word.strands)
-    return list(map(_generator_letters(word.strands).__getitem__, word.letters))
+    return list(map(_exchanges(word.strands).__getitem__, word.letters))
 
 
 def jones_su2_2(word: BraidWord) -> complex:

@@ -1,9 +1,10 @@
 """Walks over finitely many states, run as automata filled on first use.
 
 Majorana exchanges are Clifford (Bravyi & Kitaev 2002), so the anyon and
-spin walks, like the Seifert transfer at a fixed width, reach finitely many
-states.  A letter is an int, an index into its state's row, a list: a known
-letter is one list lookup, and no letter is hashed.  Imports no numpy.
+spin walks, like the Seifert transfer, the bracket's diagrams and the
+closure permutation at a fixed width, reach finitely many states.  A letter
+is an int, one lookup in its state's row, a list, so no letter is hashed; a
+braid letter g (s_k at k, s_k^-1 at -k) is slot g.  Imports no numpy.
 """
 
 import threading

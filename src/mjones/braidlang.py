@@ -21,8 +21,8 @@ The text front end costs about one builtin pass per letter: ``parse_braid``
 matches each distinct token once and maps the token list through those
 letters, a word read from canonical tokens prints as those tokens
 re-joined, and on at most ``PERMUTATION_STRANDS`` strands
-``link_invariants`` steps the closure permutation through a table of its
-n! states, one index and one count per letter.
+``link_invariants`` steps the closure permutation through an automaton of
+its 1 + n!(2n - 2) transitions, one index and one count per letter.
 """
 
 from __future__ import annotations
@@ -223,42 +223,34 @@ class LinkInvariants:
 # the closure permutation of a word on at most this many strands steps
 # through ``_permutation_table``, filled on first use: a letter is one
 # index into a row and one count of its transition, and the counts give
-# every crossing.  The table has n! states, 6 of 5 slots at 3 strands;
-# wider words step the permutation letter by letter
+# every crossing.  The table has 1 + n!(2n - 2) transition states, 25 of 5
+# slots at 3 strands; wider words step the permutation letter by letter
 PERMUTATION_STRANDS = 3
 
 
 @lru_cache(maxsize=None)
 def _permutation_table(strands: int):
-    """(rows, perms, crossing) of the closure permutation at this width.
+    """The closure permutation at this width as a filled
+    ``automaton.Automaton`` whose states are its transitions.  State 0,
+    ``(identity, 0, 0)``, enters the identity; every other state is one
+    letter from one permutation, ``(perm, a * strands + b, sign)``: the
+    strand at each position after the letter, strand a crossing strand b
+    from the left, and the letter's sign.  Letter g (s_k at k, s_k^-1 at -k)
+    is slot g of 2 * strands - 1.  ``_permutation_table.cache_clear()``
+    empties every table."""
+    from .automaton import Automaton   # here, so that parsing loads only this module
 
-    Transition 0 enters the identity; every other transition is one letter
-    from one permutation.  ``rows[t]`` is the row of the permutation that
-    transition t leads to, whose slot g (s_k at k, s_k^-1 at -k) holds the
-    transition of letter g from there; ``perms[t]`` is that permutation,
-    the strand at each position, and ``crossing[t]`` the letter's
-    ``(a * strands + b, sign)``, strand a crossing strand b from the left.
-    ``_permutation_table.cache_clear()`` empties every table."""
-    slots = 2 * strands - 1
-    states = [tuple(range(strands))]
-    ids = {states[0]: 0}
-    state_rows = []
-    target, crossing = [0], [None]
-    for perm in states:     # grows as permutations are found
-        row = [0] * slots
-        for k in range(strands - 1):
-            a, b = perm[k], perm[k + 1]
-            after = perm[:k] + (b, a) + perm[k + 2:]
-            s = ids.setdefault(after, len(states))
-            if s == len(states):
-                states.append(after)
-            for g in (k + 1, -k - 1):
-                row[g] = len(target)
-                target.append(s)
-                crossing.append((a * strands + b, 1 if g > 0 else -1))
-        state_rows.append(tuple(row))
-    return (tuple(state_rows[s] for s in target), tuple(states[s] for s in target),
-            tuple(crossing))
+    def swap(state, g):
+        perm, k = state[0], abs(g) - 1
+        a, b = perm[k], perm[k + 1]
+        return perm[:k] + (b, a) + perm[k + 2:], a * strands + b, 1 if g > 0 else -1
+
+    table = Automaton((tuple(range(strands)), 0, 0), lambda state: state, swap, 2 * strands - 1)
+    for s, _ in enumerate(table.states):     # grows as transitions are found
+        for k in range(1, strands):
+            table.step(s, k)
+            table.step(s, -k)
+    return table
 
 
 def link_invariants(word: BraidWord) -> LinkInvariants:
@@ -277,13 +269,13 @@ def link_invariants(word: BraidWord) -> LinkInvariants:
     n = word.strands
     crossed: dict[int, int] = {}
     if n <= PERMUTATION_STRANDS:
-        rows, perms, crossing = _permutation_table(n)
-        t, times = 0, [0] * len(rows)
+        table = _permutation_table(n)
+        rows, t, times = table.rows, 0, [0] * len(table.rows)
         for g in word.letters:
             t = rows[t][g]
             times[t] += 1
-        at_pos = perms[t]
-        for (key, sign), count in zip(crossing[1:], times[1:]):
+        at_pos = table.states[t][0]
+        for (_, key, sign), count in zip(table.states[1:], times[1:]):
             if count:
                 crossed[key] = crossed.get(key, 0) + sign * count
     else:

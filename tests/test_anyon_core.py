@@ -14,8 +14,9 @@ from mjones import braidlang, kauffman_oracle, seifert, spin_sim
 from mjones.anyon_core import (
     MAX_PAIRS,
     QUANTUM_DIMENSION,
+    _anyon,
     _even,
-    _generator_letter,
+    _exchanges,
     _sector_exchange,
     _slots,
     _table,
@@ -118,11 +119,22 @@ def test_evolve_bytes_are_pinned():
     assert digest.hexdigest() == EVOLVE_SHA256
 
 
+def _generator_letter(g):
+    # the reference exchange of braid letter g: sigma_k is (a_k, a_{k+1})
+    return (_anyon(g), _anyon(g + 1)) if g > 0 else (_anyon(1 - g), _anyon(-g))
+
+
 def test_link_letters_are_the_per_letter_exchanges():
-    # sigma_k^-1 indexes slot 2n - 1 - k of the width's list: words that use
-    # +-1 and +-(n - 1) at 1-16 strands would show a slot two letters share
+    # sigma_k^-1 indexes slot -k of the width's exchanges, counted from the
+    # end: words that use +-1 and +-(n - 1) at 1-16 strands would show a
+    # slot two letters share
     rng = random.Random("link-letters")
     for strands in range(1, 17):
+        exchanges = _exchanges(strands)
+        assert len(exchanges) == len(set(exchanges)) == 2 * strands * (2 * strands - 1)
+        for g in range(1 - strands, strands):
+            if g:
+                assert exchanges[g] == _generator_letter(g), (strands, g)
         ends = sorted({1, -1, strands - 1, 1 - strands}) if strands > 1 else []
         for _ in range(20):
             letters = ends + [rng.choice([-1, 1]) * rng.randint(1, strands - 1)

@@ -407,8 +407,9 @@ def _link_invariants_by_letter(word):
 
 def test_permutation_table_equals_the_per_letter_pass():
     assert braidlang.PERMUTATION_STRANDS == 3
-    rows, perms, _ = braidlang._permutation_table(3)
-    assert len(set(perms)) == 6 and {len(row) for row in rows} == {5}
+    table = braidlang._permutation_table(3)
+    assert len(table.states) == 25 and {len(row) for row in table.rows} == {5}
+    assert len({perm for perm, _, _ in table.states}) == 6
     # every word of at most 7 letters at 1-3 strands
     for strands in (1, 2, 3):
         alphabet = [g for k in range(1, strands) for g in (k, -k)]

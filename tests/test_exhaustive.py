@@ -38,15 +38,9 @@ def _move(automaton, state, letter):
     return automaton.step(state, letter) if t is None else t
 
 
-def _anyon_letter(strands):
-    # a braid letter's exchange, then that exchange's slot in the anyon table
-    slots = anyon_core._slots(strands)
-    return lambda g: slots[anyon_core._generator_letter(g)]
-
-
 def _search(strands, automata):
     """{(ids, at_pos, columns used): shortest word} over every reachable state
-    of the automata, each given with the map from a braid letter to its own."""
+    of the automata, each of which reads braid letter g in slot g."""
     letters = [g for k in range(1, strands) for g in (k, -k)]
     start = ((0,) * len(automata), tuple(range(strands)), frozenset())
     word_of = {start: ()}
@@ -58,8 +52,7 @@ def _search(strands, automata):
             k = abs(g) - 1
             order = list(at_pos)
             order[k], order[k + 1] = order[k + 1], order[k]
-            after = (tuple(_move(automaton, s, letter_of(g))
-                           for (automaton, letter_of), s in zip(automata, ids)),
+            after = (tuple(_move(automaton, s, g) for automaton, s in zip(automata, ids)),
                      tuple(order), used | {k + 1})
             if after not in word_of:
                 word_of[after] = word_of[state] + (g,)
@@ -74,7 +67,7 @@ def _where(strands, word):
 @pytest.mark.parametrize("strands, states, spin_states", [(2, 11, 4), (3, 53, 24)])
 def test_every_word_agrees_on_the_anyon_and_spin_walks(strands, states, spin_states):
     anyon, spin = anyon_core._table(strands), spin_sim._walk_tables()
-    word_of = _search(strands, [(anyon, _anyon_letter(strands)), (spin, lambda g: g)])
+    word_of = _search(strands, [anyon, spin])
     scale = math.sqrt(2.0) ** (strands - 1)
     for ((a, s), at_pos, _), word in word_of.items():
         where = _where(strands, word)
@@ -99,7 +92,7 @@ def test_every_word_agrees_on_the_anyon_walk_and_the_seifert_stream(
     # V_anyon is 0 exactly where the Gauss sum is, else (-1)^arf sqrt(2)^(m-1),
     # and the elimination drops m - pieces constraints
     anyon, stream = anyon_core._table(strands), seifert._table(strands)
-    word_of = _search(strands, [(anyon, _anyon_letter(strands)), (stream, lambda g: g)])
+    word_of = _search(strands, [anyon, stream])
     scale = math.sqrt(2.0) ** (strands - 1)
     for ((a, s), at_pos, used), word in word_of.items():
         where = _where(strands, word)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mjones import anyon_core, kauffman_oracle
+from mjones import anyon_core, braidlang, kauffman_oracle
 from mjones.automaton import Automaton
 from mjones.braidlang import (
     BraidWord,
@@ -601,10 +601,14 @@ def test_the_filled_tables_hold_under_1_mb():
 ])
 def test_the_bracket_stays_off_the_shared_automaton_run(monkeypatch, capsys, text, value):
     # a fault in Automaton.run, which the anyon, spin and Seifert routes
-    # share, must not reach the bracket, so a comparison still catches it
+    # share, must not reach the bracket or the closure invariants, so a
+    # comparison still catches it
+    word = parse_braid(text)
+    invariants = link_invariants(word)
     run = Automaton.run
     monkeypatch.setattr(Automaton, "run", lambda self, letters: run(self, list(letters)[:-1]))
-    word = parse_braid(text)
+    braidlang._permutation_table.cache_clear()     # refilled under the fault
+    assert link_invariants(word) == invariants
     assert jones_at_i(word) == pytest.approx(value, abs=1e-12)
     assert abs(anyon_core.jones_su2_2(word) - value) > 0.4
     assert main(["jones", text, "--backend", "all"]) != 0

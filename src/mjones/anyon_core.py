@@ -34,11 +34,14 @@ those states make an ``automaton.Automaton``, filled on first use, where a
 letter is the exchange's slot among the 2n(2n-1) ordered exchanges and one
 index into its state's row; above that a letter costs O(2^(n-1)), and above
 MAX_PAIRS the backend raises CapacityError.  Either way one numpy step,
-``_step``, computes every amplitude.  The slots follow the rule of every
-tabled walk: link letter g, sigma_k at k and sigma_k^-1 at -k, is slot g,
-counted from the end when negative, so a link word's letters index the
-slot-ordered exchanges and no per-letter map hashes a signed generator (in
-CPython hash(-1) == hash(-2)).
+``_step``, computes every amplitude.  ``evolve``'s letters are slots: slot
+g is ``_exchanges(n)[g]``, counted from the end when negative, and link
+letter g, sigma_k at k and sigma_k^-1 at -k, is slot g, as on every tabled
+walk.  So a link word's own letters run on the table, and no per-letter map
+hashes a signed generator (in CPython hash(-1) == hash(-2)) or an exchange
+pair.  ``link_to_anyon_word`` spells out the exchanges of a link word; no
+backend calls it, and it stays because the benchmark's tracer wraps it by
+name.
 """
 
 from __future__ import annotations
@@ -136,12 +139,6 @@ def _exchanges(pairs: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _slots(pairs: int) -> dict[tuple[int, int], int]:
-    """Each ordered exchange (a, b) at this pair count -> its slot in ``_exchanges``."""
-    return {ab: i for i, ab in enumerate(_exchanges(pairs))}
-
-
-@lru_cache(maxsize=None)
 def _table(pairs: int) -> Automaton:
     """evolve at this pair count as an ``automaton.Automaton`` over the
     even-sector amplitude arrays reachable from the vacuum, keyed by their
@@ -158,28 +155,26 @@ def _table(pairs: int) -> Automaton:
 
 
 def evolve(letters, pairs: int) -> np.ndarray:
-    """U|0...0> for a word of exchange letters (a, b), first letter first.
+    """U|0...0> for a word of exchange slots, first letter first: slot g is
+    the exchange ``_exchanges(pairs)[g]``, so link letter g is slot g.
 
     Every exchange conserves fermion parity, so only the 2^(pairs-1)
     even-parity amplitudes are stepped; the odd ones stay exactly 0j.  At
-    most TABLE_PAIRS pairs the letters' slots run on the automaton of
-    ``_table``, once every letter has one."""
+    most TABLE_PAIRS pairs the letters run on the automaton of ``_table``;
+    above it each distinct slot's kernel is looked up once.  A slot outside
+    the 2 * pairs * (2 * pairs - 1) exchanges raises IndexError, and no
+    state or transition is kept for it."""
     _check_capacity(pairs)
     if pairs <= TABLE_PAIRS:
-        slots = _slots(pairs)
-        try:
-            letters = list(map(slots.__getitem__, letters))
-        except KeyError as miss:
-            _sector_exchange(*miss.args[0], pairs)     # raises its ValueError
-            raise
         table = _table(pairs)
         state = table.states[table.run(letters)]
     else:
         letters = list(letters)
-        kernels = {ab: _sector_exchange(*ab, pairs) for ab in dict.fromkeys(letters)}
+        exchanges = _exchanges(pairs)
+        kernels = {g: _sector_exchange(*exchanges[g], pairs) for g in dict.fromkeys(letters)}
         state = _vacuum(pairs)
-        for ab in letters:
-            state = _step(state, kernels[ab])
+        for g in letters:
+            state = _step(state, kernels[g])
     full = np.zeros(1 << pairs, dtype=complex)
     full[_even(pairs)] = state
     return full
@@ -191,21 +186,23 @@ def _check_capacity(pairs: int) -> None:
 
 
 def link_to_anyon_word(word: BraidWord) -> list[tuple[int, int]]:
-    """Exchange letters of a link word: sigma_k -> (a_k, a_{k+1}) and
-    sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k: letter g
-    is slot g of ``_exchanges``, a key object of ``_slots`` that evolve matches
-    on identity.  A word wider than MAX_PAIRS is refused before it is built."""
+    """The exchanges of a link word's letters: sigma_k -> (a_k, a_{k+1}) and
+    sigma_k^-1 -> (a_{k+1}, a_k), where strand k carries anyon a_k, letter g
+    being slot g of ``_exchanges``.  ``evolve`` takes the letters themselves
+    as slots, so no backend calls this; it stays because the benchmark's
+    tracer wraps it by name.  A word wider than MAX_PAIRS is refused before
+    it is built."""
     _check_capacity(word.strands)
     return list(map(_exchanges(word.strands).__getitem__, word.letters))
 
 
 def jones_su2_2(word: BraidWord) -> complex:
     """Signed Jones value at t = i of the word's closure, one pair per strand."""
-    state = evolve(link_to_anyon_word(word), word.strands)
+    state = evolve(word.letters, word.strands)
     return QUANTUM_DIMENSION ** (word.strands - 1) * complex(state[0])
 
 
 def jones_majorana_abs(word: BraidWord) -> float:
     """|V| at t = i via the amplitude-magnitude relation 2^{(n-1)/2} |<0|U|0>|."""
-    state = evolve(link_to_anyon_word(word), word.strands)
+    state = evolve(word.letters, word.strands)
     return 2.0 ** ((word.strands - 1) / 2.0) * abs(complex(state[0]))

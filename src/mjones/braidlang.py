@@ -351,9 +351,8 @@ def lookup_arf_data(word: BraidWord) -> GaussSum:
     (``seifert.sum_loops``)."""
     from . import seifert   # here, so that parsing loads only this module
 
-    zero, negative, dropped = seifert.sum_loops(word.strands, word.letters)
+    zero, negative, dropped, used = seifert.sum_loops(word.strands, word.letters)
     # each column in use joins two discs into one surface piece
-    used = len(set(map(abs, word.letters)))
     return GaussSum(zero, negative, dropped, len(word.letters) - used, word.strands - used)
 
 

@@ -71,6 +71,10 @@ EXIT_INTERNAL = 4
 CSV_HEADER = ("word,writhe,components,proper,V_anyon_re,V_anyon_im,"
               "V_abs_majorana,V_kauffman_re,V_kauffman_im,agree")
 
+# both JSON reports: json.dumps(obj, sort_keys=True) would build this
+# encoder anew on every call
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 class FlagError(ValueError):
     """An invalid flag value; a backend's own ValueError stays an internal error."""
@@ -256,7 +260,7 @@ def cmd_jones(args) -> int:
         raise FlagError("tolerance must be finite and positive")
     payload, timing = run_jones(parse_braid(args.word), args.backend, args.tau, args.tolerance)
     if args.output == "json":
-        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True))
+        _emit(_JSON.encode({"payload": payload, "timing": timing}))
     else:
         _emit(_report_csv(payload) if args.output == "csv" else _report_text(payload))
     return EXIT_OK if payload["agreement"]["agree"] else EXIT_DISAGREE
@@ -286,7 +290,7 @@ def cmd_verify(args) -> int:
             "artifacts": verify.report_artifacts(matrices),
         }
         timing = {r.name: r.elapsed for r in results}
-        _emit(json.dumps({"payload": payload, "timing": timing}, sort_keys=True))
+        _emit(_JSON.encode({"payload": payload, "timing": timing}))
     else:
         width = max(len(r.name) for r in results)
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.describe(with_time=True)}"

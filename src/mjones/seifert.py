@@ -76,12 +76,15 @@ def _transfer(state, g):
     return signs[:i] + (sign,) + signs[i + 1:], tuple(flags), phi, d
 
 
-def _value(state) -> tuple[bool, bool, int]:
-    """(zero, negative, dropped) of G, from d and the sum of Phi."""
-    total = sum(state[2])
+def _value(state) -> tuple[bool, bool, int, int]:
+    """(zero, negative, dropped) of G, from d and the sum of Phi, and the
+    columns used, those whose last sign is not 0."""
+    signs, _, phi, d = state
+    used = len(signs) - signs.count(0)
+    total = sum(phi)
     if not total:
-        return True, False, 0
-    return False, total < 0, state[3] + 2 * (abs(total).bit_length() - 1)
+        return True, False, 0, used
+    return False, total < 0, d + 2 * (abs(total).bit_length() - 1), used
 
 
 @lru_cache(maxsize=None)
@@ -94,9 +97,10 @@ def _table(strands: int) -> Automaton:
     return Automaton(start, lambda state: state, _transfer, 2 * strands - 1, _value)
 
 
-def _streamed(strands: int, letters) -> tuple[bool, bool, int]:
+def _streamed(strands: int, letters) -> tuple[bool, bool, int, int]:
     """(zero, negative, dropped) of the word's G, each loop summed out once
-    no later loop can meet it and it is alone or has such a neighbour.
+    no later loop can meet it and it is alone or has such a neighbour, and
+    the columns used, counted from the pre-pass's ``last``.
 
     Two consecutive letters of column k, at times p < t, bound a loop with
     q = 1 iff they have the same sign.  It meets the next loop of column k
@@ -119,6 +123,7 @@ def _streamed(strands: int, letters) -> tuple[bool, bool, int]:
     last = [-1] * (strands + 1)
     for t, g in enumerate(letters):
         last[-g if g < 0 else g] = t
+    used = len(last) - last.count(-1)
     when = [-1] * (strands + 1)     # each column's last letter time; 0 and n stay -1
     sign = [0] * (strands + 1)      # that letter
     pending = [[] for _ in range(strands + 1)]
@@ -170,7 +175,7 @@ def _streamed(strands: int, letters) -> tuple[bool, bool, int]:
                 near = edges[a]
                 if not near:
                     if diag[a]:
-                        return True, False, 0
+                        return True, False, 0, used
                     dropped += 1
                     dead ^= bit_a
                     spare.append(a)
@@ -201,12 +206,13 @@ def _streamed(strands: int, letters) -> tuple[bool, bool, int]:
                         edges[c] ^= only_a ^ bit_b
                         diag[c] ^= qa ^ in_a
         when[k], sign[k] = t, g
-    return False, bool(negative), dropped
+    return False, bool(negative), dropped, used
 
 
-def sum_loops(strands: int, letters) -> tuple[bool, bool, int]:
+def sum_loops(strands: int, letters) -> tuple[bool, bool, int, int]:
     """(zero, negative, dropped) of the Gauss sum of the Seifert form of the
-    closure of ``letters`` on ``strands`` strands: on the automaton of
+    closure of ``letters`` on ``strands`` strands, and the number of columns
+    the letters use, read from the same walk: on the automaton of
     ``_table`` at most ``TABLE_STRANDS`` strands, else by ``_streamed``."""
     if strands <= TABLE_STRANDS:
         table = _table(strands)

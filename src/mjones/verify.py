@@ -154,7 +154,7 @@ def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     for _, word, v in GOLDEN_LINKS:
-        state = anyon_core.evolve(anyon_core.link_to_anyon_word(word), word.strands)
+        state = anyon_core.evolve(word.letters, word.strands)
         worst = max(worst, abs(abs(complex(state[0])) - _golden_amplitude(word, v)))
     ok = worst <= 1e-12
     return CheckResult(

@@ -5,7 +5,7 @@ import math
 import random
 import sys
 import threading
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -18,8 +18,9 @@ from mjones.anyon_core import (
     _even,
     _exchanges,
     _sector_exchange,
-    _slots,
+    _step,
     _table,
+    _vacuum,
     braid_generators,
     evolve,
     jones_majorana_abs,
@@ -35,6 +36,17 @@ TREFOIL = BraidWord(2, (1, 1, 1))
 SOLOMON = BraidWord(2, (1, 1, 1, 1))
 FIG8 = BraidWord(3, (1, -2, 1, -2))
 BORROMEAN = BraidWord(3, (1, -2, 1, -2, 1, -2))
+
+
+@lru_cache(maxsize=None)
+def _slot_of(pairs):
+    # each ordered exchange (a, b) -> its slot, the index evolve takes
+    return {ab: g for g, ab in enumerate(_exchanges(pairs))}
+
+
+def slots(exchanges, pairs):
+    """The slots of exchange letters (a, b): evolve's letters for them."""
+    return [_slot_of(pairs)[ab] for ab in exchanges]
 
 
 def random_word(rng, strands, max_letters):
@@ -90,9 +102,9 @@ def test_evolve_identity_and_order():
     assert np.allclose(evolve([], 2), vacuum)
     b1, b2, b3 = braid_generators(2)
     # first letter acts first: word (1,2) (2,3) is the product B2 B1
-    assert np.allclose(evolve([(1, 2), (2, 3)], 2), b2 @ b1 @ vacuum)
+    assert np.allclose(evolve(slots([(1, 2), (2, 3)], 2), 2), b2 @ b1 @ vacuum)
     # the reversed pair is the inverse exchange
-    assert np.allclose(evolve([(2, 3), (3, 2)], 2), vacuum, atol=1e-12)
+    assert np.allclose(evolve(slots([(2, 3), (3, 2)], 2), 2), vacuum, atol=1e-12)
 
 
 # sha256 over the bytes of every evolve output below, pinned when every
@@ -111,7 +123,7 @@ def test_evolve_bytes_are_pinned():
             word = random_word(rng, pairs, 40)
             exchanges = [tuple(rng.sample(range(1, 2 * pairs + 1), 2))
                          for _ in range(rng.randint(0, 40))]
-            for letters in (link_to_anyon_word(word), exchanges):
+            for letters in (word.letters, slots(exchanges, pairs)):
                 state = evolve(letters, pairs)
                 # exactly +0.0 in both parts, not merely equal to zero
                 assert state[odd].tobytes() == bytes(16 * len(odd))
@@ -142,25 +154,46 @@ def test_link_letters_are_the_per_letter_exchanges():
             rng.shuffle(letters)
             word = BraidWord(strands, tuple(letters))
             assert link_to_anyon_word(word) == [_generator_letter(g) for g in letters]
-            # each is the slot map's own key object, so evolve's lookup of
-            # it is an identity match
-            keys = set(map(id, _slots(strands)))
-            assert all(id(ab) in keys for ab in link_to_anyon_word(word))
+
+
+def test_evolve_of_link_letters_is_the_step_of_their_exchanges():
+    # link letter g is slot g: the word's own letters evolve, byte for byte,
+    # as _step over each letter's exchange _exchanges(n)[g], on the table
+    # at 1-4 pairs and stepped per letter at 5-8
+    rng = random.Random("letters-are-slots")
+    for pairs in range(1, 9):
+        exchanges = _exchanges(pairs)
+        for _ in range(12):
+            word = random_word(rng, pairs, 200)
+            state = _vacuum(pairs)
+            for g in word.letters:
+                state = _step(state, _sector_exchange(*exchanges[g], pairs))
+            full = np.zeros(1 << pairs, dtype=complex)
+            full[_even(pairs)] = state
+            assert evolve(word.letters, pairs).tobytes() == full.tobytes(), (pairs, word)
 
 
 def test_evolve_rejects_bad_index():
-    # the bad letter is refused before it reaches the table
+    # a slot past the 2n(2n - 1) exchanges is refused before the table
+    # changes, and above TABLE_PAIRS before any letter is stepped
     _table.cache_clear()
-    evolve([(1, 2), (4, 3)], 2)
+    evolve(slots([(1, 2), (4, 3)], 2), 2)
+    evolve([1], 2)
     table = _table(2)
     filled = (len(table.states), [list(row) for row in table.rows])
+    for bad in (12, -13, 100):
+        with pytest.raises(IndexError):
+            evolve([1, bad], 2)
+        assert (len(table.states), table.rows) == filled
+    with pytest.raises(IndexError):
+        evolve([1, 90], 5)
+    # an exchange outside the modes has no kernel
     with pytest.raises(ValueError, match=r"^exchange \(3, 5\) out of range for 2 pairs$"):
-        evolve([(3, 5)], 2)
-    assert (len(table.states), table.rows) == filled
+        _sector_exchange(3, 5, 2)
     with pytest.raises(ValueError):
-        evolve([(0, 1)], 3)
+        _sector_exchange(0, 1, 3)
     with pytest.raises(ValueError):
-        evolve([(2, 2)], 3)
+        _sector_exchange(2, 2, 3)
 
 
 def test_pair_count_above_the_cap_is_a_capacity_error():
@@ -177,8 +210,8 @@ def test_pair_count_above_the_cap_is_a_capacity_error():
 
 def test_vacuum_amplitudes():
     assert complex(evolve([], 3)[0]) == 1
-    assert abs(complex(evolve([(2, 3)] * 2, 2)[0])) < 1e-14
-    assert complex(evolve([(2, 3)] * 3, 2)[0]) == pytest.approx(-1 / math.sqrt(2))
+    assert abs(complex(evolve(slots([(2, 3)] * 2, 2), 2)[0])) < 1e-14
+    assert complex(evolve(slots([(2, 3)] * 3, 2), 2)[0]) == pytest.approx(-1 / math.sqrt(2))
 
 
 def test_conjugated_exchange_matches_direct_form():
@@ -191,18 +224,18 @@ def test_conjugated_exchange_matches_direct_form():
                   for m in (rng.randint(1, 5) for _ in range(12))]
         for direct, conjugated in (((a, c), [(b, c), (a, b), (c, b)]),
                                    ((c, a), [(b, c), (b, a), (c, b)])):
-            assert np.max(np.abs(evolve(prefix + [direct], 3)
-                                 - evolve(prefix + conjugated, 3))) < 1e-12
+            assert np.max(np.abs(evolve(slots(prefix + [direct], 3), 3)
+                                 - evolve(slots(prefix + conjugated, 3), 3))) < 1e-12
     # the Borromean rings with sigma_2^-1 = (5, 3) written as B4 B3 B4^-1
     b1, b2, b3, b4, b5 = braid_generators(3)
     conjugated = np.linalg.matrix_power(b4 @ b3 @ np.linalg.inv(b4) @ b2, 3)[:, 0]
-    direct = evolve(link_to_anyon_word(BORROMEAN), 3)
+    direct = evolve(BORROMEAN.letters, 3)
     assert np.max(np.abs(direct - conjugated)) < 1e-12
     assert complex(conjugated[0]) == pytest.approx(-1)
 
 
 def test_figure_eight_amplitude_magnitude():
-    u = evolve(link_to_anyon_word(FIG8), 3)
+    u = evolve(FIG8.letters, 3)
     assert abs(complex(u[0])) == pytest.approx(0.5)
 
 
@@ -212,7 +245,7 @@ def test_amplitude_bounded_by_one():
         pairs = rng.randint(1, 5)
         letters = [tuple(rng.sample(range(1, 2 * pairs + 1), 2))
                    for _ in range(rng.randint(0, 10))]
-        state = evolve(letters, pairs)
+        state = evolve(slots(letters, pairs), pairs)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
         assert abs(complex(state[0])) <= 1 + 1e-12
 
@@ -255,6 +288,36 @@ def test_jones_majorana_abs_golden():
 def test_jones_majorana_abs_matches_signed_magnitude():
     for word in (HOPF, TREFOIL, SOLOMON, FIG8, BORROMEAN):
         assert jones_majorana_abs(word) == pytest.approx(abs(jones_su2_2(word)), abs=1e-12)
+
+
+def test_the_anyon_backend_hands_the_word_letters_to_the_table(monkeypatch, capsys):
+    # jones --backend anyon runs the parsed word's own letters tuple on the
+    # anyon table, once per evolution, with no per-letter exchange list
+    from mjones import anyon_core, cli
+
+    parsed, runs = [], []
+    parse, run = cli.parse_braid, Automaton.run
+
+    def spy_parse(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    def spy_run(self, letters):
+        runs.append((self, letters))
+        return run(self, letters)
+
+    def refuse(word):
+        raise AssertionError("link_to_anyon_word called")
+
+    monkeypatch.setattr(cli, "parse_braid", spy_parse)
+    monkeypatch.setattr(Automaton, "run", spy_run)
+    monkeypatch.setattr(anyon_core, "link_to_anyon_word", refuse)
+    assert cli.main(["jones", "s1 s2^-1 s1 s2^-1", "--backend", "anyon"]) == 0
+    assert "agreement: yes" in capsys.readouterr().out
+    (word,) = parsed
+    table = _table(word.strands)
+    handed = [letters for automaton, letters in runs if automaton is table]
+    assert len(handed) == 2 and all(letters is word.letters for letters in handed)
 
 
 def test_signed_agreement_with_bracket_oracle_on_random_words():
@@ -360,7 +423,7 @@ def test_table_evolve_equals_the_per_letter_step_bitwise():
         if order == "shuffled":
             random.Random(order).shuffle(cases)
         _table.cache_clear()     # fresh tables, filled in this order
-        assert [evolve(letters, pairs).tobytes() for letters, pairs, _ in cases] == [
+        assert [evolve(slots(letters, pairs), pairs).tobytes() for letters, pairs, _ in cases] == [
             want for _, _, want in cases]
 
 
@@ -393,13 +456,12 @@ def test_the_orbit_of_the_vacuum_is_finite(alphabet, pairs, states, transitions)
     # the table, filled by the same search, holds the same states and edges
     _table.cache_clear()
     table = _table(pairs)
-    slots = _slots(pairs)
     for s, _ in enumerate(table.states):
-        for ab in letters:
-            table.step(s, slots[ab])
+        for g in slots(letters, pairs):
+            table.step(s, g)
     table_keys = [full_bytes(state, pairs) for state in table.states]
     assert table_keys == keys
-    exchanges = list(slots)
+    exchanges = _exchanges(pairs)
     assert {(table_keys[s], exchanges[i]): table_keys[t]
             for s, row in enumerate(table.rows) for i, t in enumerate(row) if t is not None} == edges
 
@@ -426,8 +488,8 @@ def test_a_filled_table_makes_one_lookup_per_letter(monkeypatch):
     # once every transition of the words is known, the miss path never runs,
     # on the anyon tables and on the spin walk's
     rng = random.Random("filled")
-    words = [([rng.choice(all_exchanges(pairs)) for _ in range(rng.randint(0, 300))], pairs)
-             for pairs in (1, 2, 3, 4) for _ in range(20)]
+    words = [(slots([rng.choice(all_exchanges(pairs)) for _ in range(rng.randint(0, 300))], pairs),
+              pairs) for pairs in (1, 2, 3, 4) for _ in range(20)]
     walks = spin_words(rng, 40, 300)
     _table.cache_clear()
     spin_sim._walk_tables.cache_clear()
@@ -448,7 +510,8 @@ def anyon_round(rng):
     # at 4 pairs under all 56 exchanges nearly every word misses
     exchanges = all_exchanges(4)
     words = [[rng.choice(exchanges) for _ in range(300)] for _ in range(8)]
-    return (_table.cache_clear, lambda: _table(4), lambda letters: evolve(letters, 4).tobytes(),
+    return (_table.cache_clear, lambda: _table(4),
+            lambda letters: evolve(slots(letters, 4), 4).tobytes(),
             words, [reference_prefix_bytes(letters, 4, {300})[300] for letters in words], 56)
 
 
@@ -467,7 +530,7 @@ def seifert_round(rng):
     words = spin_words(rng, 16, 300)
     return (seifert._table.cache_clear, lambda: seifert._table(3),
             lambda word: braidlang.lookup_arf_data(word)[:3], words,
-            [seifert._streamed(3, word.letters) for word in words], 5)
+            [seifert._streamed(3, word.letters)[:3] for word in words], 5)
 
 
 def bracket_round(rng):

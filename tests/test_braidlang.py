@@ -777,6 +777,31 @@ def test_table_equals_the_per_letter_stream(strands):
             want for _, want in cases]
 
 
+def test_the_walk_counts_the_columns_used():
+    # lookup_arf_data reads the columns in use from the Gauss sum's own walk:
+    # the nonzero signs of the table's final state, the stream's pre-pass.
+    # 960 seeded words of 1-16 strands on random subsets of the columns,
+    # through the table (at most TABLE_STRANDS strands) and the stream at
+    # every width, the stream's G = 0 words returning early
+    rng = random.Random("columns")
+    early = 0
+    for strands in range(1, 17):
+        for _ in range(60):
+            columns = rng.sample(range(1, strands), rng.randint(0, strands - 1))
+            letters = tuple(rng.choice([-1, 1]) * rng.choice(columns)
+                            for _ in range(rng.randint(0, 60) if columns else 0))
+            want = len(set(map(abs, letters)))
+            if strands <= seifert.TABLE_STRANDS:
+                table = seifert._table(strands)
+                assert table.values[table.run(letters)][3] == want, (strands, letters)
+            streamed = seifert._streamed(strands, letters)
+            assert streamed[3] == want, (strands, letters)
+            early += streamed[0]
+            word = BraidWord(strands, letters)
+            assert lookup_arf_data(word).pieces == strands - want, word
+    assert early > 200, early
+
+
 def test_memory_does_not_grow_with_the_letters():
     # known defect 5: the whole form of a 10^5-letter word took hundreds of MB
     import tracemalloc
@@ -815,7 +840,7 @@ def test_the_per_letter_stream_holds_little_memory(strands):
     for letters in (*unlinks, torus):
         tracemalloc.start()
         try:
-            zero, negative, dropped = seifert._streamed(strands, letters)
+            zero, negative, dropped, _ = seifert._streamed(strands, letters)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

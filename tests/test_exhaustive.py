@@ -90,14 +90,16 @@ def test_every_word_agrees_on_the_anyon_and_spin_walks(strands, states, spin_sta
 def test_every_word_agrees_on_the_anyon_walk_and_the_seifert_stream(
         strands, states, table_states, anyon_states):
     # V_anyon is 0 exactly where the Gauss sum is, else (-1)^arf sqrt(2)^(m-1),
-    # and the elimination drops m - pieces constraints
+    # the elimination drops m - pieces constraints, and the table's final
+    # state counts the columns the word used
     anyon, stream = anyon_core._table(strands), seifert._table(strands)
     word_of = _search(strands, [anyon, stream])
     scale = math.sqrt(2.0) ** (strands - 1)
     for ((a, s), at_pos, used), word in word_of.items():
         where = _where(strands, word)
         value = scale * complex(anyon.states[a][0])
-        zero, negative, dropped = stream.values[s]
+        zero, negative, dropped, columns = stream.values[s]
+        assert columns == len(used), f"{columns} columns used, not {len(used)}: {where}"
         m = _cycles(at_pos)
         want = 0.0 if zero else (-1) ** negative * math.sqrt(2.0) ** (m - 1)
         assert abs(value - want) <= TOL, f"V_anyon {value} != arf route {want}: {where}"

@@ -5,11 +5,15 @@ model: reading the word left to right, each letter sigma_i^(+-1) acts as
 A^(+-1) * 1 + A^(-+1) * e_i on partial diagrams, and each state of the
 closure contributes A^(a-b) d^(loops-1) with d = -A^2 - A^-2.  Strands are
 joined to their trace arcs as soon as no later letter touches them, so the
-transfer only tracks diagrams on the strands still in play.  On at most
-``TABLE_STRANDS`` live strands the diagrams are the states of an
-``automaton.Automaton`` kept per width and filled on first use, so a step
-is a list lookup.  Wider diagrams are stepped by the same move that fills
-the tables, ``_diagram_step``, and are not kept, as a kept table of them
+transfer only tracks diagrams on the strands still in play.  A letter is
+one pass over the live diagrams: each diagram's letter move gives both
+smoothings, each followed by the closings of the strands the letter is the
+last to touch.  On at most ``TABLE_STRANDS`` live strands the diagrams are
+the states of an ``automaton.Automaton`` kept per width and filled on first
+use, and each diagram's letter moves are kept on the same table, so a
+letter is one dict lookup per live diagram.  Wider diagrams take the same
+letter move, computed from ``_diagram_step``, the step that fills the
+tables, on every use, and nothing of them is kept, as a kept table of them
 would grow without bound.
 
 Loops are folded as they close: a closing loop multiplies its diagram's
@@ -29,7 +33,7 @@ and adds plus a fixed overhead, and the word is refused with
 ``CapacityError`` once the running total passes ``MAX_TRANSFER_WORK``,
 under a second of work.  Wide words whose letters close strands are
 under-charged, as their weights grow faster than the charge counts: s1 s2
-... s2047 is refused at letter 1559 after about ten seconds.
+... s2047 is refused at letter 1559 after about five seconds.
 
 Smoothing convention: for a positive letter the A-smoothing is the
 identity-like (vertical) one and the A^-1-smoothing the cap-cup; negative
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .automaton import Automaton
 from .braidlang import BraidWord, CapacityError
@@ -71,11 +75,13 @@ TRANSITION_BITS = 20_000
 PRODUCT_BITS = 140
 
 # words on at most this many live strands step a kept ``_table`` of
-# diagrams, a transition one list lookup: 2 / 5 / 15 / 53 / 212 / 931
-# diagrams at 1-6 live strands, all six tables filled 0.30 MB under
-# tracemalloc.  Wider words step their diagrams by ``_diagram_step`` and
-# keep none, as a kept table would hold every wide diagram ever reached, up
-# to 4096 slots each
+# diagrams and of their letter moves, a letter one dict lookup per diagram:
+# 2 / 5 / 15 / 53 / 212 / 931 diagrams at 1-6 live strands, all six tables
+# filled 0.30 MB under tracemalloc, and 1.65 MB with every letter move kept
+# as well (8 / 56 / 320 / 1776 / 9920 moves at 2-6 live strands).  Wider
+# words compute their moves from ``_diagram_step`` on every use and keep
+# none, as a kept table would hold every wide diagram ever reached, up to
+# 4096 slots each
 TABLE_STRANDS = 6
 
 # evaluation point for t = i  (A^-4 = i)
@@ -179,36 +185,77 @@ def _unpack(packed: int, width: int) -> list[int]:
 
 
 def _diagram_step(live: int, diag: tuple, slot: int) -> tuple:
-    """The diagram after e_k at slot k < live, which caps the top ends p = k
-    and q = k + 1 and cups new ones, or after the closing of strand p at
-    slot live + p, which joins p's top end to its bottom end q = live + p.
-    Unless p and q were paired, a loop closing, their partners pair up."""
+    """One step as a (diagram, shift, loops) triple: e_k at slot k < live
+    caps the top ends p = k and q = k + 1 and cups new ones, and the closing
+    of strand p at slot live + p joins p's top end to its bottom end
+    q = live + p.  If p and q were paired a loop closes, (0, 1); otherwise
+    their partners pair up, (1, 0)."""
     slots = list(diag)
-    p, q = (slot, slot + 1) if slot < live else (slot - live, slot)
+    if slot < live:
+        p, q = slot, slot + 1
+    else:
+        p, q = slot - live, slot
     x, y = slots[p], slots[q]
     if x != q:
         slots[x], slots[y] = y, x
-    slots[p], slots[q] = (q, p) if slot < live else (-1, -1)
-    return tuple(slots)
+    if slot < live:
+        slots[p], slots[q] = q, p
+    else:
+        slots[p] = slots[q] = -1
+    return (tuple(slots), 1, 0) if x != q else (tuple(slots), 0, 1)
+
+
+def _letter_move(live: int, step, diag, move: int) -> tuple:
+    """Letter move ``move`` = 4k + c of a diagram: the identity smoothing and
+    then e_k, each followed by the closing of strand k if bit 0 of c is set
+    and of strand k + 1 if bit 1 is.  Each result is a (diagram, shift,
+    loops) triple, in that order: ``shift`` counts the steps that close no
+    loop, ``loops`` those that close one.  ``step`` is ``_diagram_step`` on
+    the diagrams' own form."""
+    k = move >> 2
+    if not move & 3:   # most letters close no strand
+        return (diag, 0, 0) + step(live, diag, k)
+    out = ()
+    for d, shift, loops in ((diag, 0, 0), step(live, diag, k)):
+        for p in (k, k + 1):
+            if move >> p - k & 1:
+                d, a, x = step(live, d, live + p)
+                shift, loops = shift + a, loops + x
+        out += (d, shift, loops)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _table(live: int) -> Automaton:
     """The diagrams on ``live`` strands as an ``automaton.Automaton``, each
-    diagram its own key and each step of ``_diagram_step`` its own slot; a
-    diagram's value is the bitmask of the slots whose step closes a loop.
-    ``_table.cache_clear()`` empties every table."""
-    def closes_loops(diag):
-        return (sum(1 << k for k in range(live - 1) if diag[k] == k + 1)
-                + sum(1 << live + p for p in range(live) if diag[p] == live + p))
-
+    diagram its own key and each step of ``_diagram_step`` its own slot.
+    Its ``moves[m]`` maps a diagram id to its letter move m, kept on first
+    use, so ``_table.cache_clear()`` drops every table with its moves."""
     start = tuple(live + p for p in range(live)) + tuple(range(live))
-    return Automaton(start, lambda diag: diag, partial(_diagram_step, live), 2 * live,
-                     closes_loops)
+    table = Automaton(start, lambda diag: diag,
+                      lambda diag, slot: _diagram_step(live, diag, slot)[0], 2 * live)
+    table.moves = [{} for _ in range(4 * (live - 1))]
+    return table
 
 
-def bracket(word: BraidWord) -> LaurentPolynomial:
-    """Kauffman bracket of the trace closure, normalised so the unknot is 1.
+def _kept_move(live: int, table: Automaton, s: int, move: int) -> tuple:
+    """Letter move ``move`` of diagram id s in ``_table(live)``, stepped along
+    the table's rows (a miss filling them) and kept in ``table.moves``."""
+    rows, states = table.rows, table.states
+
+    def step(live, s, slot):
+        t = rows[s][slot]
+        return ((table.step(s, slot) if t is None else t),
+                *_diagram_step(live, states[s], slot)[1:])
+
+    table.moves[move][s] = out = _letter_move(live, step, s, move)
+    return out
+
+
+def bracket(word: BraidWord, *, normalise: bool = False) -> LaurentPolynomial:
+    """Kauffman bracket of the trace closure, normalised so the unknot is 1;
+    with ``normalise``, the bracket times the writhe normalisation
+    (-A)^(-3w), the Jones polynomial in A, from the same decoding.
 
     Temperley-Lieb transfer: letter g acts as A^s * 1 + A^-s * e_|g| with
     s = sign(g).  The live state maps each partial diagram to its weight,
@@ -217,41 +264,51 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
     d each at the end, so the transfer runs on the live (touched) strands
     alone, renumbered in order.  A diagram is a pairing of slots: slot p is
     the current top end of position p, slot live + p its bottom end, and -1
-    marks a closed position.  Each letter steps every live diagram: the
-    identity smoothing keeps it, and e_k caps the top ends of k and k + 1
-    and cups new ones.  When the letter is the last to touch k or k + 1, one
-    closing pass then joins each such strand's top end to its bottom end,
-    its trace arc, so only strands still in play are tracked.  On at most
-    ``TABLE_STRANDS`` live strands a diagram is its id in ``_table(live)``,
-    kept across calls: each e_k and each closing is one lookup in its row,
-    and a bit of its value says whether a loop closes.  Wider diagrams are
-    slot tuples, hashed as dict keys and not kept: each e_k and each
-    closing is one ``_diagram_step``, and a loop closes when the slot's two
-    ends are paired.
+    marks a closed position.  A letter is one pass over the live diagrams:
+    each diagram's letter move (``_letter_move``) gives the identity
+    smoothing and e_k, which caps the top ends of k and k + 1 and cups new
+    ones, each followed by the closings of the strands the letter is the
+    last to touch, which join a strand's top end to its bottom end, its
+    trace arc, so only strands still in play are tracked.  One reverse pass
+    over the word gives each letter its move index 4k + c, c the bits of
+    its closing strands.  On at most ``TABLE_STRANDS`` live strands a
+    diagram is its id in ``_table(live)`` and its move is computed once from
+    the table's rows and kept on the table, so a letter costs one dict
+    lookup per diagram.  Wider diagrams are slot tuples, hashed as dict keys
+    and not kept: their moves are computed from ``_diagram_step`` on every
+    use.
 
     A weight P is stored as the integer A^offset * P at A^2 = 2^B: its
     coefficient of A^(2i) is the i-th B-bit digit.  Per letter the offset
-    grows by s + 2, plus 2 per strand the letter closes, so that every
-    weight is a left shift: the identity smoothing is A^(2s+2), and e_k and
-    each closing strand are A^2, or A^2 d = -(A^4 + 1) when they close a
-    loop.  Digits may overflow in between, since each packed integer is
-    the exact value of its polynomial; only the final one is decoded.  A
-    connected diagram's bracket is a sum of at most 2^c signed monomials
-    (Thistlethwaite's spanning-tree expansion) and each further split piece
-    multiplies it by d, so the live strands' result, their bracket times one
-    spare d, has coefficients below 2^(c+live) and fits B = c + live + 2;
-    the untouched strands' d^(n-live-1) is applied at B = c + n + 2.
+    grows by s + 2, plus 2 per strand the letter closes, 2 per positive
+    letter + c + 2 live in all, so that every weight is a left shift: the
+    identity smoothing is A^(2s+2), and e_k and each closing strand are A^2,
+    or A^2 d = -(A^4 + 1) when they close a loop; a move's result is shifted
+    by its shift times B, then takes -((v << 2B) + v) once per loop.  Digits
+    may overflow in between, since each packed integer is the exact value of
+    its polynomial; only the final one is decoded.  A connected diagram's
+    bracket is a sum of at most 2^c signed monomials (Thistlethwaite's
+    spanning-tree expansion) and each further split piece multiplies it by
+    d, so the live strands' result, their bracket times one spare d, has
+    coefficients below 2^(c+live) and fits B = c + live + 2; the untouched
+    strands' d^(n-live-1) is applied at B = c + n + 2.
     """
     n, c = word.strands, word.crossings
-    touched = sorted({p for g in word.letters for p in (abs(g) - 1, abs(g))})
-    live = len(touched)
     letters = word.letters
+    touched = sorted({p for g in set(map(abs, letters)) for p in (g - 1, g)})
+    live = len(touched)
     if live < n:
         rank = {p: i for i, p in enumerate(touched)}
         letters = tuple(rank[g - 1] + 1 if g > 0 else -1 - rank[-g - 1] for g in letters)
-    last: dict[int, int] = {}
-    for j, g in enumerate(letters):
-        last[abs(g) - 1] = last[abs(g)] = j
+    # each letter's move index 4k + c, c the bits of k and k + 1 when no later
+    # letter touches them, read last letter first
+    index, open_, positive = [], [True] * live, 0
+    for g in reversed(letters):
+        k = abs(g) - 1
+        index.append(4 * k + open_[k] + 2 * open_[k + 1])
+        open_[k] = open_[k + 1] = False
+        positive += g > 0
+    index.reverse()
     width = _digit_width(c + live)   # the live closure times one spare d
     wide = _digit_width(c + n)
     spare = max(n - live - 1, 0)
@@ -262,13 +319,17 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
 
     if live <= TABLE_STRANDS:
         table = _table(live)
-        rows, loops, start = table.rows, table.values, 0
+        kept, start = table.moves, 0
+        move, via = _kept_move, table
     else:
-        table = None
+        kept = None
         start = tuple(live + p for p in range(live)) + tuple(range(live))
+        move, via = _letter_move, _diagram_step
+    # a result's shift in bits; the identity smoothing adds its own A^(2s+2)
+    shifts = [i * width for i in range(5)]
+    raised, twice = shifts[2:], 2 * width
     states = {start: 1}
-    offset = 0
-    for j, g in enumerate(letters):
+    for j, m in enumerate(index):
         # each live diagram takes two shifts and adds on about 2(j + 1)
         # digits, plus a fixed overhead
         work += len(states) * (TRANSITION_BITS + 2 * (j + 1) * width)
@@ -277,28 +338,32 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
                 f"{c} crossings on {n} strands exceed the bracket's work bound of "
                 f"{MAX_TRANSFER_WORK:.2g} bit operations at letter {j + 1}, "
                 f"with {len(states)} diagrams live")
-        k = abs(g) - 1
-        closing = [p for p in (k, k + 1) if last[p] == j]
-        up = 2 * width if g > 0 else 0
-        offset += (3 if g > 0 else 1) + 2 * len(closing)
-        # e_k at slot k, then the closing of each strand p at slot live + p
-        for slot in [k] + [live + p for p in closing]:
-            nxt, bit = {}, 1 << slot
-            get = nxt.get
-            p, q = (slot, slot + 1) if slot < live else (slot - live, slot)
-            for s, w in states.items():
-                if slot == k:   # the identity smoothing keeps the diagram
-                    nxt[s] = get(s, 0) + (w << up)
-                if table:   # one row lookup, a miss filling it
-                    t = rows[s][slot]
-                    if t is None:
-                        t = table.step(s, slot)
-                    closes = loops[s] & bit
-                else:
-                    t, closes = _diagram_step(live, s, slot), s[p] == q
-                nxt[t] = get(t, 0) + (-((w << 2 * width) + w) if closes else w << width)
-            states = nxt
+        find = kept and kept[m].get
+        up = raised if letters[j] > 0 else shifts
+        nxt = {}
+        get = nxt.get
+        for s, w in states.items():
+            t, a, x, u, b, y = find and find(s) or move(live, via, s, m)
+            v = w << up[a]
+            while x:
+                v = -((v << twice) + v)
+                x -= 1
+            old = get(t)   # a first result is kept as it is, not added to 0
+            nxt[t] = v if old is None else old + v
+            v = w << shifts[b] if b else w   # b = 0 only when e_k closes a loop
+            while y:
+                v = -((v << twice) + v)
+                y -= 1
+            old = get(u)
+            nxt[u] = v if old is None else old + v
+        states = nxt
     (packed,) = states.values()   # every strand is closed: one empty diagram
+    offset = 2 * positive + c + 2 * live
+    if normalise:   # times (-A)^(-3w) = (-1)^w A^(-3w)
+        writhe = 2 * positive - c
+        offset += 3 * writhe
+        if writhe % 2:
+            packed = -packed
 
     if live == n:
         # divide by the spare d: A^2 d = -(A^4 + 1), and the quotient is exact
@@ -320,10 +385,9 @@ def bracket(word: BraidWord) -> LaurentPolynomial:
 
 def jones_polynomial(word: BraidWord) -> LaurentPolynomial:
     """Jones polynomial of the closure, as a Laurent polynomial in A with
-    t = A^-4: the bracket times the writhe normalisation (-A)^(-3w)."""
-    w = word.writhe
-    sign = -1 if w % 2 else 1
-    return LaurentPolynomial({e - 3 * w: sign * c for e, c in bracket(word).coeffs.items()})
+    t = A^-4: the bracket times the writhe normalisation (-A)^(-3w), applied
+    in the bracket's own decoding."""
+    return bracket(word, normalise=True)
 
 
 def jones_at_i(word: BraidWord) -> complex:

@@ -281,15 +281,19 @@ class TestBracket:
 
     def test_capacity_limit(self):
         # 2000 crossings on 3 strands, and 60 on 16, need 4 and over 10 times
-        # the work bound
-        with pytest.raises(CapacityError, match=r"2000 crossings on 3 strands exceed .* work "
-                                                r"bound .* at letter \d+, with \d+ diagrams live"):
+        # the work bound; the letter and the live diagrams of each refusal
+        # are pinned, so no change to the transfer moves a capacity boundary
+        with pytest.raises(CapacityError, match=r"^2000 crossings on 3 strands exceed the "
+                                                r"bracket's work bound of 1e\+10 bit operations "
+                                                r"at letter 993, with 5 diagrams live$"):
             bracket(BraidWord(3, (1, -2) * 1000))
-        with pytest.raises(CapacityError, match="60 crossings on 16 strands"):
+        with pytest.raises(CapacityError, match=r"^60 crossings on 16 strands exceed .* at "
+                                                r"letter 21, with 119296 diagrams live$"):
             bracket(BraidWord(16, tuple(range(1, 16)) * 4))
         # 700 crossings on 3 live of 2048 strands: the final product by
         # d^2044 alone costs several seconds, so it is refused before letter 2
-        with pytest.raises(CapacityError, match="700 crossings on 2048 strands .* at letter 1,"):
+        with pytest.raises(CapacityError, match=r"^700 crossings on 2048 strands exceed .* at "
+                                                r"letter 1, with 1 diagrams live$"):
             bracket(BraidWord(2048, (1, -2) * 350))
 
     def test_distant_strand_multiplies_by_loop_factor(self):
@@ -594,6 +598,69 @@ def test_the_filled_tables_hold_under_1_mb():
         tracemalloc.stop()
     assert [len(table.states) for table in tables] == [2, 5, 15, 53, 212, 931][:TABLE_STRANDS]
     assert held < 1e6, held
+
+
+def _fill_moves(live):
+    """``_table(live)`` with every diagram a letter move reaches and every
+    letter move of every diagram kept, breadth first."""
+    table = kauffman_oracle._table(live)
+    for s, diag in enumerate(table.states):   # grows as moves reach diagrams
+        for k in range(live - 1):
+            if diag[k] >= 0 and diag[k + 1] >= 0:
+                for move in range(4 * k, 4 * k + 4):
+                    kauffman_oracle._kept_move(live, table, s, move)
+    return table
+
+
+def test_kept_moves_die_with_their_table():
+    # a kept move names diagrams by their ids in its table, so a cleared
+    # table must take its moves with it.  Words fill some moves; the tables
+    # are then refilled in another order, which renumbers their diagrams, and
+    # a move kept from before would send later words to the wrong diagrams
+    rng = random.Random("refill")
+    words = {live: _touching_every_strand(rng, live, 300) for live in (4, 5)}
+    kauffman_oracle._table.cache_clear()
+    first = {}
+    for live, batch in words.items():
+        for word in batch[:100]:
+            bracket(word)
+        first[live] = kauffman_oracle._table(live).states
+    kauffman_oracle._table.cache_clear()
+    for live in words:
+        # the closings first, last strand first, then e_k from the top
+        table = kauffman_oracle._table(live)
+        slots = [*range(2 * live - 1, live - 1, -1), *range(live - 2, -1, -1)]
+        for s, diag in enumerate(table.states):
+            for slot in slots:
+                p = slot - live if slot >= live else slot
+                if diag[p] >= 0 and (slot >= live or diag[p + 1] >= 0):
+                    table.step(s, slot)
+        assert not any(table.moves)
+        assert [table.ids[diag] for diag in first[live]] != list(range(len(first[live])))
+    for batch in words.values():
+        for word in batch:
+            assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+
+
+def test_the_filled_tables_and_moves_hold_under_2_mb():
+    # every diagram and every letter move at 1 to 6 live strands; as in
+    # test_the_filled_tables_hold_under_1_mb, the second fill's held memory
+    # is the tables' and moves' alone
+    def fill():
+        return [_fill_moves(live) for live in range(1, TABLE_STRANDS + 1)]
+
+    fill()
+    kauffman_oracle._table.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = fill()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one live strand takes no letter, so no move reaches its closed diagram
+    assert [len(table.states) for table in tables] == [1, 5, 15, 53, 212, 931][:TABLE_STRANDS]
+    assert all(all(map(len, table.moves)) for table in tables)
+    assert held < 2e6, held
 
 
 @pytest.mark.parametrize("text, value", [

@@ -90,14 +90,17 @@ A_AT_T_I = cmath.exp(3j * cmath.pi / 8)
 
 @dataclass(frozen=True)
 class LaurentPolynomial:
-    """Integer-coefficient Laurent polynomial, stored as exponent -> coefficient."""
+    """Integer-coefficient Laurent polynomial, stored as exponent -> coefficient.
+    Zero coefficients are dropped into a new dict; a dict without one is
+    kept as given."""
 
     coeffs: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", {e: c for e, c in self.coeffs.items() if c != 0}
-        )
+        if 0 in self.coeffs.values():
+            object.__setattr__(
+                self, "coeffs", {e: c for e, c in self.coeffs.items() if c != 0}
+            )
 
     @classmethod
     def monomial(cls, coeff: int, exponent: int = 0) -> "LaurentPolynomial":
@@ -177,11 +180,20 @@ def _pack(coeffs: list[int], width: int) -> int:
 def _unpack(packed: int, width: int) -> list[int]:
     """Balanced base-2^width digits of ``packed``, lowest first; inverse of
     ``_pack`` while every digit has magnitude below 2^(width-1)."""
-    half, size = 1 << (width - 1), width // 8
     count = packed.bit_length() // width + 2
-    raw = (packed + _bias(count, width)).to_bytes(count * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, count * size, size)]
+    return _digits(packed + _bias(count, width), count, width)
+
+
+def _digits(biased: int, count: int, width: int) -> list[int]:
+    """The ``count`` lowest base-2^width digits of ``biased``, each less the
+    bias 2^(width-1), by mask and shift.  Above 32 digits the integer is
+    split in halves first, so a long one is not shifted once per digit."""
+    if count > 32:
+        h = count // 2
+        return (_digits(biased & (1 << h * width) - 1, h, width)
+                + _digits(biased >> h * width, count - h, width))
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    return [(biased >> i & mask) - half for i in range(0, count * width, width)]
 
 
 def _diagram_step(live: int, diag: tuple, slot: int) -> tuple:
@@ -295,9 +307,13 @@ def bracket(word: BraidWord, *, normalise: bool = False) -> LaurentPolynomial:
     """
     n, c = word.strands, word.crossings
     letters = word.letters
-    touched = sorted({p for g in set(map(abs, letters)) for p in (g - 1, g)})
-    live = len(touched)
-    if live < n:
+    columns = set(map(abs, letters))
+    live = n
+    if len(columns) < n - 1 or not letters:
+        # a column is unused, so a strand may be untouched (the empty word
+        # touches none): the transfer runs on the touched ones, renumbered
+        touched = sorted({p for g in columns for p in (g - 1, g)})
+        live = len(touched)
         rank = {p: i for i, p in enumerate(touched)}
         letters = tuple(rank[g - 1] + 1 if g > 0 else -1 - rank[-g - 1] for g in letters)
     # each letter's move index 4k + c, c the bits of k and k + 1 when no later
@@ -310,12 +326,14 @@ def bracket(word: BraidWord, *, normalise: bool = False) -> LaurentPolynomial:
         positive += g > 0
     index.reverse()
     width = _digit_width(c + live)   # the live closure times one spare d
-    wide = _digit_width(c + n)
     spare = max(n - live - 1, 0)
-    # the product by d^spare at the end multiplies the live result's 2c + 2
-    # digits by 2 spare + 1 binomial digits, all of them wide
-    small, big = sorted(((2 * c + 2) * wide / 30, (2 * spare + 1) * wide / 30))
-    work = PRODUCT_BITS * big * small ** 0.585 if spare else 0
+    work = 0
+    if spare:
+        wide = _digit_width(c + n)
+        # the product by d^spare at the end multiplies the live result's
+        # 2c + 2 digits by 2 spare + 1 binomial digits, all of them wide
+        small, big = sorted(((2 * c + 2) * wide / 30, (2 * spare + 1) * wide / 30))
+        work = PRODUCT_BITS * big * small ** 0.585
 
     if live <= TABLE_STRANDS:
         table = _table(live)

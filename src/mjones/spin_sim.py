@@ -13,7 +13,12 @@ those that anticommute with it, so each stage Hamiltonian is H0 run through
 the first steps of a schedule (``spin_hamiltonian``).  A step is realised by
 imaginary-time evolution exp(-tau * term) of its term followed by a
 non-dissipative cooling step that folds the suppressed excited amplitude
-back onto the ground component.
+back onto the ground component.  A ``ScheduleStep`` checks its term's +-1
+spectrum and its anticommuting pairing once, when it is built, so a
+schedule's stages run the fold kernel (``_fold``) without checks;
+``cooling_step`` and ``ite_apply`` check every call.  The worked
+checkpoint states (``schedule_checkpoints``) build all the product states
+of their rows in one pass over the sites (``state_from_rows``).
 
 Logical encoding: chain patterns map by Hadamard-type rotations
 
@@ -103,22 +108,45 @@ _KETS = {
 }
 
 
-def product_state(pattern: str) -> np.ndarray:
-    """Ten-character pattern (one axis letter per site) to a state vector."""
-    if len(pattern) != N_SITES:
-        raise ValueError(f"pattern {pattern!r} must have {N_SITES} characters")
-    v = np.array([1.0 + 0j])
-    for ch in pattern:
-        # np.kron(v, ket) without its reshaping overhead
-        v = (v[:, None] * _KETS[ch]).ravel()
+# the kets stacked, one row per axis letter, and each letter's row
+_KET_ROWS = np.array(list(_KETS.values()))
+_KET_ROW = {ch: i for i, ch in enumerate(_KETS)}
+
+
+def _product_states(patterns) -> np.ndarray:
+    """Row r is the product state of ``patterns[r]``, from one pass over the
+    sites: each row's partial state times its ket at the next site, so each
+    row is the Kronecker product of its kets taken left to right."""
+    for pattern in patterns:
+        if len(pattern) != N_SITES:
+            raise ValueError(f"pattern {pattern!r} must have {N_SITES} characters")
+    rows = len(patterns)
+    # kets[site][r] is row r's ket at that site
+    kets = _KET_ROWS[np.array([[_KET_ROW[ch] for ch in pattern] for pattern in patterns]).T]
+    v = np.ones((rows, 1), dtype=complex)
+    for ket in kets:
+        # the two entries of each new pair written as two long products, not
+        # as one broadcast whose inner loop would be the pair
+        out = np.empty((rows, v.shape[1], 2), dtype=complex)
+        np.multiply(v, ket[:, :1], out=out[:, :, 0])
+        np.multiply(v, ket[:, 1:], out=out[:, :, 1])
+        v = out.reshape(rows, -1)
     return v
 
 
+def product_state(pattern: str) -> np.ndarray:
+    """Ten-character pattern (one axis letter per site) to a state vector."""
+    return _product_states((pattern,))[0]
+
+
 def state_from_rows(rows) -> np.ndarray:
-    """Normalised superposition of (coefficient, pattern) rows."""
+    """Normalised superposition of (coefficient, pattern) rows: every row's
+    product state from one pass over the sites, then the rows weighted and
+    summed in their listed order."""
+    coeffs, patterns = zip(*rows)
     v = np.zeros(DIM, dtype=complex)
-    for coeff, pattern in rows:
-        v += coeff * product_state(pattern)
+    for coeff, state in zip(coeffs, _product_states(patterns)):
+        v += coeff * state
     return normalize(v)
 
 
@@ -333,8 +361,8 @@ def _ground_excited_split(state: np.ndarray, term: PauliTerm):
     return ground, state - ground
 
 
-def _stage(state: np.ndarray, term: PauliTerm, tau: float,
-           pairing: PauliTerm | None) -> np.ndarray:
+def _fold(state: np.ndarray, term: PauliTerm, tau: float,
+          pairing: PauliTerm | None) -> np.ndarray:
     """normalize(g + exp(-2 tau) * (pairing e, or e without a pairing)).
 
     g = (s - T s)/2 and e = s - g are the parts of the state in the ground
@@ -344,20 +372,32 @@ def _stage(state: np.ndarray, term: PauliTerm, tau: float,
     ground eigenspace.  Without a pairing, a state with no ground part
     would survive any finite tau but vanish in the projective limit; that
     degenerate case is rejected for tau > 0 so schedules fail loudly
-    instead of silently stalling.
+    instead of silently stalling.  The caller has checked tau, the term's
+    +-1 spectrum and the pairing (``_stage``, ``ScheduleStep``).
     """
-    if not tau >= 0:    # NaN too
-        raise ValueError("tau must be non-negative")
-    _check_unit_spectrum(term)
     ground, excited = _ground_excited_split(state, term)
     if pairing is not None:
-        _check_pairing(term, pairing)
         excited = apply_pauli(pairing, excited, N_SITES)
     elif tau > 0 and _norm(ground) < NORM_TOL:
         raise DegenerateEvolutionError(
             "state is orthogonal to the surviving eigenspace of the term"
         )
     return normalize(ground + math.exp(-2.0 * tau) * excited)
+
+
+def _check_tau(tau: float) -> None:
+    if not tau >= 0:    # NaN too
+        raise ValueError("tau must be non-negative")
+
+
+def _stage(state: np.ndarray, term: PauliTerm, tau: float,
+           pairing: PauliTerm | None) -> np.ndarray:
+    """``_fold`` after checking tau, the term's spectrum and the pairing."""
+    _check_tau(tau)
+    _check_unit_spectrum(term)
+    if pairing is not None:
+        _check_pairing(term, pairing)
+    return _fold(state, term, tau, pairing)
 
 
 def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
@@ -385,10 +425,15 @@ def cooling_step(state: np.ndarray, term: PauliTerm, pairing: PauliTerm,
 @dataclass(frozen=True)
 class ScheduleStep:
     """One stage transition: ITE + cooling of the newly introduced commuting
-    term."""
+    term.  The term's +-1 spectrum and the pairing's anticommutation are
+    checked here, once, so a schedule's stages run ``_fold`` unchecked."""
 
     term: PauliTerm
     pairing: PauliTerm
+
+    def __post_init__(self):
+        _check_unit_spectrum(self.term)
+        _check_pairing(self.term, self.pairing)
 
 
 # Pairings are single-site flips anticommuting with the step term.  The
@@ -431,6 +476,13 @@ SCHEDULES: dict[str, tuple[ScheduleStep, ...]] = {
 }
 
 
+def check_ground_space(state: np.ndarray) -> None:
+    """Reject a state whose weight deficit in the ground space of H0 is
+    over ``GROUND_TOL``: the input check of every exchange schedule."""
+    if 1.0 - ground_space_weight(state) > GROUND_TOL:
+        raise ValueError("input state is not in the ground space of H0")
+
+
 def braid_sequence(name: str, state: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Run the full exchange schedule for one braid generator.
 
@@ -439,17 +491,19 @@ def braid_sequence(name: str, state: np.ndarray, tau: float = DEFAULT_TAU) -> np
     """
     if name not in SCHEDULES:
         raise KeyError(f"unknown braid name {name!r}; choose from {BRAID_NAMES}")
-    if 1.0 - ground_space_weight(state) > GROUND_TOL:
-        raise ValueError("input state is not in the ground space of H0")
+    check_ground_space(state)
     for state in braid_sequence_states(name, state, tau):
         pass
     return state
 
 
 def braid_sequence_states(name: str, state: np.ndarray, tau: float = DEFAULT_TAU):
-    """Yield the state after every schedule step (for stage-by-stage checks)."""
+    """Yield the state after every schedule step (for stage-by-stage checks):
+    ``cooling_step`` of each step, with tau checked once and the step's own
+    checks made when it was built."""
+    _check_tau(tau)
     for step in SCHEDULES[name]:
-        state = cooling_step(state, step.term, step.pairing, tau)
+        state = _fold(state, step.term, tau, step.pairing)
         yield state
 
 
@@ -545,9 +599,6 @@ def _walk_tables() -> Automaton:
     stages = {}
     for g, name in LETTER_NAMES.items():
         steps = SCHEDULES[name]
-        for step in steps:
-            _check_unit_spectrum(step.term)
-            _check_pairing(step.term, step.pairing)
         stages[g] = tuple(zip(words(-step.term for step in steps),
                               words(step.pairing for step in steps)))
     generators = words(PHI0_GENERATORS)

@@ -2,12 +2,15 @@
 
 Each check is a named function of the run's :class:`BraidMatrices`, which
 also carries its ``tau``, returning a :class:`CheckResult`; ``run_all``
-executes them in a fixed order so reports are stable.  The golden constants
-are the signed V(i) of the five sample links (Hopf, trefoil, Solomon,
-figure-eight, Borromean rings), from which |V|, the return amplitude and
-the replay probability follow; the stage tables of the exchange schedules;
-and the closed-form ground-space / logical matrices of the four braid
-generators, compared up to a global phase.  The Jordan-Wigner check holds
+executes them in a fixed order so reports are stable.  The run's replays
+live on that object, each made once: the generators' extracted matrices
+and the stage states phi0 reaches under each word prefix, which the
+checkpoint and final-state checks and ``report_artifacts`` share.  The
+golden constants are the signed V(i) of the five sample links (Hopf,
+trefoil, Solomon, figure-eight, Borromean rings), from which |V|, the
+return amplitude and the replay probability follow; the stage tables of
+the exchange schedules; and the closed-form ground-space / logical
+matrices of the four braid generators, compared up to a global phase.  The Jordan-Wigner check holds
 the paper's fermionic stage Hamiltonians against the spin stages that the
 schedules derive from H0.  It compares spectra exactly: each stage is a sum
 of commuting, GF(2)-independent Pauli terms with a closed-form spectrum
@@ -76,18 +79,39 @@ FINAL_LOGICAL_REFS = {
 
 
 class BraidMatrices:
-    """The braid generators' extracted matrices at one tau, each extracted on
-    first use and kept for the life of this object: one verify run shares
-    one, so no generator is replayed twice and no run sees another's."""
+    """One verify run's replays at one tau, each made on first use and kept
+    for the life of this object: one run shares one, so no replay is made
+    twice in a run and no run sees another's.
+
+    Calling it with a generator name gives that generator's extracted
+    matrices.  ``stages(letters)`` gives the states after each schedule
+    step of the word's last letter, run on phi0 = prepare_logical(0) after
+    the letters before it: each prefix asked for is one
+    ``braid_sequence_states`` run, after the input check ``braid_sequence``
+    makes (``check_ground_space``).  ``state(letters)`` is the last of them,
+    phi0 itself for the empty word."""
 
     def __init__(self, tau: float):
         self.tau = tau
         self._extracted: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._stages: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {
+            (): (spin_sim.prepare_logical(0),)}
 
     def __call__(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         if name not in self._extracted:
             self._extracted[name] = spin_sim.extract_braid_matrix(name, self.tau)
         return self._extracted[name]
+
+    def stages(self, letters: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        if letters not in self._stages:
+            state = self.state(letters[:-1])
+            spin_sim.check_ground_space(state)
+            self._stages[letters] = tuple(spin_sim.braid_sequence_states(
+                spin_sim.LETTER_NAMES[letters[-1]], state, self.tau))
+        return self._stages[letters]
+
+    def state(self, letters: tuple[int, ...]) -> np.ndarray:
+        return self.stages(letters)[-1]
 
 
 @dataclass(frozen=True)
@@ -201,13 +225,12 @@ def check_jw_spectra(matrices: BraidMatrices) -> CheckResult:
 def check_intermediate_states(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     tau = matrices.tau
-    coeffs = spin_sim.logical_decode(np.eye(8)[0])
-    state0 = spin_sim.ground_basis().combine(coeffs)
+    coeffs = spin_sim.logical_decode(np.eye(8)[0])   # phi0's ground-basis amplitudes
     worst = 1.0
     count = 0
-    for name in ("s1", "s1^-1", "s2^-1"):
-        refs = spin_sim.schedule_checkpoints(name, coeffs)
-        for state, ref in zip(spin_sim.braid_sequence_states(name, state0.copy(), tau), refs):
+    for g in (1, -1, -2):
+        refs = spin_sim.schedule_checkpoints(spin_sim.LETTER_NAMES[g], coeffs)
+        for state, ref in zip(matrices.stages((g,)), refs):
             if ref is not None:
                 worst = min(worst, spin_sim.amplitude_probability(ref, state))
                 count += 1
@@ -222,9 +245,9 @@ def check_final_states(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     worst_p = 0.0
     worst_f = 1.0
-    phi0 = spin_sim.prepare_logical(0)
+    phi0 = matrices.state(())
     for name, word, v in GOLDEN_LINKS:
-        final = spin_sim.braid_word_state(word, phi0.copy(), matrices.tau)
+        final = matrices.state(word.letters)
         p_ref = _golden_amplitude(word, v) ** 2
         worst_p = max(worst_p, abs(spin_sim.amplitude_probability(phi0, final) - p_ref))
         logical = spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
@@ -349,7 +372,7 @@ def report_artifacts(matrices: BraidMatrices) -> dict:
     of the far exchange's final state, as nested [re, im] arrays."""
     _, logical = matrices("s1")
     chi = tomography.chi_from_unitary(logical.reshape(4, 2, 4, 2)[:, 0, :, 0])
-    final = spin_sim.braid_sequence("s2^-1", spin_sim.prepare_logical(0), matrices.tau)
+    final = matrices.state((-2,))   # s2^-1 on phi0
     rho = tomography.density_matrix(
         spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
     )

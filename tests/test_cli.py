@@ -212,6 +212,18 @@ def test_sample_word_payloads_are_pinned(capsys):
     assert not changed, f"payload changed for {changed}"
 
 
+# sha256 of json.dumps(payload, sort_keys=True) of ``verify --output json`` at
+# the default tau: every check's detail string and both artifacts
+VERIFY_PAYLOAD_SHA256 = "8e01012422a7657087aa46a9ed82c03a58b407eb95eab1a7582ce2299f723e81"
+
+
+def test_verify_payload_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--output", "json")
+    assert code == EXIT_OK
+    payload = json.dumps(json.loads(out)["payload"], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_SHA256
+
+
 # sha256 of the text and the CSV report of the same words under --backend all
 # (the text report carries no timing)
 TEXT_SHA256 = {
@@ -682,6 +694,34 @@ def test_verify_extracts_each_braid_matrix_once_per_run(capsys, monkeypatch):
     code, second, _ = run(capsys, "verify", "--output", "json")
     assert code == EXIT_OK and len(extracted) == 8
     assert json.loads(first)["payload"]["artifacts"] == json.loads(second)["payload"]["artifacts"]
+
+
+def test_verify_replays_each_phi0_prefix_once_per_run(capsys, monkeypatch):
+    # 32 replays extract the four generators; 11 more step phi0 through the
+    # prefixes of the golden words and of the three checkpointed letters,
+    # each after the ground-space check
+    replays, checked = [], []
+    states, check = spin_sim.braid_sequence_states, spin_sim.check_ground_space
+
+    def counting(name, state, tau):
+        replays.append(name)
+        return states(name, state, tau)
+
+    made = []
+    braid_matrices = verify.BraidMatrices
+    monkeypatch.setattr(spin_sim, "braid_sequence_states", counting)
+    monkeypatch.setattr(spin_sim, "check_ground_space", lambda state: checked.append(check(state)))
+    monkeypatch.setattr(verify, "BraidMatrices",
+                        lambda tau: made.append(braid_matrices(tau)) or made[-1])
+    code, first, _ = run(capsys, "verify", "--output", "json")
+    assert code == EXIT_OK and len(replays) == len(checked) == 43
+    # phi0 and the stage states of the 11 prefixes, 64 states of 16 KB
+    kept = [state for stages in made[0]._stages.values() for state in stages]
+    assert len(made[0]._stages) == 12 and sum(state.nbytes for state in kept) < 2 ** 21
+    # nothing is kept between runs
+    code, second, _ = run(capsys, "verify", "--output", "json")
+    assert code == EXIT_OK and len(replays) == 86
+    assert json.loads(first)["payload"] == json.loads(second)["payload"]
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):

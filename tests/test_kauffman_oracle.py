@@ -210,6 +210,45 @@ def random_word(rng: random.Random, max_strands: int, max_crossings: int) -> Bra
     ))
 
 
+# --- the bracket's decoding and its every-column shortcut ---------------------
+
+def test_unpack_inverts_pack_at_every_width():
+    # lengths either side of the 32-digit split, extreme digits and runs of
+    # zeros; _unpack reads up to two digits past the top nonzero one, and
+    # those are zero
+    rng = random.Random("pack")
+    for width in range(8, 264, 8):
+        top = (1 << (width - 1)) - 1
+        for length in (0, 1, 2, 7, 31, 32, 33, 64, 65, 130):
+            digits = [rng.choice((top, -top, rng.randint(-top, top))) for _ in range(length)]
+            for _ in range(3):
+                start = rng.randint(0, length)
+                stop = min(start + rng.randint(1, 40), length)
+                digits[start:stop] = [0] * (stop - start)
+            got = kauffman_oracle._unpack(kauffman_oracle._pack(digits, width), width)
+            assert (got + [0] * length)[:length] == digits, (width, length)
+            assert not any(got[length:]), (width, length)
+
+
+def test_the_one_strand_empty_word_matches_the_dict_transfer():
+    word = BraidWord(1, ())
+    assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs == {0: 1}
+
+
+def test_words_on_every_column_and_padded_by_one_match_the_dict_transfer():
+    # a word that uses every column skips the touched-strand renumbering;
+    # one more strand puts it back on the renumbered path with one spare d
+    rng = random.Random("every column")
+    for strands in range(2, 9):
+        for _ in range(30):
+            columns = list(range(1, strands))
+            letters = columns + [rng.randint(1, strands - 1) for _ in range(rng.randint(0, 6))]
+            rng.shuffle(letters)
+            letters = tuple(rng.choice((-1, 1)) * g for g in letters)
+            for word in (BraidWord(strands, letters), BraidWord(strands + 1, letters)):
+                assert bracket(word).coeffs == dict_transfer_bracket(word).coeffs, word
+
+
 class TestLaurentPolynomial:
     def test_arithmetic(self):
         a = P({0: 1, 2: 3})

@@ -343,6 +343,60 @@ class TestIteAndCooling:
             cooling_step(ground, term, PauliTerm(1.0, {5: "z"}))
 
 
+    def test_schedule_step_refuses_a_term_without_a_unit_spectrum(self):
+        with pytest.raises(ValueError, match=r"^imaginary-time steps need a term with a \+-1 spectrum$"):
+            spin_sim.ScheduleStep(PauliTerm(2.0, {3: "z"}), PauliTerm(1.0, {3: "x"}))
+
+    def test_schedule_step_refuses_a_commuting_pairing(self):
+        with pytest.raises(ValueError,
+                           match="^pairing does not map the excited eigenspace onto the ground one$"):
+            spin_sim.ScheduleStep(PauliTerm(-1.0, {2: "x", 3: "x"}), PauliTerm(1.0, {5: "z"}))
+
+    def test_schedule_stages_are_not_checked_again(self, monkeypatch):
+        # every step was checked when it was built; the replay only folds
+        checks = []
+        for name in ("_check_unit_spectrum", "_check_pairing"):
+            monkeypatch.setattr(spin_sim, name, lambda *args, name=name: checks.append(name))
+        for name in BRAID_NAMES:
+            braid_sequence(name, prepare_logical(0))
+        assert checks == []
+        cooling_step(prepare_logical(0), PauliTerm(-1.0, {2: "x", 3: "x"}), PauliTerm(-1.0, {3: "z"}))
+        assert checks == ["_check_unit_spectrum", "_check_pairing"]
+
+
+def _kron_state(pattern: str) -> np.ndarray:
+    # product_state as a loop over the sites, one row at a time
+    v = np.array([1.0 + 0j])
+    for ch in pattern:
+        v = (v[:, None] * spin_sim._KETS[ch]).ravel()
+    return v
+
+
+def test_state_from_rows_is_the_per_row_sum_byte_for_byte(monkeypatch):
+    # the block pass over all rows against the sum of per-row product
+    # states, added in row order, on every checkpoint's rows
+    def per_row_sum(rows):
+        v = np.zeros(DIM, dtype=complex)
+        for coeff, pattern in rows:
+            v += coeff * _kron_state(pattern)
+        return spin_sim.normalize(v)
+
+    row_sets = []
+    build = spin_sim.state_from_rows
+    monkeypatch.setattr(spin_sim, "state_from_rows",
+                        lambda rows: row_sets.append(rows) or build(rows))
+    rng = np.random.default_rng(38)
+    for coeffs in (logical_decode(np.eye(8)[0]), rng.normal(size=8) + 1j * rng.normal(size=8)):
+        row_sets.clear()
+        states = [state for name in BRAID_NAMES for state in schedule_checkpoints(name, coeffs)
+                  if state is not None]
+        assert len(row_sets) == len(states) == 16
+        for rows, state in zip(row_sets, states):
+            assert state.tobytes() == per_row_sum(rows).tobytes()
+            for _, pattern in rows:
+                assert product_state(pattern).tobytes() == _kron_state(pattern).tobytes()
+
+
 class TestBraidSequences:
     def test_requires_ground_space_input(self):
         with pytest.raises(ValueError, match="ground space"):

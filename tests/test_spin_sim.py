@@ -342,7 +342,6 @@ class TestIteAndCooling:
         with pytest.raises(ValueError, match="pairing"):
             cooling_step(ground, term, PauliTerm(1.0, {5: "z"}))
 
-
     def test_schedule_step_refuses_a_term_without_a_unit_spectrum(self):
         with pytest.raises(ValueError, match=r"^imaginary-time steps need a term with a \+-1 spectrum$"):
             spin_sim.ScheduleStep(PauliTerm(2.0, {3: "z"}), PauliTerm(1.0, {3: "x"}))

@@ -87,11 +87,20 @@ def _norm(state: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def normalize(state: np.ndarray) -> np.ndarray:
+def _nonzero_norm(state: np.ndarray) -> float:
     nrm = _norm(state)
     if nrm < NORM_TOL:
         raise DegenerateEvolutionError("state has no weight in the surviving eigenspace")
-    return state / nrm
+    return nrm
+
+
+def normalize(state: np.ndarray) -> np.ndarray:
+    """state / |state| as a new complex array: the float64 view times
+    1/|state|, the product numpy's complex division by c + 0i forms too,
+    so only the sign of an exact zero part can differ.  A real or strided
+    state is taken as a contiguous complex array first."""
+    state = np.ascontiguousarray(state, dtype=complex)
+    return (state.view(np.float64) * (1.0 / _nonzero_norm(state))).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +273,7 @@ class GroundBasis:
         """Expansion of a state over the basis; the state must lie in the
         ground space."""
         coeffs = self.bras @ state
-        residual = np.linalg.norm(state) ** 2 - np.linalg.norm(coeffs) ** 2
+        residual = _norm(state) ** 2 - _norm(coeffs) ** 2
         if residual > GROUND_TOL:
             raise ValueError(f"state leaks out of the ground space ({residual:.3e})")
         return coeffs
@@ -308,7 +317,7 @@ def logical_encode(amplitudes: np.ndarray) -> np.ndarray:
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (8,):
         raise ValueError("expected 8 ground-basis amplitudes")
-    if abs(np.linalg.norm(amplitudes) - 1.0) > 1e-10:
+    if abs(_norm(amplitudes) - 1.0) > 1e-10:
         raise ValueError("amplitudes must be normalised")
     return ENCODE @ amplitudes
 
@@ -330,7 +339,7 @@ def prepare_logical(index: int) -> np.ndarray:
 
 def ground_space_weight(state: np.ndarray) -> float:
     coeffs = ground_basis().bras @ state
-    return float(np.linalg.norm(coeffs) ** 2)
+    return _norm(coeffs) ** 2
 
 
 def amplitude_probability(a: np.ndarray, b: np.ndarray) -> float:
@@ -356,8 +365,10 @@ def _check_pairing(term: PauliTerm, pairing: PauliTerm) -> None:
 
 
 def _ground_excited_split(state: np.ndarray, term: PauliTerm):
-    tv = apply_pauli(term, state, N_SITES)
-    ground = (state - tv) / 2.0
+    # (s - T s) * 0.5 on the float64 view, as in ``_fold``
+    ground = state - apply_pauli(term, state, N_SITES)
+    halved = ground.view(np.float64)
+    halved *= 0.5
     return ground, state - ground
 
 
@@ -374,6 +385,12 @@ def _fold(state: np.ndarray, term: PauliTerm, tau: float,
     degenerate case is rejected for tau > 0 so schedules fail loudly
     instead of silently stalling.  The caller has checked tau, the term's
     +-1 spectrum and the pairing (``_stage``, ``ScheduleStep``).
+
+    The products with a real scalar (the halving, exp(-2 tau), 1/norm) run
+    in place on the float64 view of fresh arrays, with the values numpy's
+    complex arithmetic gets by casting the scalar to c + 0i; only the sign
+    of an exact zero part can differ.  The products with the Pauli
+    coefficient vectors stay complex.
     """
     ground, excited = _ground_excited_split(state, term)
     if pairing is not None:
@@ -382,7 +399,12 @@ def _fold(state: np.ndarray, term: PauliTerm, tau: float,
         raise DegenerateEvolutionError(
             "state is orthogonal to the surviving eigenspace of the term"
         )
-    return normalize(ground + math.exp(-2.0 * tau) * excited)
+    # excited becomes normalize(ground + exp(-2 tau) * excited)
+    folded = excited.view(np.float64)
+    folded *= math.exp(-2.0 * tau)
+    folded += ground.view(np.float64)
+    folded *= 1.0 / _nonzero_norm(excited)
+    return excited
 
 
 def _check_tau(tau: float) -> None:
@@ -397,7 +419,7 @@ def _stage(state: np.ndarray, term: PauliTerm, tau: float,
     _check_unit_spectrum(term)
     if pairing is not None:
         _check_pairing(term, pairing)
-    return _fold(state, term, tau, pairing)
+    return _fold(np.ascontiguousarray(state, dtype=complex), term, tau, pairing)
 
 
 def ite_apply(state: np.ndarray, term: PauliTerm, tau: float) -> np.ndarray:
@@ -502,6 +524,7 @@ def braid_sequence_states(name: str, state: np.ndarray, tau: float = DEFAULT_TAU
     ``cooling_step`` of each step, with tau checked once and the step's own
     checks made when it was built."""
     _check_tau(tau)
+    state = np.ascontiguousarray(state, dtype=complex)
     for step in SCHEDULES[name]:
         state = _fold(state, step.term, tau, step.pairing)
         yield state

@@ -6,13 +6,15 @@ executes them in a fixed order so reports are stable.  The run's replays
 live on that object, each made once: the generators' extracted matrices
 and the stage states phi0 reaches under each word prefix, which the
 checkpoint and final-state checks and ``report_artifacts`` share.  The
-golden constants are the signed V(i) of the five sample links (Hopf,
-trefoil, Solomon, figure-eight, Borromean rings), from which |V|, the
-return amplitude and the replay probability follow; the stage tables of
-the exchange schedules; and the closed-form ground-space / logical
-matrices of the four braid generators, compared up to a global phase.  The Jordan-Wigner check holds
-the paper's fermionic stage Hamiltonians against the spin stages that the
-schedules derive from H0.  It compares spectra exactly: each stage is a sum
+property suite computes the bracket of each distinct seeded word once per
+call and keeps none between calls.  The golden constants are the signed
+V(i) of the five sample links (Hopf, trefoil, Solomon, figure-eight,
+Borromean rings), from which |V|, the return amplitude and the replay
+probability follow; the stage tables of the exchange schedules; and the
+closed-form ground-space / logical matrices of the four braid generators,
+compared up to a global phase.  The Jordan-Wigner check holds the paper's
+fermionic stage Hamiltonians against the spin stages that the schedules
+derive from H0.  It compares spectra exactly: each stage is a sum
 of commuting, GF(2)-independent Pauli terms with a closed-form spectrum
 (``pauli.commuting_spectrum``), so nothing is diagonalised.  Any two such
 sums of equally many +-1 terms share that spectrum, so the check also
@@ -314,6 +316,9 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
         if dev > 1e-8:
             failures.append(f"{fwd} then {bwd} is not the identity: {dev:.2e}")
 
+    # the 400 seeded words hold 303 distinct ones: each one's bracket is
+    # computed once per run, in a dict that goes with the call
+    brackets: dict[BraidWord, kauffman_oracle.LaurentPolynomial] = {}
     rng = random.Random(20108)
     for trial in range(200):
         strands = rng.randint(2, 4)
@@ -322,9 +327,11 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
         k = rng.choice([-1, 1]) * rng.randint(1, strands - 1)
         pos = rng.randint(0, base_len)
         moved = letters[:pos] + [k, -k] + letters[pos:]
-        lhs = kauffman_oracle.bracket(BraidWord(strands, tuple(letters)))
-        rhs = kauffman_oracle.bracket(BraidWord(strands, tuple(moved)))
-        if lhs != rhs:
+        lhs, rhs = BraidWord(strands, tuple(letters)), BraidWord(strands, tuple(moved))
+        for word in (lhs, rhs):
+            if word not in brackets:
+                brackets[word] = kauffman_oracle.bracket(word)
+        if brackets[lhs] != brackets[rhs]:
             failures.append(f"bracket changed under a cancelling pair (trial {trial})")
             break
 

@@ -544,6 +544,84 @@ def test_replay_bits_are_pinned():
     assert replay_digest() == REPLAY_SHA256
 
 
+# --- the fold on the float view against the division form --------------------
+
+def division_fold(state, term, tau, pairing):
+    """The fold as complex division writes it: (s - T s) / 2 and v / |v|,
+    each real divisor cast to c + 0i by numpy."""
+    ground = (state - apply_pauli(term, state, N_SITES)) / 2.0
+    excited = state - ground
+    if pairing is not None:
+        excited = apply_pauli(pairing, excited, N_SITES)
+    v = ground + math.exp(-2.0 * tau) * excited
+    return v / spin_sim._norm(v)
+
+
+def division_stages(name, state, tau):
+    for step in SCHEDULES[name]:
+        state = division_fold(state, step.term, tau, step.pairing)
+        yield state
+
+
+def assert_same_up_to_zero_signs(got, ref) -> int:
+    """got == ref by value, and every byte that differs is in the sign of an
+    exact zero part; returns how many parts differ in that sign."""
+    assert got.dtype == complex and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    g, r = got.view(np.float64), np.asarray(ref, dtype=complex).view(np.float64)
+    differ = np.signbit(g) != np.signbit(r)
+    assert np.all(g[differ] == 0) and np.all(r[differ] == 0)
+    return int(np.count_nonzero(differ))
+
+
+def test_fold_equals_the_division_form_on_seeded_replays():
+    # every stage state of 40 seeded words replayed from phi0 and of the
+    # four generators on the eight ground states, at four tau, each replay
+    # and its division-form twin run independently from the same input
+    rng = random.Random("fold-float-view")
+    words = [tuple(rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(rng.randint(1, 8)))
+             for _ in range(40)]
+    states = zero_signs = 0
+    for tau in (0.3, 1.0, 20.0, math.inf):
+        runs = [(letters, prepare_logical(0)) for letters in words]
+        runs += [((g,), v) for g in spin_sim.LETTER_NAMES for v in ground_basis().vectors]
+        for letters, start in runs:
+            state = ref = start
+            for g in letters:
+                name = spin_sim.LETTER_NAMES[g]
+                for state, ref in zip(braid_sequence_states(name, state, tau),
+                                      division_stages(name, ref, tau), strict=True):
+                    zero_signs += assert_same_up_to_zero_signs(state, ref)
+                    states += 1
+    assert states > 5000
+    # half the entries of the product states are exact zeros, and the
+    # division's +-0 cross terms flip some of their signs
+    assert zero_signs > 0
+
+
+def test_fold_takes_real_and_strided_inputs():
+    # a float64 vector's complex view would be half as long, and a strided
+    # one has none; both are taken as contiguous complex arrays first
+    ground = 2.0 * ground_basis().vectors[5]
+    real = ground.real.copy()
+    assert np.array_equal(real, ground)
+    strided = np.repeat(2.0 * prepare_logical(0), 2)[::2]
+    assert not strided.flags.c_contiguous
+    step = SCHEDULES["s2"][2]
+    for state in (real, strided):
+        expected = np.asarray(state, dtype=complex)
+        assert_same_up_to_zero_signs(spin_sim.normalize(state),
+                                     expected / spin_sim._norm(expected))
+        for tau in (0.3, math.inf):
+            assert_same_up_to_zero_signs(cooling_step(state, step.term, step.pairing, tau),
+                                         division_fold(expected, step.term, tau, step.pairing))
+            assert_same_up_to_zero_signs(ite_apply(state, step.term, tau),
+                                         division_fold(expected, step.term, tau, None))
+            for got, ref in zip(braid_sequence_states("s2", state, tau),
+                                division_stages("s2", expected, tau), strict=True):
+                assert_same_up_to_zero_signs(got, ref)
+
+
 # --- the tableau walk ---------------------------------------------------------
 
 def test_phi0_generators_stabilize_the_logical_zero_state():

@@ -8,7 +8,7 @@ set of +-1 terms would share.
 
 import numpy as np
 
-from mjones import anyon_core, spin_sim, verify
+from mjones import anyon_core, kauffman_oracle, spin_sim, verify
 from mjones.pauli import PauliTerm, commuting_spectrum
 
 FIG8 = {name: word for name, word, _ in verify.GOLDEN_LINKS}["figure-eight"]
@@ -74,3 +74,40 @@ def test_jw_spectra_checks_the_schedules(monkeypatch):
         spin_sim._stage_terms.cache_clear()
     assert not result.passed
     assert result.detail.startswith("Pauli words of H'M3 differ from H'3's")
+
+
+def test_property_suite_sees_a_bracket_fault_on_a_cancelling_pair(monkeypatch):
+    # the fault shows only on words holding an adjacent k, -k pair
+    original = kauffman_oracle.bracket
+
+    def faulty(word, **kwargs):
+        value = original(word, **kwargs)
+        letters = word.letters
+        if any(a == -b for a, b in zip(letters, letters[1:])):
+            return value + kauffman_oracle.LaurentPolynomial.monomial(1)
+        return value
+
+    monkeypatch.setattr(kauffman_oracle, "bracket", faulty)
+    result = verify.check_property_suite(matrices())
+    assert not result.passed
+    assert "bracket changed under a cancelling pair" in result.detail
+
+
+def test_each_run_computes_each_suite_bracket_once(monkeypatch):
+    # the property suite's 400 seeded words hold 303 distinct ones; two runs
+    # on one shared matrices object each compute all 303, so no bracket is
+    # kept from one run to the next
+    original = kauffman_oracle.bracket
+    calls = []
+
+    def counted(word, **kwargs):
+        if not kwargs:                  # jones_at_i asks for normalise=True
+            calls.append(word)
+        return original(word, **kwargs)
+
+    monkeypatch.setattr(kauffman_oracle, "bracket", counted)
+    m = matrices()
+    for _ in range(2):
+        calls.clear()
+        assert all(result.passed for result in verify.run_all(m))
+        assert len(calls) == len(set(calls)) == 303

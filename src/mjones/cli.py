@@ -43,6 +43,7 @@ import math
 import sys
 import time
 import traceback
+from functools import partial
 
 # the backends and ``verify`` are imported where they run, so that a
 # process loads only what its command and backend use: braid-info and the
@@ -301,123 +302,103 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_DISAGREE
 
 
+def _commands() -> dict:
+    """Each subcommand's name -> (help, positionals as (dest, help), options
+    as flag -> (type, choices, default), function).  It is read when a
+    parser is built, so it takes the ``cmd_*`` functions bound then."""
+    return {
+        "jones": ("evaluate a braid word's closure",
+                  [("word", "braid word, e.g. 's1 s2^-1 s1 s2^-1'; a leading "
+                            "'strands=N' pads it to N strands")],
+                  {"--backend": (None, (*_BACKENDS, "all"), "all"),
+                   "--tau": (float, None, DEFAULT_TAU),
+                   "--tolerance": (float, None, 1e-8),
+                   "--output": (None, ("text", "json", "csv"), "text")},
+                  cmd_jones),
+        "braid-info": ("print closure invariants", [("word", None)], {}, cmd_braid_info),
+        "verify": ("run the cross-validation suite", [],
+                   {"--tau": (float, None, DEFAULT_TAU),
+                    "--output": (None, ("text", "json"), "text")},
+                   cmd_verify),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mjones",
-        description="Jones values at t=i from anyon braiding, a ten-qubit replay, "
-                    "and an exact bracket oracle",
-    )
+    parser = argparse.ArgumentParser(prog="mjones", description=(
+        "Jones values at t=i from anyon braiding, a ten-qubit replay, and an exact bracket oracle"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_jones = sub.add_parser("jones", help="evaluate a braid word's closure")
-    p_jones.add_argument("word", help="braid word, e.g. 's1 s2^-1 s1 s2^-1'; a leading "
-                                      "'strands=N' pads it to N strands")
-    p_jones.add_argument("--backend", choices=(*_BACKENDS, "all"),
-                         default="all")
-    p_jones.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_jones.add_argument("--tolerance", type=float, default=1e-8)
-    p_jones.add_argument("--output", choices=("text", "json", "csv"), default="text")
-    p_jones.set_defaults(fn=cmd_jones)
-
-    p_info = sub.add_parser("braid-info", help="print closure invariants")
-    p_info.add_argument("word")
-    p_info.set_defaults(fn=cmd_braid_info)
-
-    p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    p_verify.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_verify.add_argument("--output", choices=("text", "json"), default="text")
-    p_verify.set_defaults(fn=cmd_verify)
-
+    for name, (help_, positionals, options, fn) in _commands().items():
+        command = sub.add_parser(name, help=help_)
+        for dest, text in positionals:
+            command.add_argument(dest, help=text)
+        for flag, (type_, choices, default) in options.items():
+            command.add_argument(flag, type=type_, choices=choices, default=default)
+        command.set_defaults(fn=fn)
     return parser
 
 
-def _plain_reader(dest: str, name: str, parser: argparse.ArgumentParser):
-    """A reader of the plainest argv that ``parser`` takes, derived from its
-    own store actions: exact option strings, each at most once with one
-    value; no token that starts with "-", so that argparse keeps its
-    negative-number and "--" rules; each value put through its action's
-    type and choices; and exactly the parser's positionals.  The reader
-    returns the namespace that the top-level parser makes for ``name``
-    followed by that argv, or None for any other argv.  A parser with any
-    other kind of action, a required option or an exclusive group gets no
-    reader (None)."""
-    if parser._mutually_exclusive_groups:
-        return None
-    options, positionals, defaults = {}, [], {dest: name}
-    for action in parser._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or action.option_strings and action.required):
-            return None
-        for option in action.option_strings:
-            options[option] = action
-        if not action.option_strings:
-            positionals.append(action)
-        if action.default is not argparse.SUPPRESS:
-            default = action.default
-            # argparse puts a string default through the type, as it does a value
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            defaults[action.dest] = default
-    for key, value in parser._defaults.items():    # set_defaults: fn
-        defaults.setdefault(key, value)
-
-    def read(argv):
-        values, given = dict(defaults), set()
-        pending, tokens = iter(positionals), iter(argv)
-        for token in tokens:
-            if token.startswith("-"):
-                action = options.get(token)
-                token = next(tokens, "-")
-                if action is None or action in given or token.startswith("-"):
-                    return None
-                given.add(action)
-            else:
-                action = next(pending, None)
-                if action is None:
-                    return None
+def _read(values: dict, flags: dict, dests: list, argv):
+    """The namespace that the top-level parser makes for a command and the
+    plainest ``argv`` it takes, else None: exact flags, each at most once;
+    no value that starts with "-", so that argparse keeps its negative-number
+    and "--" rules; each value through its type and choices; and exactly
+    the positionals."""
+    namespace, unread = dict(values), dict(flags)
+    pending, tokens = iter(dests), iter(argv)
+    for token in tokens:
+        if token.startswith("-"):
+            # popped, so that a repeated flag is refused as an unknown one
+            spec, value = unread.pop(token, None), next(tokens, "-")
+            if spec is None or value.startswith("-"):
+                return None
+            dest, type_, choices = spec
             try:
-                value = token if action.type is None else action.type(token)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = value if type_ is None else type_(value)
+            except (TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
-        if next(pending, None) is not None:
-            return None
-        return argparse.Namespace(**values)
-
-    return read
-
-
-def _commands(parser: argparse.ArgumentParser) -> dict:
-    """Each subcommand's name -> its plain reader, or None."""
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return {name: _plain_reader(sub.dest, name, command)
-            for name, command in sub.choices.items()}
+        else:
+            dest, value = next(pending, None), token
+            if dest is None:
+                return None
+        namespace[dest] = value
+    if next(pending, None) is not None:
+        return None
+    return argparse.Namespace(**namespace)
 
 
-# built on the first ``main`` call and reused, with its commands' plain
-# readers kept on it: building it costs about 25 times one parse.  ``main``
-# reads a plain argv with the command's reader, with no argparse call; any
-# other argv goes to the top-level parser.  So argparse alone refuses an
-# argv or prints help, and every usage line, message and exit status stands.
-_parser: argparse.ArgumentParser | None = None
+def _readers() -> dict:
+    """Each subcommand's name -> its plain reader, ``_read`` on the
+    command's defaults, flags and positionals, each computed here once."""
+    readers = {}
+    for name, (_, positionals, options, fn) in _commands().items():
+        values, flags = {"command": name, "fn": fn}, {}
+        for flag, (type_, choices, default) in options.items():
+            dest = flag[2:].replace("-", "_")      # argparse's dest for one long flag
+            values[dest], flags[flag] = default, (dest, type_, choices)
+        readers[name] = partial(_read, values, flags, [dest for dest, _ in positionals])
+    return readers
+
+
+# the top-level parser and the commands' plain readers, both built from the
+# ``_commands()`` table on the first ``main`` call and reused: building them
+# costs about 25 times one parse.  A plain argv is read by its command's
+# reader with no argparse call, any other by the parser, so argparse alone
+# refuses an argv or prints help, and every message and exit status stands.
+_parser: tuple[argparse.ArgumentParser, dict] | None = None
 
 
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
-        parser = build_parser()
-        parser.commands = _commands(parser)    # whole before another call can see it
-        _parser = parser
+        _parser = build_parser(), _readers()
+    parser, readers = _parser
     argv = sys.argv[1:] if argv is None else argv
-    read = _parser.commands.get(argv[0] if argv else None)
+    read = readers.get(argv[0] if argv else None)
     args = read(argv[1:]) if read else None
     if args is None:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (BraidSyntaxError, FlagError) as exc:

@@ -546,14 +546,11 @@ def extract_braid_matrix(name: str, tau: float = DEFAULT_TAU) -> tuple[np.ndarra
     return u, logical
 
 
-def braid_word_state(word: BraidWord, state: np.ndarray | None = None,
+def braid_word_state(word: BraidWord, state: np.ndarray,
                      tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Apply a link braid word (generators 1 and 2 only) to a state,
-    defaulting to the logical |000> preparation."""
+    """Apply a link braid word (generators 1 and 2 only) to a state."""
     if word.max_generator() > 2:
         raise CapacityError("the ten-site register realises generators s1 and s2 only")
-    if state is None:
-        state = prepare_logical(0)
     for g in word.letters:
         state = braid_sequence(LETTER_NAMES[g], state, tau)
     return state
@@ -564,8 +561,9 @@ def jones_spin_replay(word: BraidWord, tau: float = DEFAULT_TAU) -> float:
     with n the word's strand count (spectator chains contribute factor 1)."""
     if word.strands > 3:
         raise CapacityError("the ten-site register supports at most three strands")
+    # the replay only reads phi0: each stage's fold writes to arrays it made
     phi0 = prepare_logical(0)
-    final = braid_word_state(word, phi0.copy(), tau)
+    final = braid_word_state(word, phi0, tau)
     return float(2.0 ** ((word.strands - 1) / 2.0) * abs(np.vdot(phi0, final)))
 
 

@@ -295,13 +295,14 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
     t0 = time.perf_counter()
     failures = []
 
-    for pairs in (2, 3):
-        for g in anyon_core.braid_generators(pairs):
+    generators = {pairs: anyon_core.braid_generators(pairs) for pairs in (2, 3)}
+    for pairs, gens in generators.items():
+        for g in gens:
             dev = np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0])))
             if dev > 1e-12:
                 failures.append(f"generator unitarity ({pairs} pairs): {dev:.2e}")
 
-    b1, b2, b3, b4, b5 = anyon_core.braid_generators(3)
+    b1, b2, b3, b4, b5 = generators[3]
     dev = np.max(np.abs(b2 @ b3 @ b2 - b3 @ b2 @ b3))
     if dev > 1e-12:
         failures.append(f"braid relation B2B3B2=B3B2B3: {dev:.2e}")

@@ -1,7 +1,9 @@
 """Command-line behaviour: outputs, exit codes, schemas."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -13,6 +15,7 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mjones
 from mjones import cli, spin_sim, verify
@@ -495,6 +498,25 @@ def test_a_number_past_the_digit_limit_is_a_parse_error(capsys, command, word, m
     assert err == f"parse error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["jones", "strands=0 s1"], ["braid-info", "strands=0"]])
+def test_a_zero_strand_count_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err == "parse error: token 1: strand count must be positive\n"
+
+
+def test_the_vector_replay_caps_three_strands(capsys):
+    # tau = 1 selects the vector replay, whose own cap refuses four strands
+    assert spin_sim.spin_method(1.0) == "replay"
+    message = "the ten-site register supports at most three strands"
+    code, out, err = run(capsys, "jones", "strands=4 s1", "--backend", "spin", "--tau", "1")
+    assert code == EXIT_CAPACITY and out == ""
+    assert err == f"capacity error: {message}\n"
+    code, out, err = run(capsys, "jones", "strands=4 s1", "--backend", "all", "--tau", "1")
+    assert code == EXIT_OK and err == ""
+    assert f"spin      skipped: {message}" in out.splitlines()
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--output", "json")
     assert code == EXIT_OK
@@ -885,6 +907,76 @@ def test_a_plain_argv_runs_no_argparse_parse(capsys, monkeypatch):
     # parse, which runs the command's parser in turn
     assert main(["jones", "s1", "--back", "anyon"]) == EXIT_OK
     assert len(calls) == 2
+
+
+# --- generated argvs: whatever the plain reader reads, argparse reads alike --
+
+# each flag's values that its type and choices take, then ones they refuse
+_FLAG_VALUES = {
+    "--backend": (["anyon", "spin", "kauffman", "all"], ["ANYON", "bogus", ""]),
+    "--tau": (["5", "0.5", "1e-3", "inf", "\u0661", " 5 ", "1_000"], ["-inf", "-1", "x", ""]),
+    "--tolerance": (["1e-6", "1e-8", "2", "1_0"], ["-1e-3", "1__0", ""]),
+    "--output": (["text", "json", "csv"], ["JSON", "xml", ""]),
+}
+_ANY_VALUE = sorted({value for pair in _FLAG_VALUES.values() for values in pair
+                     for value in values})
+
+# every flag as written, then abbreviated, miscased or with one dash; each
+# followed by any value, joined to it by "=", or bare among the odd words
+_FORMS = [form for flag in _FLAG_VALUES
+          for form in (flag, flag[:4], flag[:3], flag.upper(), flag[1:])]
+_EXACT = [[flag, value] for flag in _FLAG_VALUES for value in _ANY_VALUE]
+_NOISE = (_EXACT, _EXACT,
+          [[form, value] for form in _FORMS for value in _ANY_VALUE],
+          [[f"{form}={value}"] for form in _FORMS for value in _ANY_VALUE],
+          [[word] for word in (*_FORMS, "", "-1", "-1 -2", "-", "--", "-h", "extra")])
+
+# the flags each command takes
+_COMMAND_FLAGS = {"jones": list(_FLAG_VALUES), "braid-info": [], "verify": ["--tau", "--output"]}
+
+
+@st.composite
+def _argvs(draw):
+    """One of the three commands, or one that is not, then up to 8 tokens:
+    words, flags of the command as written with a value they take, and up
+    to two ``_NOISE`` pieces (so a flag may come twice), in any order."""
+    command = draw(st.sampled_from([*_COMMAND_FLAGS, *_COMMAND_FLAGS, "Jones", "VERIFY",
+                                    "frobnicate"]))
+    # mostly as many words as the command takes, else one fewer or one more
+    words = (command != "verify") + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+    pieces = [[draw(st.sampled_from(["s1", "s1 s2^-1", "strands=3 s1", "5"]))]
+              for _ in range(words)]
+    flags = draw(st.permutations(_COMMAND_FLAGS.get(command, ["--tau"])))
+    for flag in flags[:draw(st.integers(0, len(flags)))]:
+        pieces.append([draw(st.sampled_from([*[flag] * 4, flag.upper(), flag[:4]])),
+                       draw(st.sampled_from(_FLAG_VALUES[flag][0]))])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        pieces.append(draw(st.sampled_from(draw(st.sampled_from(_NOISE)))))
+    return [command, *itertools.chain.from_iterable(draw(st.permutations(pieces)))][:8]
+
+
+def test_the_plain_reader_reads_generated_argvs_as_argparse_does():
+    # the readers and one parser are called directly; NaN is left out, as a
+    # namespace holding it never equals itself
+    readers, parser, read = cli._readers(), build_parser(), []
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        command = readers.get(argv[0])
+        args = command(argv[1:]) if command else None
+        read.append(args is not None)
+        if args is not None:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    expected = parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"{argv} read as {args}; argparse refuses it: {err.getvalue()}")
+            assert args == expected, argv
+
+    check()
+    # the grammar reaches both sides of the reader
+    assert 50 <= sum(read) <= len(read) - 50
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

@@ -509,7 +509,16 @@ class TestWordReplay:
         with pytest.raises(CapacityError, match="at most three strands"):
             jones_spin_abs(BraidWord(4, (3,)))
         with pytest.raises(CapacityError, match="generators s1 and s2 only"):
-            braid_word_state(BraidWord(4, (1, 3)))
+            braid_word_state(BraidWord(4, (1, 3)), prepare_logical(0))
+
+    def test_the_word_replay_only_reads_its_input(self):
+        # so jones_spin_replay passes phi0 itself, with no copy
+        phi0 = prepare_logical(0)
+        kept = phi0.copy()
+        phi0.setflags(write=False)
+        for tau in (0.3, 1.0, DEFAULT_TAU, math.inf):
+            braid_word_state(BraidWord(3, (1, -2, 1, -2, 2, -1)), phi0, tau)
+        assert np.array_equal(phi0, kept)
 
     def test_amplitude_probability_basics(self):
         phi0 = prepare_logical(0)

@@ -111,3 +111,78 @@ def test_each_run_computes_each_suite_bracket_once(monkeypatch):
         calls.clear()
         assert all(result.passed for result in verify.run_all(m))
         assert len(calls) == len(set(calls)) == 303
+
+
+def extracted() -> verify.BraidMatrices:
+    """A run's matrices with its four generators extracted, before a fault
+    is planted in the replay."""
+    m = matrices()
+    for name in spin_sim.BRAID_NAMES:
+        m(name)
+    return m
+
+
+def _generators_with(monkeypatch, change):
+    original = anyon_core.braid_generators
+    monkeypatch.setattr(anyon_core, "braid_generators",
+                        lambda pairs: change(pairs, original(pairs)))
+
+
+def test_property_suite_sees_a_generator_that_is_not_unitary(monkeypatch):
+    m = extracted()
+    _generators_with(monkeypatch, lambda pairs, gens: tuple(2 * g for g in gens))
+    result = verify.check_property_suite(m)
+    assert not result.passed
+    assert result.detail.startswith("generator unitarity (2 pairs): 3.00e+00")
+    assert "braid relation" not in result.detail and "far commutation" not in result.detail
+
+
+def test_property_suite_sees_a_broken_braid_relation(monkeypatch):
+    # B4 in B3's place still commutes with B2, so only the braid relation fails
+    m = extracted()
+    _generators_with(monkeypatch, lambda pairs, gens:
+                     gens if pairs == 2 else (gens[0], gens[1], gens[3], gens[3], gens[4]))
+    result = verify.check_property_suite(m)
+    assert not result.passed
+    assert result.detail.startswith("braid relation B2B3B2=B3B2B3: ")
+    assert ";" not in result.detail
+
+
+def test_property_suite_sees_a_broken_far_commutation(monkeypatch):
+    # B3 in B4's place still satisfies the braid relation with B2
+    m = extracted()
+    _generators_with(monkeypatch, lambda pairs, gens:
+                     gens if pairs == 2 else (*gens[:3], gens[2], gens[4]))
+    result = verify.check_property_suite(m)
+    assert not result.passed
+    assert result.detail.startswith("far commutation [B2,B4]: ")
+    assert ";" not in result.detail
+
+
+def test_property_suite_sees_lost_cooling_weight(monkeypatch):
+    m = extracted()
+    split = spin_sim._ground_excited_split
+
+    def halved(state, term):
+        ground, excited = split(state, term)
+        return ground, 0.5 * excited
+
+    monkeypatch.setattr(spin_sim, "_ground_excited_split", halved)
+    result = verify.check_property_suite(m)
+    assert not result.passed
+    assert result.detail.startswith("cooling weight accounting lost ")
+
+
+def test_property_suite_sees_a_leaking_cooling_step(monkeypatch):
+    m = extracted()
+    monkeypatch.setattr(spin_sim, "cooling_step", lambda state, term, pairing, tau=0.0: state)
+    result = verify.check_property_suite(m)
+    assert not result.passed
+    assert "cooling output leaks out of the ground space" in result.detail
+
+
+def test_property_suite_builds_each_pair_count_generators_once(monkeypatch):
+    built = []
+    _generators_with(monkeypatch, lambda pairs, gens: built.append(pairs) or gens)
+    assert verify.check_property_suite(extracted()).passed
+    assert built == [2, 3]

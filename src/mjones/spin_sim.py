@@ -540,7 +540,7 @@ def extract_braid_matrix(name: str, tau: float = DEFAULT_TAU) -> tuple[np.ndarra
     basis = ground_basis()
     u = np.zeros((8, 8), dtype=complex)
     for j in range(8):
-        final = braid_sequence(name, basis.vectors[j].copy(), tau)
+        final = braid_sequence(name, basis.vectors[j], tau)
         u[:, j] = basis.coefficients(final)
     logical = ENCODE @ u @ ENCODE.conj().T
     return u, logical

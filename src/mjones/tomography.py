@@ -80,10 +80,7 @@ def density_matrix(state: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj())
 
 
-def matrix_to_json(matrix: np.ndarray, labels: tuple[str, ...] | None = None) -> dict:
+def matrix_to_json(matrix: np.ndarray, labels: tuple[str, ...]) -> dict:
     """Nested [re, im] serialisation used in machine-readable reports."""
     entries = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
-    out: dict = {"entries": entries}
-    if labels is not None:
-        out["labels"] = list(labels)
-    return out
+    return {"entries": entries, "labels": list(labels)}

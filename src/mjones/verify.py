@@ -2,10 +2,13 @@
 
 Each check is a named function of the run's :class:`BraidMatrices`, which
 also carries its ``tau``, returning a :class:`CheckResult`; ``run_all``
-executes them in a fixed order so reports are stable.  The run's replays
-live on that object, each made once: the generators' extracted matrices
-and the stage states phi0 reaches under each word prefix, which the
-checkpoint and final-state checks and ``report_artifacts`` share.  The
+executes them in a fixed order so reports are stable.  One harness,
+``_check``, makes every check from a body that returns ``(ok, detail)``:
+it times the body and builds the result, and a check given a time limit
+fails when its body runs that long.  The run's replays live on that
+object, each made once: the generators' extracted matrices and the stage
+states phi0 reaches under each word prefix, which the checkpoint and
+final-state checks and ``report_artifacts`` share.  The
 property suite computes the bracket of each distinct seeded word once per
 call and keeps none between calls.  The golden constants are the signed
 V(i) of the five sample links (Hopf, trefoil, Solomon, figure-eight,
@@ -23,6 +26,7 @@ requires the partners to be the same Pauli words, signs aside.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -155,55 +159,62 @@ def _pauli_words(terms) -> set[frozenset]:
     return {frozenset(t.factors.items()) for t in terms}
 
 
+def _check(name: str, limit: tuple[float, str] = (math.inf, "")):
+    """Decorate a check body, which returns ``(ok, detail)``, into the check:
+    time the body and build its :class:`CheckResult`.  A body that runs
+    ``limit[0]`` seconds or more fails; ``limit[1]`` is that limit as the
+    report writes it."""
+    def harness(body):
+        @functools.wraps(body)
+        def check(matrices: BraidMatrices) -> CheckResult:
+            t0 = time.perf_counter()
+            ok, detail = body(matrices)
+            elapsed = time.perf_counter() - t0
+            return CheckResult(name, ok and elapsed < limit[0], detail, elapsed, limit[1])
+        return check
+    return harness
+
+
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
 
-def check_anyon_golden_values(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("anyon-golden-values", (0.1, "100 ms"))
+def check_anyon_golden_values(matrices: BraidMatrices):
     worst_abs = 0.0
     worst_signed = 0.0
     for _, word, v in GOLDEN_LINKS:
         got_abs = anyon_core.jones_majorana_abs(word)
         worst_abs = max(worst_abs, abs(got_abs - abs(v)))
         worst_signed = max(worst_signed, abs(anyon_core.jones_su2_2(word) - v))
-    elapsed = time.perf_counter() - t0
-    ok = worst_abs <= 1e-12 and worst_signed <= 1e-9 and elapsed < 0.1
-    return CheckResult(
-        "anyon-golden-values", ok,
-        f"|V| dev {worst_abs:.2e} (tol 1e-12), signed dev {worst_signed:.2e} (tol 1e-9)",
-        elapsed, "100 ms")
+    return (worst_abs <= 1e-12 and worst_signed <= 1e-9,
+            f"|V| dev {worst_abs:.2e} (tol 1e-12), signed dev {worst_signed:.2e} (tol 1e-9)")
 
 
-def check_amplitude_goldens(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("amplitude-goldens")
+def check_amplitude_goldens(matrices: BraidMatrices):
     worst = 0.0
     for _, word, v in GOLDEN_LINKS:
         state = anyon_core.evolve(word.letters, word.strands)
         worst = max(worst, abs(abs(complex(state[0])) - _golden_amplitude(word, v)))
-    ok = worst <= 1e-12
-    return CheckResult(
-        "amplitude-goldens", ok,
-        f"max |amplitude| deviation {worst:.2e} (tol 1e-12)", time.perf_counter() - t0)
+    return worst <= 1e-12, f"max |amplitude| deviation {worst:.2e} (tol 1e-12)"
 
 
-def check_oracle_agreement(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("oracle-agreement")
+def check_oracle_agreement(matrices: BraidMatrices):
     worst = 0.0
     for _, word, _ in GOLDEN_LINKS:
         oracle = kauffman_oracle.jones_at_i(word)
         worst = max(worst, abs(oracle - anyon_core.jones_su2_2(word)))
     unknot_ok = kauffman_oracle.jones_polynomial(BraidWord(2, (1,))) == 1
-    ok = worst <= 1e-9 and unknot_ok
-    return CheckResult(
-        "oracle-agreement", ok,
-        f"max anyon/oracle deviation {worst:.2e} (tol 1e-9), V(unknot)=1 {'exact' if unknot_ok else 'FAILED'}",
-        time.perf_counter() - t0)
+    return (worst <= 1e-9 and unknot_ok,
+            f"max anyon/oracle deviation {worst:.2e} (tol 1e-9), "
+            f"V(unknot)=1 {'exact' if unknot_ok else 'FAILED'}")
 
 
-def check_jw_spectra(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("jw-spectra", (5.0, "5 s"))
+def check_jw_spectra(matrices: BraidMatrices):
     worst = 0.0
     mismatch = ""
     for flabel, slabel in spin_sim.JW_PARTNERS.items():
@@ -215,18 +226,13 @@ def check_jw_spectra(matrices: BraidMatrices) -> CheckResult:
         # equal spectra alone would pass any equally many +-1 terms
         if not mismatch and _pauli_words(fermi_terms) != _pauli_words(spin_terms):
             mismatch = f"Pauli words of {flabel} differ from {slabel}'s (signs ignored); "
-    elapsed = time.perf_counter() - t0
-    ok = worst == 0.0 and not mismatch and elapsed < 5.0
-    return CheckResult(
-        "jw-spectra", ok,
-        f"{mismatch}max spectrum deviation {worst:.2e} (exact; closed-form spectra of commuting, "
-        f"independent Pauli sums) over {len(spin_sim.JW_PARTNERS)} pairs",
-        elapsed, "5 s")
+    return (worst == 0.0 and not mismatch,
+            f"{mismatch}max spectrum deviation {worst:.2e} (exact; closed-form spectra of commuting, "
+            f"independent Pauli sums) over {len(spin_sim.JW_PARTNERS)} pairs")
 
 
-def check_intermediate_states(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
-    tau = matrices.tau
+@_check("protocol-intermediate-states")
+def check_intermediate_states(matrices: BraidMatrices):
     coeffs = spin_sim.logical_decode(np.eye(8)[0])   # phi0's ground-basis amplitudes
     worst = 1.0
     count = 0
@@ -236,15 +242,13 @@ def check_intermediate_states(matrices: BraidMatrices) -> CheckResult:
             if ref is not None:
                 worst = min(worst, spin_sim.amplitude_probability(ref, state))
                 count += 1
-    ok = worst >= 1.0 - 1e-8
-    return CheckResult(
-        "protocol-intermediate-states", ok,
-        f"min checkpoint fidelity {worst:.12f} over {count} stage states (tol 1-1e-8, tau={tau:g})",
-        time.perf_counter() - t0)
+    return (worst >= 1.0 - 1e-8,
+            f"min checkpoint fidelity {worst:.12f} over {count} stage states "
+            f"(tol 1-1e-8, tau={matrices.tau:g})")
 
 
-def check_final_states(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("final-states-probabilities")
+def check_final_states(matrices: BraidMatrices):
     worst_p = 0.0
     worst_f = 1.0
     phi0 = matrices.state(())
@@ -254,29 +258,23 @@ def check_final_states(matrices: BraidMatrices) -> CheckResult:
         worst_p = max(worst_p, abs(spin_sim.amplitude_probability(phi0, final) - p_ref))
         logical = spin_sim.logical_encode(spin_sim.ground_basis().coefficients(final))
         worst_f = min(worst_f, float(abs(np.vdot(FINAL_LOGICAL_REFS[name], logical)) ** 2))
-    ok = worst_p <= 1e-8 and worst_f >= 1.0 - 1e-8
-    return CheckResult(
-        "final-states-probabilities", ok,
-        f"max probability deviation {worst_p:.2e} (tol 1e-8), "
-        f"min final-state fidelity {worst_f:.12f}", time.perf_counter() - t0)
+    return (worst_p <= 1e-8 and worst_f >= 1.0 - 1e-8,
+            f"max probability deviation {worst_p:.2e} (tol 1e-8), "
+            f"min final-state fidelity {worst_f:.12f}")
 
 
-def check_braid_matrices(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("braid-matrix-reconstruction")
+def check_braid_matrices(matrices: BraidMatrices):
     worst = 0.0
     for name in spin_sim.BRAID_NAMES:
         u, logical = matrices(name)
         worst = max(worst, _phase_align(u, GROUND_MATRIX_REFS[name]))
         worst = max(worst, _phase_align(logical, LOGICAL_MATRIX_REFS[name]))
-    ok = worst <= 1e-8
-    return CheckResult(
-        "braid-matrix-reconstruction", ok,
-        f"max aligned entry deviation {worst:.2e} (tol 1e-8) over 4 generators",
-        time.perf_counter() - t0)
+    return worst <= 1e-8, f"max aligned entry deviation {worst:.2e} (tol 1e-8) over 4 generators"
 
 
-def check_chi_goldens(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("chi-goldens")
+def check_chi_goldens(matrices: BraidMatrices):
     _, logical = matrices("s1")
     factor = logical.reshape(4, 2, 4, 2)[:, 0, :, 0]   # spectator qubit stripped
     chi = tomography.chi_from_unitary(factor)
@@ -285,14 +283,11 @@ def check_chi_goldens(matrices: BraidMatrices) -> CheckResult:
         abs(chi.entry("XX", "XX") - 0.5),
         abs(chi.entry("XX", "II") - 0.5j),
     )
-    ok = dev <= 1e-12
-    return CheckResult(
-        "chi-goldens", ok,
-        f"max chi entry deviation {dev:.2e} (tol 1e-12)", time.perf_counter() - t0)
+    return dev <= 1e-12, f"max chi entry deviation {dev:.2e} (tol 1e-12)"
 
 
-def check_property_suite(matrices: BraidMatrices) -> CheckResult:
-    t0 = time.perf_counter()
+@_check("property-suite")
+def check_property_suite(matrices: BraidMatrices):
     failures = []
 
     generators = {pairs: anyon_core.braid_generators(pairs) for pairs in (2, 3)}
@@ -338,6 +333,7 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
 
     rng2 = np.random.default_rng(20108)
     term = spin_sim.SCHEDULES["s1"][0].term   # -x2x3
+    pairing = spin_sim.PauliTerm(1.0, {3: "z"})
     for _ in range(5):
         raw = rng2.normal(size=spin_sim.DIM) + 1j * rng2.normal(size=spin_sim.DIM)
         state = raw / np.linalg.norm(raw)
@@ -345,14 +341,12 @@ def check_property_suite(matrices: BraidMatrices) -> CheckResult:
         loss = abs(1.0 - np.linalg.norm(ground) ** 2 - np.linalg.norm(excited) ** 2)
         if loss > 1e-10:
             failures.append(f"cooling weight accounting lost {loss:.2e}")
-        out = spin_sim.cooling_step(state, term, spin_sim.PauliTerm(1.0, {3: "z"}))
+        out = spin_sim.cooling_step(state, term, pairing)
         g2, e2 = spin_sim._ground_excited_split(out, term)
         if np.linalg.norm(e2) ** 2 > 1e-10 or abs(np.linalg.norm(out) - 1.0) > 1e-12:
             failures.append("cooling output leaks out of the ground space")
 
-    ok = not failures
-    detail = "all properties hold" if ok else "; ".join(failures[:4])
-    return CheckResult("property-suite", ok, detail, time.perf_counter() - t0)
+    return not failures, "; ".join(failures[:4]) or "all properties hold"
 
 
 CHECKS = (

@@ -979,6 +979,41 @@ def test_the_plain_reader_reads_generated_argvs_as_argparse_does():
     assert 50 <= sum(read) <= len(read) - 50
 
 
+def _shows_a_failure(out: str) -> bool:
+    """Whether a report holds a failed comparison or a failed verify check:
+    ``"within": false`` or ``"passed": false`` in JSON, ``DISAGREE`` or
+    ``FAIL`` in text, a CSV row ending in ``false``."""
+    lines = out.splitlines()
+    return ('"within": false' in out or '"passed": false' in out or "DISAGREE" in out
+            or any(line.startswith("FAIL ") or line.endswith(",false") for line in lines))
+
+
+def test_generated_argvs_keep_the_exit_code_contract():
+    # every argv runs through main, argparse's SystemExit counted as its
+    # code: 0-3 only, never a traceback, and 1 only with a failure shown
+    codes = []
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        codes.append(code)
+        assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_PARSE, EXIT_CAPACITY), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+        if code in (EXIT_OK, EXIT_DISAGREE):
+            # exit 1 is the code of a genuine failure, shown in the report
+            assert (code == EXIT_DISAGREE) == _shows_a_failure(out.getvalue()), argv
+
+    check()
+    # the grammar reaches the disagreement exit as well as success and refusal
+    assert {EXIT_OK, EXIT_DISAGREE, EXIT_PARSE} <= set(codes)
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     def crash(word, tau):
         raise RuntimeError("boom")

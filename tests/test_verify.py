@@ -7,6 +7,7 @@ set of +-1 terms would share.
 """
 
 import numpy as np
+import pytest
 
 from mjones import anyon_core, kauffman_oracle, spin_sim, verify
 from mjones.pauli import PauliTerm, commuting_spectrum
@@ -179,6 +180,35 @@ def test_property_suite_sees_a_leaking_cooling_step(monkeypatch):
     result = verify.check_property_suite(m)
     assert not result.passed
     assert "cooling output leaks out of the ground space" in result.detail
+
+
+class _SlowClock:
+    """A perf_counter that advances ``step`` seconds at every read."""
+
+    def __init__(self, step: float):
+        self.step, self.now = step, 0.0
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+@pytest.mark.parametrize("check, step, limit, failing", [
+    (verify.check_anyon_golden_values, 0.25, "100 ms", ["anyon-golden-values"]),
+    (verify.check_jw_spectra, 5.0, "5 s", ["anyon-golden-values", "jw-spectra"]),
+])
+def test_a_check_past_its_time_limit_fails(monkeypatch, check, step, limit, failing):
+    m = matrices()
+    on_time = check(m)
+    assert on_time.passed and on_time.time_limit == limit
+    monkeypatch.setattr(verify.time, "perf_counter", _SlowClock(step))
+    result = check(m)
+    assert not result.passed and result.elapsed == step
+    assert result.detail == on_time.detail and result.time_limit == limit
+    assert result.describe(with_time=False) == f"{result.detail}, time limit {limit}"
+    assert result.describe(with_time=True).endswith(f"{step * 1e3:.1f} ms (limit {limit})")
+    # the checks with no limit pass however long they take
+    assert [r.name for r in verify.run_all(m) if not r.passed] == failing
 
 
 def test_property_suite_builds_each_pair_count_generators_once(monkeypatch):
